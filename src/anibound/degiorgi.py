@@ -300,9 +300,7 @@ def certify(
         c0 = default_c0(d_exp, e)
 
     N = lp_norm(cell_average(u), d_exp.sigma_star, grid, ball)
-    d_plus = choose_d(c, C_cal, c0, R, N)
-    d_minus = choose_d(c, C_cal, c0, R, N)  # N is sign-invariant
-    d = max(d_plus, d_minus)
+    d = choose_d(c, C_cal, c0, R, N)  # N is sign-invariant: one d serves u and -u
 
     traces = tuple(
         iteration_trace(u, x0, R, d, e, c, N, H, sign) for sign in (+1, -1)

@@ -145,27 +145,36 @@ def _pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (a[lead + (slice(1, None),)] + a[lead + (slice(None, -1),)])
 
 
+def _cell_gradients(values: np.ndarray, h: float) -> list:
+    """Components of the discrete gradient of a nodal array, one per axis."""
+    comps = []
+    for i in range(values.ndim):
+        d = np.diff(values, axis=i) / h
+        for j in range(values.ndim):
+            if j != i:
+                d = _pair_average(d, axis=j)
+        comps.append(d)
+    return comps
+
+
 def gradient(u: GridFunction) -> np.ndarray:
     """Discrete gradient on the cell lattice, shape (n, *cell_shape)."""
     g = u.grid
     if any(m < 2 for m in g.shape):
         raise ValueError("gradient needs at least 2 nodes per axis")
-    comps = []
-    for i in range(g.n):
-        d = np.diff(u.values, axis=i) / g.h
-        for j in range(g.n):
-            if j != i:
-                d = _pair_average(d, axis=j)
-        comps.append(d)
-    return np.stack(comps, axis=0)
+    return np.stack(_cell_gradients(u.values, g.h), axis=0)
+
+
+def _average_to_cells(values: np.ndarray) -> np.ndarray:
+    """A nodal array averaged to cell centers."""
+    for axis in range(values.ndim):
+        values = _pair_average(values, axis=axis)
+    return values
 
 
 def cell_average(u: GridFunction) -> np.ndarray:
     """Nodal values averaged to cell centers, shape cell_shape."""
-    a = u.values
-    for axis in range(u.grid.n):
-        a = _pair_average(a, axis=axis)
-    return a
+    return _average_to_cells(u.values)
 
 
 def _region_mask(grid: Grid, region, points: np.ndarray, shape: tuple) -> np.ndarray:

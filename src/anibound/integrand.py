@@ -69,10 +69,6 @@ class WeightField:
         return self.amplitude * dist ** self.exponent
 
 
-def constant_weight(c: float) -> WeightField:
-    return WeightField("constant", amplitude=c)
-
-
 @dataclass(frozen=True)
 class ModelIntegrand:
     """Separable model integrand; see module docstring.

@@ -5,6 +5,11 @@ energy, with a Barzilai-Borwein trial step and Armijo backtracking so every
 iterate decreases the energy.  Convexity of the model family makes this
 adequate at desk scale; no second-order machinery.
 
+Each line-search trial costs one stencil evaluation, which keeps the cell
+state (cell gradients, cell average, smoothing bases); the accepted trial
+becomes the next iterate, and its gradient adds only the adjoint pass over
+that kept state.
+
 When some p_i < 2 the kink of |t|^p at t = 0 is smoothed to
 (t^2 + eps^2)^(p/2) - eps^p; eps defaults to h^2.
 """
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, GridFunction
+from .fields import Grid, GridFunction, _average_to_cells, _cell_gradients
 from .integrand import ModelIntegrand, energy
 
 __all__ = [
@@ -61,11 +66,6 @@ class SolveResult:
     residual: float
 
 
-def _pair_average(a, axis):
-    lead = (slice(None),) * axis
-    return 0.5 * (a[lead + (slice(1, None),)] + a[lead + (slice(None, -1),)])
-
-
 def _adjoint_pair_average(a, axis):
     shape = list(a.shape)
     shape[axis] += 1
@@ -87,7 +87,8 @@ def _adjoint_diff(a, axis):
 
 
 class _DiscreteEnergy:
-    """Precomputed weights and vectorized energy/gradient of the nodal vector."""
+    """Precomputed weights; `evaluate` returns the energy of a nodal array with
+    the cell state from which `gradient` builds its nodal gradient."""
 
     def __init__(self, m: ModelIntegrand, grid: Grid, eps: float):
         self.m = m
@@ -105,55 +106,46 @@ class _DiscreteEnergy:
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
 
-    def _pow(self, t, p):
-        if self.eps > 0 and p < 2:
-            return (t * t + self.eps ** 2) ** (p / 2.0) - self.eps ** p
-        return np.abs(t) ** p
-
-    def _pow_d(self, t, p):
-        if self.eps > 0 and p < 2:
-            return p * t * (t * t + self.eps ** 2) ** (p / 2.0 - 1.0)
-        return p * np.sign(t) * np.abs(t) ** (p - 1.0)
-
-    def _cell_data(self, values):
-        grads = []
-        for i in range(self.grid.n):
-            d = np.diff(values, axis=i) / self.grid.h
-            for j in range(self.grid.n):
-                if j != i:
-                    d = _pair_average(d, axis=j)
-            grads.append(d)
-        uc = values
-        for axis in range(self.grid.n):
-            uc = _pair_average(uc, axis=axis)
-        return uc, grads
-
-    def value(self, values) -> float:
-        uc, grads = self._cell_data(values)
+    def evaluate(self, values):
+        """Energy and state: the cell gradients, per axis the smoothing base
+        t^2 + eps^2 (None if unsmoothed), the cell average (None if no u term)."""
+        grads = _cell_gradients(values, self.grid.h)
+        bases = []
         total = 0.0
-        for i in range(self.grid.n):
-            total += float(np.sum(self.lam[i] * self._pow(grads[i], self.p[i])))
+        for i, t in enumerate(grads):
+            p = self.p[i]
+            if self.eps > 0 and p < 2:
+                base = t * t + self.eps ** 2
+                f = base ** (p / 2.0) - self.eps ** p
+            else:
+                base = None
+                f = np.abs(t) ** p
+            bases.append(base)
+            total += float(np.sum(self.lam[i] * f))
+        uc = None
         if self.mu is not None:
+            uc = _average_to_cells(values)
             total += self.m.u_coeff * float(
                 np.sum(self.mu * np.abs(uc) ** self.gamma)
             )
-        return total * self.hn
+        return total * self.hn, (grads, bases, uc)
 
-    def value_and_grad(self, values):
-        uc, grads = self._cell_data(values)
-        total = 0.0
-        gout = np.zeros_like(values)
-        for i in range(self.grid.n):
-            total += float(np.sum(self.lam[i] * self._pow(grads[i], self.p[i])))
-            w = self.lam[i] * self._pow_d(grads[i], self.p[i]) * (self.hn / self.grid.h)
+    def gradient(self, state):
+        """Nodal gradient of the energy from a state that `evaluate` returned."""
+        grads, bases, uc = state
+        gout = np.zeros(self.grid.shape)
+        for i, (t, base) in enumerate(zip(grads, bases)):
+            p = self.p[i]
+            if base is None:
+                d = p * np.sign(t) * np.abs(t) ** (p - 1.0)
+            else:
+                d = p * t * base ** (p / 2.0 - 1.0)
+            w = self.lam[i] * d * (self.hn / self.grid.h)
             for j in range(self.grid.n):
                 if j != i:
                     w = _adjoint_pair_average(w, axis=j)
             gout += _adjoint_diff(w, axis=i)
-        if self.mu is not None:
-            total += self.m.u_coeff * float(
-                np.sum(self.mu * np.abs(uc) ** self.gamma)
-            )
+        if uc is not None:
             w = (
                 self.m.u_coeff
                 * self.mu
@@ -165,7 +157,7 @@ class _DiscreteEnergy:
             for axis in range(self.grid.n):
                 w = _adjoint_pair_average(w, axis=axis)
             gout += w
-        return total * self.hn, gout
+        return gout
 
 
 def _interior_mask(grid: Grid) -> np.ndarray:
@@ -198,16 +190,21 @@ def solve(
     hn = grid.h ** grid.n
 
     u = boundary.values.copy()
-    e_val, g = prob.value_and_grad(u)
-    g = np.where(interior, g, 0.0)
-    residual = float(np.max(np.abs(g))) / hn
+    e_val, state = prob.evaluate(u)
     step = cfg.step0
     prev_u = None
     prev_g = None
     iterations = 0
-    converged = residual <= cfg.grad_tol
 
-    while not converged and iterations < cfg.max_iters:
+    while True:
+        # `state` is the cell state of u, kept from the accepted trial; it is
+        # dropped once the gradient is built.
+        g = np.where(interior, prob.gradient(state), 0.0)
+        del state
+        residual = float(np.max(np.abs(g))) / hn
+        converged = residual <= cfg.grad_tol
+        if converged or iterations >= cfg.max_iters:
+            break
         gnorm2 = float(np.sum(g * g))
         if prev_u is not None:
             du = u - prev_u
@@ -219,17 +216,15 @@ def solve(
                 step = cfg.step0
             step = min(max(step, 1e-14), 1e14)
         t = step
-        e_new = prob.value(u - t * g)
+        trial = u - t * g
+        e_new, state = prob.evaluate(trial)
         while e_new > e_val - cfg.armijo_c * t * gnorm2 and t > 1e-16:
             t *= cfg.shrink
-            e_new = prob.value(u - t * g)
+            trial = u - t * g
+            e_new, state = prob.evaluate(trial)
         prev_u, prev_g = u, g
-        u = u - t * g
-        e_val, g = prob.value_and_grad(u)
-        g = np.where(interior, g, 0.0)
-        residual = float(np.max(np.abs(g))) / hn
+        u, e_val = trial, e_new
         iterations += 1
-        converged = residual <= cfg.grad_tol
 
     return SolveResult(
         u=GridFunction(grid, u),
