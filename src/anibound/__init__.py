@@ -12,7 +12,6 @@ from .exponents import (
     sobolev_star,
     derive,
     check_admissibility,
-    theta_exponents,
     iteration_constants,
     choose_d,
 )

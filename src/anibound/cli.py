@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import degiorgi, inequalities
 from .config import ConfigError, RunConfig, load_config
 from .exponents import (
@@ -28,7 +26,7 @@ from .exponents import (
     derive,
     iteration_constants,
 )
-from .fields import Ball, GridFunction, read_gridfn, write_gridfn
+from .fields import Ball, GridFunction, _tensor_hat, read_gridfn, write_gridfn
 from .minimize import random_perturbations, solve, verify_quasiminimality
 
 EXIT_OK = 0
@@ -141,21 +139,6 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.valid else EXIT_FAILED
 
 
-def _bump_field(cfg: RunConfig) -> GridFunction:
-    """Deterministic tensor-hat bump vanishing on the boundary."""
-    grid = cfg.grid
-    vals = np.ones(grid.shape)
-    for i, axis in enumerate(grid.node_axes()):
-        lo, hi = grid.lo[i], grid.hi[i]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        hat = np.clip(1.0 - np.abs(axis - mid) / half, 0.0, None)
-        shape = [1] * grid.n
-        shape[i] = len(axis)
-        vals = vals * hat.reshape(shape)
-    return GridFunction(grid, vals)
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     if cfg.verify is None:
@@ -167,7 +150,7 @@ def cmd_verify(args) -> int:
     reports.append(inequalities.verify_lower_bound(cfg.model, u, spec.subbox))
     reports.append(inequalities.verify_weight_domination(cfg.model, cfg.grid))
     if d.sigma_star is not None:
-        bump = _bump_field(cfg)
+        bump = GridFunction(cfg.grid, _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi)))
         reports.append(inequalities.verify_embedding(bump, d))
         reports.append(inequalities.verify_poincare_sobolev(cfg.model, bump, d))
     for k in spec.levels:

@@ -24,7 +24,16 @@ from .exponents import (
     derive,
     iteration_constants,
 )
-from .fields import Ball, GridFunction, cell_average, lp_norm
+from .fields import (
+    Ball,
+    GridFunction,
+    _average_to_cells,
+    _cell_box,
+    _lattice_points,
+    _node_box,
+    cell_average,
+    lp_norm,
+)
 
 __all__ = [
     "sequences",
@@ -69,15 +78,19 @@ def j_sequence(
     e: Exponents,
     H: int = DEFAULT_STEPS,
 ) -> np.ndarray:
-    """Super-level masses J_h = integral over {u > k_h} of (u - k_h)^{qs'}, h = 0..H."""
+    """Super-level masses J_h = integral over {u > k_h} of (u - k_h)^{qs'}, h = 0..H.
+
+    Only the cells of the bounding box of B_R(x0) are visited.
+    """
     if H < 1:
         raise ValueError("need at least one step")
     grid = u.grid
     if not grid.contains_ball(Ball(x0, R)):
         raise ValueError("ball leaves the grid box")
     qs = e.qs_prime
-    centers = grid.cell_centers()
-    uc = cell_average(u).ravel()
+    box = _cell_box(grid, Ball(x0, R))  # every rho_h is at most R
+    centers = _lattice_points(grid.cell_axes(), box)
+    uc = _average_to_cells(u.values[_node_box(box)]).ravel()
     x0v = np.asarray(x0, dtype=float)
     diff = centers - x0v
     dist2 = np.einsum("ij,ij->i", diff, diff)
@@ -310,8 +323,10 @@ def certify(
     )
 
     half = Ball(x0, R / 2.0)
-    inside = half.contains(grid.node_points()).reshape(grid.shape)
-    sup_half = float(np.max(np.abs(u.values[inside]))) if inside.any() else 0.0
+    nodes = _node_box(_cell_box(grid, half))
+    values = u.values[nodes]
+    inside = half.contains(_lattice_points(grid.node_axes(), nodes)).reshape(values.shape)
+    sup_half = float(np.max(np.abs(values[inside]))) if inside.any() else 0.0
 
     composite = (C_cal * c0 ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
         1.0 / c.delta1

@@ -29,7 +29,6 @@ __all__ = [
     "sobolev_star",
     "derive",
     "check_admissibility",
-    "theta_exponents",
     "iteration_constants",
     "unit_ball_volume",
     "default_c0",
@@ -185,18 +184,6 @@ def _require_admissible(d: DerivedExponents, e: Exponents) -> None:
             "inadmissible exponents: "
             f"cond_i={rep.cond_i} cond_ii={rep.cond_ii} cond_iii={rep.cond_iii}"
         )
-
-
-def theta_exponents(d: DerivedExponents, e: Exponents, check: bool = True) -> tuple:
-    """Exponents (theta1, theta2) of the L-infinity estimate."""
-    if check:
-        _require_admissible(d, e)
-    sp, ss, pb = d.s_prime, d.sigma_star, d.p_bar
-    q, g = e.q, e.gamma
-    denom = _denominator(d, e)
-    theta1 = (ss * g - q * sp * pb) / denom
-    theta2 = q * ss / denom
-    return theta1, theta2
 
 
 def _denominator(d: DerivedExponents, e: Exponents) -> float:

@@ -62,13 +62,11 @@ class Grid:
 
     def node_points(self) -> np.ndarray:
         """All node coordinates, shape (num_nodes, n), row-major order."""
-        mesh = np.meshgrid(*self.node_axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice_points(self.node_axes())
 
     def cell_centers(self) -> np.ndarray:
         """All cell-center coordinates, shape (num_cells, n), row-major order."""
-        mesh = np.meshgrid(*self.cell_axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice_points(self.cell_axes())
 
     def contains_ball(self, ball: "Ball") -> bool:
         return all(
@@ -177,27 +175,73 @@ def cell_average(u: GridFunction) -> np.ndarray:
     return _average_to_cells(u.values)
 
 
-def _region_mask(grid: Grid, region, points: np.ndarray, shape: tuple) -> np.ndarray:
-    if region is None:
-        return np.ones(shape, dtype=bool)
-    if isinstance(region, Ball):
-        return region.contains(points).reshape(shape)
+def _lattice_points(axes, box=None) -> np.ndarray:
+    """Coordinates of the lattice points in `box` (one slice per axis, None for
+    all of them), shape (N, n), row-major order."""
+    if box is not None:
+        axes = [a[s] for a, s in zip(axes, box)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _cell_box(grid: Grid, region) -> tuple:
+    """Index slices, one per axis, of a box of cells that holds every cell of a
+    cell mask or every cell center inside a Ball, clamped to the grid.
+
+    The box of a mask is tight (empty slices for an empty mask). The box of a
+    Ball keeps one spare index on each side, so rounding never cuts off a
+    cell, and widened by one node at the upper end it holds every node inside
+    the ball as well.
+    """
     if isinstance(region, np.ndarray):
-        return region.reshape(shape)
-    return np.asarray(region(points), dtype=bool).reshape(shape)
+        mask = region.reshape(grid.cell_shape)
+        box = []
+        for i in range(grid.n):
+            hits = np.flatnonzero(mask.any(axis=tuple(j for j in range(grid.n) if j != i)))
+            box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
+        return tuple(box)
+    box = []
+    for i, count in enumerate(grid.cell_shape):
+        lo = (region.x0[i] - region.R - grid.lo[i]) / grid.h - 0.5
+        hi = (region.x0[i] + region.R - grid.lo[i]) / grid.h - 0.5
+        start = min(max(0, math.floor(lo)), count)
+        box.append(slice(start, max(start, min(count, math.floor(hi) + 2))))
+    return tuple(box)
+
+
+def _node_box(box: tuple) -> tuple:
+    """The nodes of a box of cells: every corner of every cell in it."""
+    return tuple(slice(s.start, s.stop + 1) for s in box)
 
 
 def cell_mask(grid: Grid, region) -> np.ndarray:
-    """Boolean mask over cells; region is None, a Ball, a mask, or a predicate on centers."""
-    return _region_mask(grid, region, grid.cell_centers(), grid.cell_shape)
+    """Boolean mask over cells; region is None, a Ball, a mask, or a predicate on centers.
+
+    A Ball is tested only on the cells of its bounding box.
+    """
+    shape = grid.cell_shape
+    if region is None:
+        return np.ones(shape, dtype=bool)
+    if isinstance(region, np.ndarray):
+        return region.reshape(shape)
+    if isinstance(region, Ball):
+        box = _cell_box(grid, region)
+        mask = np.zeros(shape, dtype=bool)
+        inside = region.contains(_lattice_points(grid.cell_axes(), box))
+        mask[box] = inside.reshape(mask[box].shape)
+        return mask
+    return np.asarray(region(grid.cell_centers()), dtype=bool).reshape(shape)
 
 
 def lp_norm(f: np.ndarray, beta: float, grid: Grid, region=None) -> float:
-    """L^beta norm of a cell field by midpoint quadrature; max over cells at beta = inf."""
+    """L^beta norm of a cell field by midpoint quadrature; max over cells at beta = inf.
+
+    With region None, f may also be the values of any set of cells, flat.
+    """
     if beta < 1:
         raise ValueError(f"need beta >= 1, got {beta}")
-    mask = cell_mask(grid, region)
-    vals = np.abs(np.asarray(f))[mask]
+    vals = np.abs(np.asarray(f))
+    vals = vals.ravel() if region is None else vals[cell_mask(grid, region)]
     if vals.size == 0:
         return 0.0
     if math.isinf(beta):
@@ -206,11 +250,31 @@ def lp_norm(f: np.ndarray, beta: float, grid: Grid, region=None) -> float:
 
 
 def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
-    """h^n times the number of nodes with |x - x0| < R and u(x) > k."""
+    """h^n times the number of nodes with |x - x0| < R and u(x) > k.
+
+    Only the nodes of the ball's bounding box are visited, so the cost scales
+    with that box, not with the grid.
+    """
     g = u.grid
-    inside = ball.contains(g.node_points()).reshape(g.shape)
-    count = int(np.count_nonzero(inside & (u.values > k)))
+    box = _node_box(_cell_box(g, ball))
+    values = u.values[box]
+    inside = ball.contains(_lattice_points(g.node_axes(), box)).reshape(values.shape)
+    count = int(np.count_nonzero(inside & (values > k)))
     return count * g.h ** g.n
+
+
+def _tensor_hat(grid: Grid, box) -> np.ndarray:
+    """Nodal values of the product over axes of the hats that peak at the
+    midpoint of [a_i, b_i] and vanish outside it; box = [(a_1, b_1), ...]."""
+    vals = np.ones(grid.shape)
+    for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
+        shape = [1] * grid.n
+        shape[i] = len(x)
+        vals = vals * hat.reshape(shape)
+    return vals
 
 
 def truncate(u: GridFunction, k: float) -> GridFunction:

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import Exponents
-from .fields import GridFunction, cell_average, cell_mask, gradient
+from .fields import (
+    GridFunction,
+    _average_to_cells,
+    _cell_box,
+    _cell_gradients,
+    _lattice_points,
+    _node_box,
+    cell_mask,
+)
 
 __all__ = [
     "WeightField",
@@ -112,16 +120,20 @@ class ModelIntegrand:
         return out
 
 
-def eval_integrand(m: ModelIntegrand, x, u, xi) -> np.ndarray:
-    """f(x, u, xi) for vectorized inputs: x (N, n), u (N,), xi (n, N)."""
+def eval_integrand(m: ModelIntegrand, x, u, xi, h: float = 0.0) -> np.ndarray:
+    """f(x, u, xi) for vectorized inputs: x (N, n), u (N,), xi (n, N).
+
+    h is the grid spacing the weights shift singular samples by (see
+    WeightField); pass the grid's h for cell centers of a grid.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    lam = m.lambda_values(x)
+    lam = m.lambda_values(x, h)
     p = np.asarray(m.exponents.p)[:, None]
     out = np.sum(lam * np.abs(xi) ** p, axis=0)
     if m.u_coeff > 0:
-        out = out + m.u_coeff * m.mu(x) * np.abs(u) ** m.exponents.gamma
+        out = out + m.u_coeff * m.mu(x, h) * np.abs(u) ** m.exponents.gamma
     return out
 
 
@@ -185,13 +197,21 @@ def check_convexity(m: ModelIntegrand, sample_pairs) -> ConvexityReport:
 
 
 def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
-    """Cell-quadrature energy integral of f(x, u, Du) over the region."""
+    """Cell-quadrature energy integral of f(x, u, Du) over the region.
+
+    The gradient, the cell average and the weights are evaluated only on the
+    bounding box of the region's cells, so beyond building the region's mask
+    the cost scales with that box, not with the grid.
+    """
     g = u.grid
-    mask = cell_mask(g, region).ravel()
+    mask = cell_mask(g, region)
     if not mask.any():
         return 0.0
-    centers = g.cell_centers()[mask]
-    uc = cell_average(u).ravel()[mask]
-    xi = gradient(u).reshape(g.n, -1)[:, mask]
-    f = eval_integrand(m, centers, uc, xi)
+    box = _cell_box(g, mask)
+    sel = mask[box].ravel()
+    values = u.values[_node_box(box)]
+    centers = _lattice_points(g.cell_axes(), box)[sel]
+    uc = _average_to_cells(values).ravel()[sel]
+    xi = np.stack(_cell_gradients(values, g.h), axis=0).reshape(g.n, -1)[:, sel]
+    f = eval_integrand(m, centers, uc, xi, g.h)
     return float(np.sum(f) * g.h ** g.n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, GridFunction, _average_to_cells, _cell_gradients
+from .fields import Grid, GridFunction, _average_to_cells, _cell_gradients, _tensor_hat
 from .integrand import ModelIntegrand, energy
 
 __all__ = [
@@ -290,24 +290,15 @@ def verify_quasiminimality(
 def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
     """Seeded compactly supported tensor-hat bumps vanishing on the boundary."""
     rng = np.random.default_rng(seed)
-    axes = grid.node_axes()
+    interior = _interior_mask(grid)
     out = []
     for _ in range(count):
-        vals = np.ones(grid.shape)
-        for i in range(grid.n):
-            lo, hi = grid.lo[i], grid.hi[i]
+        box = []
+        for lo, hi in zip(grid.lo, grid.hi):
             a = rng.uniform(lo, hi - 2 * grid.h)
-            b = rng.uniform(a + 2 * grid.h, hi)
-            x = axes[i]
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
-            shape = [1] * grid.n
-            shape[i] = len(x)
-            vals = vals * hat.reshape(shape)
+            box.append((a, rng.uniform(a + 2 * grid.h, hi)))
         # force exact zeros on boundary nodes
-        mask = _interior_mask(grid)
-        vals = np.where(mask, vals, 0.0)
+        vals = np.where(interior, _tensor_hat(grid, box), 0.0)
         amp = amplitude * rng.uniform(-1.0, 1.0)
         out.append(GridFunction(grid, amp * vals))
     return out

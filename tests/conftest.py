@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anibound.exponents import INF, Exponents, check_admissibility, derive
-from anibound.fields import GridFunction, make_grid
+from anibound.fields import GridFunction, _tensor_hat, make_grid
 from anibound.integrand import ModelIntegrand, WeightField
 
 
@@ -29,15 +29,7 @@ def coordinate_field(grid, axis=0):
 
 def hat_bump(grid, amplitude=1.0):
     """Tensor-product hat centered in the box, zero on the boundary."""
-    vals = np.ones(grid.shape)
-    for i, x in enumerate(grid.node_axes()):
-        lo, hi = grid.lo[i], grid.hi[i]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
-        shape = [1] * grid.n
-        shape[i] = len(x)
-        vals = vals * hat.reshape(shape)
-    return GridFunction(grid, amplitude * vals)
+    return GridFunction(grid, amplitude * _tensor_hat(grid, zip(grid.lo, grid.hi)))
 
 
 def random_exponents(rng):

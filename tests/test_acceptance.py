@@ -383,6 +383,12 @@ grad_tol = 1e-6
 x0 = 0.5,0.5,0.5
 R = 0.4
 C_cal = calibrate
+
+[verify]
+x0 = 0.5,0.5,0.5
+levels = 1,1.5,2
+rhos = 0.1,0.15,0.2
+radii = 0.25,0.3,0.35
 """
 
 
@@ -398,6 +404,9 @@ def test_criterion_8_determinism(tmp_path):
         assert cli_main(
             ["certify", "--config", str(cfg), "--solution", sol, "--out", out]
         ) == 0
+        assert cli_main(
+            ["verify", "--config", str(cfg), "--solution", sol, "--out", out]
+        ) == 0
         outs.append(out)
     ok = True
     for name in (
@@ -405,6 +414,7 @@ def test_criterion_8_determinism(tmp_path):
         "detrun_minimize.csv",
         "detrun_certificate.csv",
         "detrun_trace.csv",
+        "detrun_inequalities.csv",
     ):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()

@@ -1,8 +1,10 @@
+import hashlib
 import os
 
 import pytest
 
 from anibound.cli import main
+from anibound.config import load_config
 from anibound.fields import read_gridfn, write_gridfn
 
 ISO3D = """\
@@ -202,6 +204,58 @@ class TestVerify:
         names = {row.split(",")[0] for row in rows[1:]}
         assert {"lower_bound", "weight_domination", "embedding",
                 "poincare_sobolev", "caccioppoli", "higher_integrability"} <= names
+
+
+PIN3D = """\
+[problem]
+name = pin3d
+
+[grid]
+box = 0:1,0:1,0:1
+h = 0.0625
+
+[exponents]
+n = 3
+p = 2,2,2
+q = 2
+gamma = 3
+r = 4,4,4
+s = inf
+
+[weights]
+lambda1.kind = power
+lambda1.center = 0.25,0.25,0.25
+lambda1.exponent = 0.4
+u_coeff = 1
+mu.kind = power
+mu.center = 0.75,0.5,0.5
+mu.exponent = 1.5
+
+[boundary]
+kind = radial
+center = 0.2,0.3,0.4
+amplitude = 8
+exponent = 2
+
+[verify]
+x0 = 0.5,0.5,0.5
+levels = 1,1.5,2
+rhos = 0.1,0.15,0.2
+radii = 0.25,0.3,0.35
+"""
+
+
+class TestVerifyPin:
+    def test_report_bytes(self, tmp_path):
+        # the boundary data itself, written at every node, is the verified
+        # field, so the pin does not depend on the solver
+        cfg = write_config(tmp_path, PIN3D)
+        sol = tmp_path / "pin3d.gridfn"
+        write_gridfn(sol, load_config(cfg).initial_field())
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 0
+        data = (out / "pin3d_inequalities.csv").read_bytes()
+        assert hashlib.sha1(data).hexdigest() == "1681d18b36ec601ec6ead371fb943f12d8d87c62"
 
 
 class TestSweep:

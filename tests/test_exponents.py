@@ -14,7 +14,6 @@ from anibound.exponents import (
     harmonic_mean,
     iteration_constants,
     sobolev_star,
-    theta_exponents,
     unit_ball_volume,
 )
 from conftest import random_admissible_exponents, random_exponents
@@ -145,7 +144,8 @@ class TestAdmissibility:
 class TestThetaExponents:
     def test_isotropic_gamma4(self):
         e = Exponents(3, (2, 2, 2), 2, 4, (INF,) * 3, INF)
-        t1, t2 = theta_exponents(derive(e), e)
+        c = iteration_constants(derive(e), e)
+        t1, t2 = c.theta1, c.theta2
         assert t1 == pytest.approx(5.0, rel=1e-14)
         assert t2 == pytest.approx(3.0, rel=1e-14)
 
@@ -157,21 +157,23 @@ class TestThetaExponents:
             d = derive(e)
             if not check_admissibility(d, e).admissible:
                 continue
-            t1, t2 = theta_exponents(d, e)
+            c = iteration_constants(d, e)
+            t1, t2 = c.theta1, c.theta2
             sp, ss, pb, q = d.s_prime, d.sigma_star, d.p_bar, e.q
             assert t1 == pytest.approx(q * (ss - sp * pb) / (pb * (ss - q * sp)), rel=1e-12)
             assert t2 == pytest.approx(q * ss / (pb * (ss - q * sp)), rel=1e-12)
 
     def test_isotropic_gamma_q(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        t1, t2 = theta_exponents(derive(e), e)
+        c = iteration_constants(derive(e), e)
+        t1, t2 = c.theta1, c.theta2
         assert t1 == pytest.approx(1.0, rel=1e-14)
         assert t2 == pytest.approx(1.5, rel=1e-14)
 
     def test_inadmissible_rejected(self):
         e = Exponents(3, (2, 2, 2), 2, 3, (4, 4, 4), 4)
         with pytest.raises(ValueError):
-            theta_exponents(derive(e), e)
+            iteration_constants(derive(e), e)
 
 
 class TestIterationConstants:

@@ -11,6 +11,7 @@ from anibound.integrand import (
     energy,
     eval_integrand,
 )
+from anibound.minimize import _DiscreteEnergy
 from conftest import coordinate_field, simple_model, unit_grid
 
 
@@ -155,3 +156,21 @@ class TestEnergy:
             b = GridFunction(g, rng.standard_normal(g.shape))
             mid = GridFunction(g, 0.5 * (a.values + b.values))
             assert energy(m, mid) <= 0.5 * (energy(m, a) + energy(m, b)) + 1e-12
+
+
+class TestEnergyMatchesSolver:
+    """energy() and the solver's discrete energy shift a sample on a weight's
+    singular center by the same h/2, so they agree whether or not a cell
+    center hits it."""
+
+    @pytest.mark.parametrize("center", [(0.5625, 0.5625), (0.5, 0.5)], ids=["hit", "no-hit"])
+    def test_singular_weights(self, center, rng):
+        e = Exponents(2, (2.0, 2.0), 2.0, 3.0, (INF, INF), INF)
+        lam1 = WeightField("power", amplitude=1.0, center=center, exponent=-0.5)
+        mu = WeightField("power", amplitude=2.0, center=center, exponent=-0.4)
+        g = unit_grid(2, 1 / 8)
+        u = GridFunction(g, rng.standard_normal(g.shape))
+        for u_coeff in (0.0, 1.0):
+            m = ModelIntegrand(e, (lam1, WeightField("constant")), mu, u_coeff)
+            solver_energy, _ = _DiscreteEnergy(m, g, 0.0).evaluate(u.values)
+            assert energy(m, u) == pytest.approx(solver_energy, rel=1e-12, abs=0.0)

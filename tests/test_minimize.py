@@ -5,7 +5,7 @@ import pytest
 
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction
+from anibound.fields import GridFunction, make_grid
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import (
     SolveConfig,
@@ -173,6 +173,20 @@ class TestQuasiMinimality:
         b = random_perturbations(g, 5, seed=3)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.values, pb.values)
+
+    @pytest.mark.parametrize(
+        "box,h,digest",
+        [
+            ([(0.0, 1.0)] * 3, 1 / 8, "4b6116dcd0d5dc3f2765bc4a4da063f664063e36"),
+            ([(-0.5, 1.0), (0.0, 2.0)], 1 / 16, "fc0e96abd6796082b6902ebea6b429c2956e7fae"),
+        ],
+    )
+    def test_perturbations_pinned(self, box, h, digest):
+        # the 32 bumps cmd_minimize draws: rng order a_0, b_0, a_1, b_1, ..., amp
+        sha = hashlib.sha1()
+        for phi in random_perturbations(make_grid(box, h), 32, seed=0):
+            sha.update(phi.values.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestTrajectoryPins:

@@ -1,0 +1,246 @@
+"""Region-restricted computations against full-grid reference implementations.
+
+energy, cell_mask, superlevel_measure, verify_caccioppoli, j_sequence and the
+half-ball sup of certify work only on the index bounding box of their region.
+The references below evaluate the whole grid and then mask, the way these
+functions did before; every result must agree bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from anibound.degiorgi import certify, j_sequence, sequences
+from anibound.exponents import INF, Exponents, check_admissibility, conjugate_exponent, derive
+from anibound.fields import (
+    Ball,
+    GridFunction,
+    cell_average,
+    cell_mask,
+    gradient,
+    lp_norm,
+    make_grid,
+    superlevel_measure,
+)
+from anibound.inequalities import verify_caccioppoli
+from anibound.integrand import ModelIntegrand, WeightField, energy, eval_integrand
+from conftest import constant
+
+# ------------------------------------------------------------- references
+
+
+def ref_cell_mask(grid, region):
+    centers = grid.cell_centers()
+    if region is None:
+        return np.ones(grid.cell_shape, dtype=bool)
+    if isinstance(region, Ball):
+        return region.contains(centers).reshape(grid.cell_shape)
+    if isinstance(region, np.ndarray):
+        return region.reshape(grid.cell_shape)
+    return np.asarray(region(centers), dtype=bool).reshape(grid.cell_shape)
+
+
+def ref_energy(m, u, region=None):
+    g = u.grid
+    mask = ref_cell_mask(g, region).ravel()
+    if not mask.any():
+        return 0.0
+    centers = g.cell_centers()[mask]
+    uc = cell_average(u).ravel()[mask]
+    xi = gradient(u).reshape(g.n, -1)[:, mask]
+    f = eval_integrand(m, centers, uc, xi, g.h)
+    return float(np.sum(f) * g.h ** g.n)
+
+
+def ref_superlevel_measure(u, k, ball):
+    g = u.grid
+    inside = ball.contains(g.node_points()).reshape(g.shape)
+    return int(np.count_nonzero(inside & (u.values > k))) * g.h ** g.n
+
+
+def ref_caccioppoli_sides(m, u, k, rho, R, x0):
+    grid = u.grid
+    e = m.exponents
+    big = Ball(x0, R)
+    centers = grid.cell_centers()
+    uc = cell_average(u).ravel()
+    in_small = Ball(x0, rho).contains(centers) & (uc > k)
+    in_big = big.contains(centers) & (uc > k)
+    lhs = ref_energy(m, u, in_small.reshape(grid.cell_shape))
+    hn = grid.h ** grid.n
+    mu_t = m.mu_tilde(centers, grid.h)
+    excess = uc[in_big] - k
+    term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
+    term1 /= (R - rho) ** e.q
+    mu_norm = lp_norm(
+        mu_t.reshape(grid.cell_shape), e.s, grid, ref_cell_mask(grid, big)
+    )
+    level = ref_superlevel_measure(u, k, big)
+    s_prime = conjugate_exponent(e.s)
+    term2 = mu_norm * level ** (1.0 / s_prime) if level > 0 else 0.0
+    return lhs, term1 + term2
+
+
+def ref_j_sequence(u, x0, R, d, e, H):
+    grid = u.grid
+    centers = grid.cell_centers()
+    uc = cell_average(u).ravel()
+    diff = centers - np.asarray(x0, dtype=float)
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    hn = grid.h ** grid.n
+    out = np.empty(H + 1)
+    for h in range(H + 1):
+        rho, k, _ = sequences(R, d, h)
+        sel = (dist2 < rho * rho) & (uc > k)
+        out[h] = float(np.sum((uc[sel] - k) ** e.qs_prime) * hn) if sel.any() else 0.0
+    return out
+
+
+# --------------------------------------------------------------- problems
+
+
+def plain_model(n):
+    e = Exponents(n, (2.0,) * n, 2.0, 2.0, (INF,) * n, INF)
+    return ModelIntegrand(e, (constant(1.0),) * n, constant(1.0), 0.0)
+
+
+def weighted_model(n):
+    """Anisotropic p, a power lambda_1, finite r and s, and u_coeff * mu |u|^gamma
+    with a power mu."""
+    p = (1.6, 2.0, 1.8)[:n]
+    e = Exponents(n, p, 2.0, 2.5, (4.0,) * n, 3.0)
+    lam1 = WeightField("power", amplitude=1.5, center=(0.3,) * n, exponent=0.4)
+    mu = WeightField("power", amplitude=2.0, center=(0.7,) + (0.4,) * (n - 1), exponent=1.5)
+    return ModelIntegrand(e, (lam1,) + (constant(0.5),) * (n - 1), mu, 0.8)
+
+
+GRIDS = {
+    2: [([(0.0, 1.0)] * 2, 1 / 16), ([(-0.5, 1.0), (0.25, 1.25)], 1 / 16)],
+    3: [([(0.0, 1.0)] * 3, 1 / 8), ([(-0.25, 1.0), (0.0, 1.0), (0.25, 1.25)], 1 / 8)],
+}
+
+CASES = [(n, box, h, model) for n in (2, 3) for box, h in GRIDS[n] for model in (plain_model, weighted_model)]
+
+
+@pytest.fixture(params=CASES, ids=lambda c: f"n{c[0]}-h{round(1 / c[2])}-{c[3].__name__}-lo{c[1][0][0]}")
+def problem(request):
+    n, box, h, model = request.param
+    grid = make_grid(box, h)
+    rng = np.random.default_rng(CASES.index(request.param))
+    u = GridFunction(grid, rng.uniform(-0.5, 3.0, size=grid.shape))
+    return model(n), u, rng
+
+
+def random_ball(grid, rng, R, inside=True):
+    lo = np.asarray(grid.lo)
+    hi = np.asarray(grid.hi)
+    if inside:
+        return Ball(tuple(rng.uniform(lo + R, hi - R)), R)
+    return Ball(tuple(rng.uniform(lo - R, hi + R)), R)
+
+
+def face_masks(grid, rng):
+    """One mask per face of the grid box: the cells next to that face, thinned at random."""
+    masks = []
+    for axis in range(grid.n):
+        for end in (0, -1):
+            mask = np.zeros(grid.cell_shape, dtype=bool)
+            index = (slice(None),) * axis + (end,)
+            mask[index] = rng.random(mask[index].shape) < 0.5
+            mask[index][(0,) * (grid.n - 1)] = True
+            masks.append(mask)
+    return masks
+
+
+def regions(grid, rng):
+    """Masks, balls and predicates covering the cases the bounding box must get right."""
+    shape = grid.cell_shape
+    single = np.zeros(shape, dtype=bool)
+    single[tuple(rng.integers(0, m) for m in shape)] = True
+    corner = np.zeros(shape, dtype=bool)
+    corner[(-1,) * grid.n] = True
+    sub = np.zeros(shape, dtype=bool)
+    sub[tuple(slice(1, m // 2) for m in shape)] = True
+    out = [
+        None,
+        np.ones(shape, dtype=bool),
+        np.zeros(shape, dtype=bool),
+        single,
+        corner,
+        rng.random(shape) < 0.3,
+        sub & (rng.random(shape) < 0.5),
+        *face_masks(grid, rng),
+        random_ball(grid, rng, 0.23),
+        random_ball(grid, rng, 0.31, inside=False),
+        random_ball(grid, rng, 0.07, inside=False),
+        Ball(tuple(grid.lo), 0.4),
+        Ball(tuple(v + 5.0 for v in grid.hi), 0.3),  # misses the grid
+        Ball(tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)), 10.0),  # covers it
+        lambda pts: pts[:, 0] + 0.5 * pts[:, -1] < 0.6,
+        lambda pts: np.abs(pts[:, 0] - 0.4) < 0.1,
+    ]
+    return out
+
+
+def tangent_ball(grid, R):
+    """A ball touching the lower face of axis 0 and the upper face of the last
+    axis, with x0 off the lattice; contains_ball allows the equality."""
+    x0 = [0.5 * (a + b) + 0.0123 for a, b in zip(grid.lo, grid.hi)]
+    x0[0] = grid.lo[0] + R
+    x0[-1] = grid.hi[-1] - R
+    ball = Ball(tuple(x0), R)
+    assert grid.contains_ball(ball)
+    return ball
+
+
+# ------------------------------------------------------------------ tests
+
+
+def test_cell_mask_and_energy_match_the_full_grid(problem):
+    m, u, rng = problem
+    grid = u.grid
+    for region in regions(grid, rng):
+        assert np.array_equal(cell_mask(grid, region), ref_cell_mask(grid, region))
+        assert energy(m, u, region) == ref_energy(m, u, region)
+
+
+def test_superlevel_measure_matches_the_full_grid(problem):
+    _, u, rng = problem
+    grid = u.grid
+    balls = [r for r in regions(grid, rng) if isinstance(r, Ball)]
+    balls.append(tangent_ball(grid, 0.3))
+    balls.append(Ball(tuple(grid.lo), grid.h / 3))  # holds a node but no cell center
+    for ball in balls:
+        for k in (-1.0, 0.5, 1.0, 2.2, 5.0):
+            assert superlevel_measure(u, k, ball) == ref_superlevel_measure(u, k, ball)
+
+
+def test_caccioppoli_matches_the_full_grid(problem):
+    m, u, rng = problem
+    grid = u.grid
+    centres = [tangent_ball(grid, 0.35).x0, random_ball(grid, rng, 0.4).x0]
+    for x0 in centres:
+        for k in (1.0, 1.7, 2.5):
+            for rho, R in ((0.1, 0.25), (0.2, 0.35), (0.05, 0.11)):
+                if not grid.contains_ball(Ball(x0, R)):
+                    continue
+                rep = verify_caccioppoli(m, u, k, rho, R, x0)
+                lhs, rhs = ref_caccioppoli_sides(m, u, k, rho, R, x0)
+                assert rep.lhs == lhs
+                assert rep.rhs_structure == rhs
+
+
+def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
+    m, u, rng = problem
+    grid = u.grid
+    e = m.exponents
+    balls = [tangent_ball(grid, 0.4), random_ball(grid, rng, 0.3)]
+    for ball in balls:
+        for d in (2.0, 3.1):
+            got = j_sequence(u, ball.x0, ball.R, d, e, H=12)
+            assert np.array_equal(got, ref_j_sequence(u, ball.x0, ball.R, d, e, 12))
+    if check_admissibility(derive(e), e).admissible:
+        ball = balls[0]
+        cert = certify(m, u, ball.x0, ball.R, e, H=12)
+        half = Ball(ball.x0, ball.R / 2)
+        inside = half.contains(grid.node_points()).reshape(grid.shape)
+        assert cert.sup_half_ball == float(np.max(np.abs(u.values[inside])))
