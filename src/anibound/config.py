@@ -1,42 +1,47 @@
 """Run-configuration files: flat key-value text with bracketed sections.
 
-Numbers are decimal binary64, "inf" is the infinity literal.  Parse errors
-carry the section and key they came from.
-
-Example::
+Numbers are decimal binary64, "inf" is the infinity literal, and n, max_iters
+and H must be whole numbers.  Errors raise ConfigError, naming the section
+and key.  The full schema, with defaults and checks in the comments::
 
     [problem]
-    name = iso2d
-
+    name = iso2d                 # default run
     [grid]
-    box = 0:1,0:1
+    box = 0:1,0:1                # lo:hi per axis; h must divide every side
     h = 0.0625
-
     [exponents]
-    n = 2
-    p = 2,2
+    n = 2                        # the grid dimension
+    p = 2,2                      # n values; checks as in exponents.Exponents
     q = 2
     gamma = 2
-    r = inf,inf
+    r = inf,inf                  # n values
     s = inf
-
     [weights]
-    lambda1.kind = constant
+    lambda1.kind = constant      # or power (center, exponent); default constant 1
     lambda1.amplitude = 1
-    mu.kind = constant
-    mu.amplitude = 1
-    u_coeff = 0
-
+    mu.kind = constant           # as lambda<i>
+    u_coeff = 0                  # >= 0
     [boundary]
-    kind = affine
-    coeffs = 1,0
-    offset = 0
-
-    [certify]
-    x0 = 0.5,0.5
+    kind = affine                # affine: coeffs (n), offset
+    coeffs = 1,0                 # radial: center, exponent, amplitude, offset
+    offset = 0                   # product: factor<i> = a,b, amplitude, offset
+    [solver]                     # optional; any other key is an error
+    max_iters = 50000            # >= 1
+    grad_tol = 1e-8              # > 0
+    [certify]                    # optional
+    x0 = 0.5,0.5                 # n coordinates
     R = 0.4
-    H = 40
-    C_cal = calibrate
+    H = 40                       # default 40
+    C_cal = calibrate            # or a number; default 1
+    [verify]                     # optional; defaults shown
+    x0 = 0.5,0.5                 # n coordinates; default the box centre
+    levels = 1,1.5,2             # each >= 1, checked when verify runs
+    rhos = 0.1,0.15,0.2
+    radii = 0.25,0.3,0.35        # balls must lie in the grid box
+    subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box;
+                                 # default the box less a tenth of each side
+    [output]                     # optional
+    dir = .
 """
 
 from __future__ import annotations
@@ -103,10 +108,25 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] field {key!r}: not a number list: {raw!r}") from None
 
+    def box(self, key, default=None, required=False):
+        """Sides lo:hi separated by commas, each with lo < hi."""
+        raw = self.get(key, required=required)
+        if raw is None:
+            return default
+        try:
+            box = tuple(tuple(_num(v) for v in part.split(":")) for part in raw.split(","))
+        except ValueError:
+            raise ConfigError(f"[{self.name}] field {key!r}: malformed {raw!r}") from None
+        if not all(len(side) == 2 and side[0] < side[1] for side in box):
+            raise ConfigError(f"[{self.name}] field {key!r}: need sides lo:hi with lo < hi")
+        return box
+
     def integer(self, key, default=None, required=False):
         val = self.num(key, required=required)
         if val is None:
             return default
+        if not val.is_integer():
+            raise ConfigError(f"[{self.name}] field {key!r}: not an integer: {self.raw[key]!r}")
         return int(val)
 
 
@@ -231,14 +251,9 @@ def load_config(path) -> RunConfig:
     name = prob.get("name", default="run")
 
     gsec = _Section(parser, "grid")
-    box_raw = gsec.get("box", required=True)
-    try:
-        box = [tuple(_num(v) for v in part.split(":")) for part in box_raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"[grid] field 'box': malformed {box_raw!r}") from None
     h = gsec.num("h", required=True)
     try:
-        grid = make_grid(box, h)
+        grid = make_grid(gsec.box("box", required=True), h)
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from None
 
@@ -273,16 +288,13 @@ def load_config(path) -> RunConfig:
     solver = SolveConfig()
     if parser.has_section("solver"):
         ssec = _Section(parser, "solver")
-        eps = ssec.num("smoothing_eps", default=None)
+        unknown = sorted(set(ssec.raw) - {"max_iters", "grad_tol"})
+        if unknown:
+            raise ConfigError(f"[solver] unknown field(s): {', '.join(unknown)}")
+        max_iters = ssec.integer("max_iters", solver.max_iters)
+        grad_tol = ssec.num("grad_tol", solver.grad_tol)
         try:
-            solver = SolveConfig(
-                max_iters=ssec.integer("max_iters", solver.max_iters),
-                grad_tol=ssec.num("grad_tol", solver.grad_tol),
-                step0=ssec.num("step0", solver.step0),
-                shrink=ssec.num("shrink", solver.shrink),
-                armijo_c=ssec.num("armijo", solver.armijo_c),
-                smoothing_eps=eps,
-            )
+            solver = SolveConfig(max_iters=max_iters, grad_tol=grad_tol)
         except ValueError as exc:
             raise ConfigError(f"[solver]: {exc}") from None
 
@@ -305,20 +317,15 @@ def load_config(path) -> RunConfig:
     if parser.has_section("verify"):
         vsec = _Section(parser, "verify")
         x0 = tuple(vsec.nums("x0", default=[0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]))
-        default_sub = [
+        if len(x0) != n:
+            raise ConfigError(f"[verify] field 'x0': expected {n} coordinates")
+        default_sub = tuple(
             (lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
             for lo, hi in zip(grid.lo, grid.hi)
-        ]
-        sub_raw = vsec.get("subbox")
-        if sub_raw is None:
-            subbox = tuple(default_sub)
-        else:
-            try:
-                subbox = tuple(
-                    tuple(_num(v) for v in part.split(":")) for part in sub_raw.split(",")
-                )
-            except ValueError:
-                raise ConfigError(f"[verify] field 'subbox': malformed {sub_raw!r}") from None
+        )
+        subbox = vsec.box("subbox", default=default_sub)
+        if len(subbox) != n:
+            raise ConfigError(f"[verify] field 'subbox': expected {n} sides")
         verify = VerifySpec(
             levels=tuple(vsec.nums("levels", default=[1.0, 1.5, 2.0])),
             rhos=tuple(vsec.nums("rhos", default=[0.1, 0.15, 0.2])),

@@ -18,7 +18,6 @@ import numpy as np
 from .exponents import (
     Exponents,
     IterationConstants,
-    check_admissibility,
     choose_d,
     default_c0,
     derive,
@@ -28,8 +27,7 @@ from .fields import (
     Ball,
     GridFunction,
     _average_to_cells,
-    _cell_box,
-    _lattice_points,
+    _ball_box,
     _node_box,
     cell_average,
     lp_norm,
@@ -85,15 +83,12 @@ def j_sequence(
     if H < 1:
         raise ValueError("need at least one step")
     grid = u.grid
-    if not grid.contains_ball(Ball(x0, R)):
+    ball = Ball(x0, R)
+    if not grid.contains_ball(ball):
         raise ValueError("ball leaves the grid box")
     qs = e.qs_prime
-    box = _cell_box(grid, Ball(x0, R))  # every rho_h is at most R
-    centers = _lattice_points(grid.cell_axes(), box)
+    box, _, dist2 = _ball_box(grid, ball)  # every rho_h is at most R
     uc = _average_to_cells(u.values[_node_box(box)]).ravel()
-    x0v = np.asarray(x0, dtype=float)
-    diff = centers - x0v
-    dist2 = np.einsum("ij,ij->i", diff, diff)
     hn = grid.h ** grid.n
     out = np.empty(H + 1)
     for h in range(H + 1):
@@ -295,9 +290,9 @@ def certify(
 
     Computes the closed-form level scale d from the calibrated constant,
     runs the J-recursion for both signs of u, and reports whether the
-    discrete sup over the half ball stays below d while both J-sequences
-    decay.  Validity is a reproducibility statement about this engine with
-    its calibrated constant, not a restatement of the theorem.
+    discrete sup over the half ball stays below a finite d while both
+    J-sequences decay.  Validity is a reproducibility statement about this
+    engine with its calibrated constant, not a restatement of the theorem.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")
@@ -306,9 +301,7 @@ def certify(
     if not grid.contains_ball(ball):
         raise ValueError("ball leaves the grid box")
     d_exp = derive(e)
-    if not check_admissibility(d_exp, e).admissible:
-        raise ValueError("inadmissible exponents")
-    c = iteration_constants(d_exp, e)
+    c = iteration_constants(d_exp, e)  # raises on inadmissible exponents
     if c0 is None:
         c0 = default_c0(d_exp, e)
 
@@ -323,17 +316,20 @@ def certify(
     )
 
     half = Ball(x0, R / 2.0)
-    nodes = _node_box(_cell_box(grid, half))
+    nodes, _, dist2 = _ball_box(grid, half, nodes=True)
     values = u.values[nodes]
-    inside = half.contains(_lattice_points(grid.node_axes(), nodes)).reshape(values.shape)
+    inside = (dist2 < half.R * half.R).reshape(values.shape)
     sup_half = float(np.max(np.abs(values[inside]))) if inside.any() else 0.0
 
-    composite = (C_cal * c0 ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
-        1.0 / c.delta1
-    )
-    rhs_bound = max(2.0, composite * R ** (-c.theta2) * (1.0 + N) ** c.theta1)
+    try:
+        composite = (C_cal * c0 ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
+            1.0 / c.delta1
+        )
+        rhs_bound = max(2.0, composite * R ** (-c.theta2) * (1.0 + N) ** c.theta1)
+    except OverflowError:
+        rhs_bound = math.inf
     slack = d - sup_half
-    valid = decayed and sup_half <= d and d <= rhs_bound * (1.0 + 1e-6)
+    valid = decayed and sup_half <= d and math.isfinite(d)
     return Certificate(
         x0=tuple(x0),
         R=R,

@@ -267,16 +267,22 @@ def choose_d(
     R: float,
     N: float,
 ) -> float:
-    """Closed-form level scale d = max(2, {C c0^alpha lam^(1/alpha) R^-delta2 (1+N)^E}^(1/delta1))."""
+    """Closed-form level scale d = max(2, {C c0^alpha lam^(1/alpha) R^-delta2 (1+N)^E}^(1/delta1)).
+
+    A d too large for binary64 is returned as inf.
+    """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius R must lie in (0, 1], got {R}")
     if N < 0 or C_cal <= 0 or c0 <= 0:
         raise ValueError("need N >= 0 and C_cal, c0 > 0")
-    core = (
-        C_cal
-        * c0 ** c.alpha
-        * c.lambda_base ** (1.0 / c.alpha)
-        * R ** (-c.delta2)
-        * (1.0 + N) ** c.norm_exponent
-    )
-    return max(2.0, core ** (1.0 / c.delta1))
+    try:
+        core = (
+            C_cal
+            * c0 ** c.alpha
+            * c.lambda_base ** (1.0 / c.alpha)
+            * R ** (-c.delta2)
+            * (1.0 + N) ** c.norm_exponent
+        )
+        return max(2.0, core ** (1.0 / c.delta1))
+    except OverflowError:
+        return math.inf

@@ -9,6 +9,8 @@ Conventions used throughout the package:
   fields are differentiated exactly;
 * level sets are counted on nodes (measure = h^n * node count), integrals are
   cell quadratures with nodal values averaged to cell centers.
+
+The stencil, its transposes and the lattice geometry of regions live only here.
 """
 
 from __future__ import annotations
@@ -170,6 +172,49 @@ def _average_to_cells(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lead = (slice(None),) * axis
+    out[lead + (slice(None, -1),)] += 0.5 * a
+    out[lead + (slice(1, None),)] += 0.5 * a
+    return out
+
+
+def _adjoint_diff(a: np.ndarray, axis: int) -> np.ndarray:
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    lead = (slice(None),) * axis
+    out[lead + (slice(None, -1),)] -= a
+    out[lead + (slice(1, None),)] += a
+    return out
+
+
+def _cell_gradient_transpose(w: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of h times component `axis` of `_cell_gradients`: a cell array
+    mapped to a nodal array (the caller applies the 1/h)."""
+    for j in range(w.ndim):
+        if j != axis:
+            w = _adjoint_pair_average(w, axis=j)
+    return _adjoint_diff(w, axis=axis)
+
+
+def _average_to_cells_transpose(w: np.ndarray) -> np.ndarray:
+    """Transpose of `_average_to_cells`: a cell array mapped to a nodal array."""
+    for axis in range(w.ndim):
+        w = _adjoint_pair_average(w, axis=axis)
+    return w
+
+
+def _interior_mask(grid: Grid) -> np.ndarray:
+    """Nodes off the boundary of the grid box."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[(slice(1, -1),) * grid.n] = True
+    return mask
+
+
 def cell_average(u: GridFunction) -> np.ndarray:
     """Nodal values averaged to cell centers, shape cell_shape."""
     return _average_to_cells(u.values)
@@ -214,6 +259,20 @@ def _node_box(box: tuple) -> tuple:
     return tuple(slice(s.start, s.stop + 1) for s in box)
 
 
+def _ball_box(grid: Grid, ball: Ball, nodes: bool = False) -> tuple:
+    """The box of a Ball's cells (`_cell_box`), or with `nodes` that box's
+    nodes, with its lattice points, shape (N, n), and their squared distances
+    from x0, shape (N,), both in row-major order."""
+    box = _cell_box(grid, ball)
+    axes = grid.cell_axes()
+    if nodes:
+        box = _node_box(box)
+        axes = grid.node_axes()
+    points = _lattice_points(axes, box)
+    diff = points - np.asarray(ball.x0)
+    return box, points, np.einsum("ij,ij->i", diff, diff)
+
+
 def cell_mask(grid: Grid, region) -> np.ndarray:
     """Boolean mask over cells; region is None, a Ball, a mask, or a predicate on centers.
 
@@ -225,10 +284,9 @@ def cell_mask(grid: Grid, region) -> np.ndarray:
     if isinstance(region, np.ndarray):
         return region.reshape(shape)
     if isinstance(region, Ball):
-        box = _cell_box(grid, region)
+        box, _, dist2 = _ball_box(grid, region)
         mask = np.zeros(shape, dtype=bool)
-        inside = region.contains(_lattice_points(grid.cell_axes(), box))
-        mask[box] = inside.reshape(mask[box].shape)
+        mask[box] = (dist2 < region.R * region.R).reshape(mask[box].shape)
         return mask
     return np.asarray(region(grid.cell_centers()), dtype=bool).reshape(shape)
 
@@ -256,9 +314,9 @@ def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
     with that box, not with the grid.
     """
     g = u.grid
-    box = _node_box(_cell_box(g, ball))
+    box, _, dist2 = _ball_box(g, ball, nodes=True)
     values = u.values[box]
-    inside = ball.contains(_lattice_points(g.node_axes(), box)).reshape(values.shape)
+    inside = (dist2 < ball.R * ball.R).reshape(values.shape)
     count = int(np.count_nonzero(inside & (values > k)))
     return count * g.h ** g.n
 

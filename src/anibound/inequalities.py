@@ -10,20 +10,22 @@ refinement; those are asserted by the test suite, not here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import DerivedExponents, conjugate_exponent
+from .exponents import DerivedExponents, conjugate_exponent, derive
 from .fields import (
     Ball,
     GridFunction,
     _average_to_cells,
-    _cell_box,
-    _lattice_points,
+    _ball_box,
+    _interior_mask,
     _node_box,
     cell_average,
+    cell_mask,
     gradient,
     lp_norm,
     superlevel_measure,
@@ -68,38 +70,29 @@ def _make_report(name, lhs, rhs, context, c_bound=None) -> InequalityReport:
 
 
 def _box_mask(grid, box):
-    """Cell mask of a sub-box given as [(lo, hi), ...]."""
-    centers = grid.cell_centers()
-    mask = np.ones(centers.shape[0], dtype=bool)
+    """Cell mask of a sub-box given as [(lo, hi), ...]: the cells whose centers
+    lie strictly inside it."""
+    if len(box) != grid.n:
+        raise ValueError(f"sub-box has {len(box)} axes, the grid {grid.n}")
     for i, (lo, hi) in enumerate(box):
         if lo < grid.lo[i] - 1e-12 or hi > grid.hi[i] + 1e-12:
             raise ValueError(f"sub-box axis {i} [{lo}, {hi}] leaves the grid box")
-        mask &= (centers[:, i] > lo) & (centers[:, i] < hi)
-    return mask.reshape(grid.cell_shape)
-
-
-def inverse_weight_norm(m: ModelIntegrand, i: int, grid, mask) -> float:
-    """||1/lambda_i||_{L^{r_i}} over the masked cells by cell quadrature."""
-    centers = grid.cell_centers()[mask.ravel()]
-    lam = m.lambdas[i](centers, grid.h)
-    r = m.exponents.r[i]
-    inv = 1.0 / lam
-    if math.isinf(r):
-        return float(np.max(inv)) if inv.size else 0.0
-    return float((np.sum(inv ** r) * grid.h ** grid.n) ** (1.0 / r))
+    inside = [(c > lo) & (c < hi) for (lo, hi), c in zip(box, grid.cell_axes())]
+    if not all(side.any() for side in inside):
+        raise ValueError(f"sub-box {box} holds no cell center")
+    return functools.reduce(np.logical_and.outer, inside)
 
 
 def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> InequalityReport:
     """Lower energy bound: directional norms of Du against the energy integral."""
-    from .exponents import derive
-
     grid = u.grid
     mask = _box_mask(grid, subbox)
+    centers = grid.cell_centers()[mask.ravel()]
     d = derive(m.exponents)
     grads = gradient(u)
     lhs = 0.0
     for i in range(grid.n):
-        wnorm = inverse_weight_norm(m, i, grid, mask)
+        wnorm = lp_norm(1.0 / m.lambdas[i](centers, grid.h), m.exponents.r[i], grid)
         if wnorm == 0.0:
             continue
         gnorm = lp_norm(grads[i], d.sigma[i], grid, mask)
@@ -112,11 +105,8 @@ def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> Inequality
 
 
 def _check_vanishes_near_boundary(u: GridFunction) -> None:
-    vals = u.values
-    for axis in range(u.grid.n):
-        lead = (slice(None),) * axis
-        if np.any(vals[lead + (0,)] != 0.0) or np.any(vals[lead + (-1,)] != 0.0):
-            raise ValueError("field must vanish on the grid boundary")
+    if np.any(u.values[~_interior_mask(u.grid)] != 0.0):
+        raise ValueError("field must vanish on the grid boundary")
 
 
 def verify_embedding(u: GridFunction, d: DerivedExponents) -> InequalityReport:
@@ -143,18 +133,15 @@ def verify_poincare_sobolev(
         raise ValueError("needs sigma_bar < n")
     _check_vanishes_near_boundary(v)
     grid = v.grid
-    if subbox is None:
-        mask = np.ones(grid.cell_shape, dtype=bool)
-    else:
-        mask = _box_mask(grid, subbox)
+    mask = cell_mask(grid, None) if subbox is None else _box_mask(grid, subbox)
     lhs = lp_norm(cell_average(v), d.sigma_star, grid, mask)
     grads = gradient(v)
     centers = grid.cell_centers()
     hn = grid.h ** grid.n
     prod = 1.0
     for i in range(grid.n):
-        wnorm = inverse_weight_norm(m, i, grid, mask)
         lam = m.lambdas[i](centers, grid.h).reshape(grid.cell_shape)
+        wnorm = lp_norm(1.0 / lam[mask], m.exponents.r[i], grid)
         integral = float(
             np.sum((lam * np.abs(grads[i]) ** m.exponents.p[i])[mask]) * hn
         )
@@ -166,8 +153,8 @@ def verify_poincare_sobolev(
 def verify_weight_domination(m: ModelIntegrand, grid) -> InequalityReport:
     """Per-direction weights against twice the effective upper weight."""
     centers = grid.cell_centers()
-    mu_t = m.mu_tilde(centers, grid.h)
     lam = m.lambda_values(centers, grid.h)
+    mu_t = m._mu_tilde(centers, grid.h, lam)
     violation = float(np.max(lam - 2.0 * mu_t))
     lhs = float(np.max(lam))
     rhs = float(np.min(2.0 * mu_t)) if mu_t.size else 0.0
@@ -203,11 +190,8 @@ def verify_caccioppoli(
     e = m.exponents
     s_prime = conjugate_exponent(e.s)
 
-    box = _cell_box(grid, big)
-    centers = _lattice_points(grid.cell_axes(), box)
+    box, centers, dist2 = _ball_box(grid, big)
     uc = _average_to_cells(u.values[_node_box(box)]).ravel()
-    diff = centers - np.asarray(big.x0)
-    dist2 = np.einsum("ij,ij->i", diff, diff)
     in_ball = dist2 < R * R
     above = uc > k
 

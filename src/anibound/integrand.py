@@ -112,9 +112,13 @@ class ModelIntegrand:
 
     def mu_tilde(self, points: np.ndarray, h: float = 0.0) -> np.ndarray:
         """Effective upper weight sum_i lambda_i + u_coeff * mu."""
+        return self._mu_tilde(points, h, self.lambda_values(points, h))
+
+    def _mu_tilde(self, points: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
+        """mu_tilde at the points, given lam = lambda_values(points, h)."""
         if self.mu_tilde_override is not None:
             return self.mu_tilde_override(points, h)
-        out = self.lambda_values(points, h).sum(axis=0)
+        out = lam.sum(axis=0)
         if self.u_coeff > 0:
             out = out + self.u_coeff * self.mu(points, h)
         return out

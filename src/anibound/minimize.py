@@ -11,7 +11,7 @@ becomes the next iterate, and its gradient adds only the adjoint pass over
 that kept state.
 
 When some p_i < 2 the kink of |t|^p at t = 0 is smoothed to
-(t^2 + eps^2)^(p/2) - eps^p; eps defaults to h^2.
+(t^2 + eps^2)^(p/2) - eps^p with eps = h^2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, GridFunction, _average_to_cells, _cell_gradients, _tensor_hat
+from .fields import (
+    Grid,
+    GridFunction,
+    _average_to_cells,
+    _average_to_cells_transpose,
+    _cell_gradient_transpose,
+    _cell_gradients,
+    _interior_mask,
+    _tensor_hat,
+)
 from .integrand import ModelIntegrand, energy
 
 __all__ = [
@@ -43,18 +52,10 @@ class SolveConfig:
 
     max_iters: int = 50_000
     grad_tol: float = 1e-8
-    step0: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    smoothing_eps: float | None = None  # None -> h^2 when any p_i < 2, else 0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.step0 <= 0:
-            raise ValueError("max_iters, grad_tol and step0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("sufficient-decrease constant must lie in (0, 1)")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise ValueError("max_iters and grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,24 +67,9 @@ class SolveResult:
     residual: float
 
 
-def _adjoint_pair_average(a, axis):
-    shape = list(a.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] += 0.5 * a
-    out[lead + (slice(1, None),)] += 0.5 * a
-    return out
-
-
-def _adjoint_diff(a, axis):
-    shape = list(a.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] -= a
-    out[lead + (slice(1, None),)] += a
-    return out
+# The fixed line search: the trial step when the BB quotient is missing or not
+# positive, the factor a rejected step shrinks by, the sufficient decrease.
+_STEP0, _SHRINK, _ARMIJO_C = 1.0, 0.5, 1e-4
 
 
 class _DiscreteEnergy:
@@ -141,10 +127,7 @@ class _DiscreteEnergy:
             else:
                 d = p * t * base ** (p / 2.0 - 1.0)
             w = self.lam[i] * d * (self.hn / self.grid.h)
-            for j in range(self.grid.n):
-                if j != i:
-                    w = _adjoint_pair_average(w, axis=j)
-            gout += _adjoint_diff(w, axis=i)
+            gout += _cell_gradient_transpose(w, i)
         if uc is not None:
             w = (
                 self.m.u_coeff
@@ -154,19 +137,8 @@ class _DiscreteEnergy:
                 * np.abs(uc) ** (self.gamma - 1.0)
                 * self.hn
             )
-            for axis in range(self.grid.n):
-                w = _adjoint_pair_average(w, axis=axis)
-            gout += w
+            gout += _average_to_cells_transpose(w)
         return gout
-
-
-def _interior_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n):
-        lead = (slice(None),) * axis
-        mask[lead + (0,)] = False
-        mask[lead + (-1,)] = False
-    return mask
 
 
 def solve(
@@ -182,16 +154,14 @@ def solve(
     """
     if boundary.grid != grid:
         raise ValueError("boundary data lives on a different grid")
-    eps = cfg.smoothing_eps
-    if eps is None:
-        eps = grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
+    eps = grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
     prob = _DiscreteEnergy(m, grid, eps)
     interior = _interior_mask(grid)
     hn = grid.h ** grid.n
 
     u = boundary.values.copy()
     e_val, state = prob.evaluate(u)
-    step = cfg.step0
+    step = _STEP0
     prev_u = None
     prev_g = None
     iterations = 0
@@ -213,13 +183,13 @@ def solve(
             if denom > 0:
                 step = float(np.sum(du * du)) / denom
             else:
-                step = cfg.step0
+                step = _STEP0
             step = min(max(step, 1e-14), 1e14)
         t = step
         trial = u - t * g
         e_new, state = prob.evaluate(trial)
-        while e_new > e_val - cfg.armijo_c * t * gnorm2 and t > 1e-16:
-            t *= cfg.shrink
+        while e_new > e_val - _ARMIJO_C * t * gnorm2 and t > 1e-16:
+            t *= _SHRINK
             trial = u - t * g
             e_new, state = prob.evaluate(trial)
         prev_u, prev_g = u, g
@@ -248,12 +218,7 @@ class QuasiMinimalityReport:
 
 def _support_mask(phi: GridFunction) -> np.ndarray:
     """Cells touched by phi: any corner value nonzero (covers forward diffs)."""
-    nz = phi.values != 0.0
-    mask = nz
-    for axis in range(phi.grid.n):
-        lead = (slice(None),) * axis
-        mask = mask[lead + (slice(1, None),)] | mask[lead + (slice(None, -1),)]
-    return mask
+    return _average_to_cells((phi.values != 0.0).astype(float)) > 0
 
 
 def verify_quasiminimality(

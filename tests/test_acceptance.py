@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ def test_criterion_6_caccioppoli_stability(solved_problems):
                 ok &= abs(a - b) / scale < 0.2
 
     if os.path.exists(BASELINE_PATH):
-        baselines = json.load(open(BASELINE_PATH))
+        baselines = json.loads(Path(BASELINE_PATH).read_text())
         for name, coarse in coarse_all.items():
             for key, a in coarse.items():
                 pinned = baselines[name][key]
@@ -416,8 +417,8 @@ def test_criterion_8_determinism(tmp_path):
         "detrun_trace.csv",
         "detrun_inequalities.csv",
     ):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         ok &= a == b
     u = read_gridfn(os.path.join(outs[0], "detrun_solution.gridfn"))
     copy = tmp_path / "rt.gridfn"

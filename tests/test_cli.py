@@ -1,5 +1,6 @@
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -121,7 +122,7 @@ class TestMinimize:
     def test_outputs_exist(self, solved):
         cfg, out = solved
         assert os.path.exists(os.path.join(out, "iso3d_solution.gridfn"))
-        summary = open(os.path.join(out, "iso3d_minimize.csv")).read().splitlines()
+        summary = Path(out, "iso3d_minimize.csv").read_text().splitlines()
         assert summary[0] == "energy,iterations,residual,converged,empirical_Q"
         fields = summary[1].split(",")
         assert fields[3] == "1"
@@ -131,8 +132,8 @@ class TestMinimize:
         out2 = str(tmp_path / "again")
         assert main(["minimize", "--config", cfg, "--out", out2]) == 0
         for name in ("iso3d_solution.gridfn", "iso3d_minimize.csv"):
-            a = open(os.path.join(out, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b
 
     def test_solution_round_trips(self, solved, tmp_path):
@@ -162,10 +163,10 @@ class TestCertify:
                      "--out", str(tmp_path / "c")])
         assert code == 0
         assert "valid=True" in capsys.readouterr().out
-        cert = open(tmp_path / "c" / "iso3d_certificate.csv").read().splitlines()
+        cert = (tmp_path / "c" / "iso3d_certificate.csv").read_text().splitlines()
         assert cert[0].startswith("x0,R,d,")
         assert cert[1].endswith(",1")
-        trace = open(tmp_path / "c" / "iso3d_trace.csv").read().splitlines()
+        trace = (tmp_path / "c" / "iso3d_trace.csv").read_text().splitlines()
         assert trace[0] == "sign,h,rho_h,k_h,J_h,rhs_h"
         assert len(trace) == 2 * 40 + 1
 
@@ -198,7 +199,7 @@ class TestVerify:
         code = main(["verify", "--config", cfg, "--solution", sol,
                      "--out", str(tmp_path / "v")])
         assert code == 0
-        rows = open(tmp_path / "v" / "iso3d_inequalities.csv").read().splitlines()
+        rows = (tmp_path / "v" / "iso3d_inequalities.csv").read_text().splitlines()
         assert rows[0] == "check,context,lhs,rhs_structure,c_emp,passed"
         assert all(row.endswith(",1") for row in rows[1:])
         names = {row.split(",")[0] for row in rows[1:]}
@@ -292,7 +293,7 @@ class TestSweep:
         out = str(tmp_path / "s")
         assert main(["sweep", "--config", cfg, "--axis", "q=2:3:3", "--out", out]) == 0
         printed = capsys.readouterr().out
-        on_disk = open(os.path.join(out, "iso3d_sweep.csv")).read()
+        on_disk = Path(out, "iso3d_sweep.csv").read_text()
         assert printed.strip() == on_disk.strip()
 
 
@@ -311,3 +312,65 @@ class TestConfigErrors:
         text = patch(ISO3D, "gamma = 2\n", "")
         cfg = write_config(tmp_path, text)
         assert main(["admissible", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("key", ["step0", "shrink", "armijo", "smoothing_eps"])
+    def test_unknown_solver_key(self, tmp_path, key):
+        cfg = write_config(tmp_path, ISO3D + f"\n[solver]\n{key} = 0.5\n")
+        assert main(["admissible", "--config", cfg]) == 1
+
+    def test_infinite_integer(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ISO3D + "\n[solver]\nmax_iters = inf\n")
+        assert main(["admissible", "--config", cfg]) == 1
+        assert "error: [solver] field 'max_iters'" in capsys.readouterr().err
+
+    def test_fractional_integer(self, tmp_path):
+        cfg = write_config(tmp_path, patch(ISO3D, "n = 3", "n = 3.5"))
+        assert main(["admissible", "--config", cfg]) == 1
+
+    def _verify(self, tmp_path, text):
+        sol = tmp_path / "iso3d.gridfn"
+        write_gridfn(sol, load_config(write_config(tmp_path, ISO3D, "ok.cfg")).initial_field())
+        cfg = write_config(tmp_path, text)
+        return main(["verify", "--config", cfg, "--solution", str(sol),
+                     "--out", str(tmp_path / "v")])
+
+    def test_verify_x0_length(self, tmp_path, capsys):
+        assert self._verify(tmp_path, ISO3D + "x0 = 0.5\n") == 1
+        assert "error: [verify] field 'x0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subbox, message",
+        [
+            ("0.1:0.9,0.1:0.9", "[verify] field 'subbox'"),
+            ("0.1:0.9,0.1:0.9,0.1:0.9,0.1:0.9", "[verify] field 'subbox'"),
+            ("0.1:0.9,0.6:0.4,0.1:0.9", "[verify] field 'subbox'"),
+            ("0.1:0.9,0.5:0.5,0.1:0.9", "[verify] field 'subbox'"),
+            # lo < hi, but no cell center (h = 1/8) lies between them
+            ("0.1:0.9,0.5:0.52,0.1:0.9", "holds no cell center"),
+        ],
+    )
+    def test_verify_subbox(self, tmp_path, capsys, subbox, message):
+        assert self._verify(tmp_path, ISO3D + f"subbox = {subbox}\n") == 1
+        assert message in capsys.readouterr().err
+
+
+EDGE3D = patch(
+    patch(patch(ISO3D, "p = 2,2,2", "p = 1.071,1.765,1.846"), "q = 2", "q = 1.954"),
+    "gamma = 2", "gamma = 2.647",
+)
+
+
+class TestCertifyOverflow:
+    def test_unrepresentable_d_fails_certification(self, tmp_path, capsys):
+        # admissible, but so close to the boundary (delta1 about 0.0023) that
+        # the closed-form d overflows binary64
+        cfg = write_config(tmp_path, EDGE3D)
+        assert main(["admissible", "--config", cfg]) == 0
+        sol = tmp_path / "edge.gridfn"
+        write_gridfn(sol, load_config(cfg).initial_field())
+        out = tmp_path / "c"
+        assert main(["certify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 4
+        assert "d=inf" in capsys.readouterr().out
+        row = (out / "iso3d_certificate.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "inf"
+        assert row[-1] == "0"

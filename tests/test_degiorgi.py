@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,14 @@ from anibound.degiorgi import (
 from anibound.exponents import INF, Exponents, derive, iteration_constants
 from anibound.fields import GridFunction
 from anibound.minimize import SolveConfig, solve
-from conftest import coordinate_field, simple_model, unit_grid
+from anibound.integrand import ModelIntegrand
+from conftest import (
+    constant,
+    coordinate_field,
+    random_admissible_exponents,
+    simple_model,
+    unit_grid,
+)
 
 
 class TestSequences:
@@ -227,3 +237,23 @@ class TestCertify:
         bad = Exponents(3, (2, 2, 2), 2, 7, (INF,) * 3, INF)
         with pytest.raises(ValueError):
             certify(m, u, X0, 0.4, bad)
+
+    def test_d_equals_closed_form_bound(self):
+        # choose_d and rhs_bound are the same closed form, so validity does not
+        # test d against rhs_bound; this pins the identity instead
+        rng = np.random.default_rng(7)
+        finite = 0
+        for e in random_admissible_exponents(rng, 40):
+            # binary64 scalars, as a config file gives them
+            e = replace(e, q=float(e.q), gamma=float(e.gamma), s=float(e.s))
+            g = unit_grid(e.n, 1 / 4)
+            m = ModelIntegrand(e, (constant(1.0),) * e.n, constant(1.0))
+            R = float(rng.uniform(0.1, 0.5))
+            C_cal = float(10.0 ** rng.uniform(-2, 2))
+            cert = certify(m, coordinate_field(g), (0.5,) * e.n, R, e, C_cal=C_cal, H=4)
+            if math.isinf(cert.d):
+                assert not cert.valid
+                continue
+            finite += 1
+            assert abs(cert.d - cert.rhs_bound) <= 1e-9 * cert.d
+        assert finite >= 20

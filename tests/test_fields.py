@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from anibound.fields import (
     Ball,
     GridFunction,
+    _average_to_cells,
+    _average_to_cells_transpose,
+    _cell_gradient_transpose,
+    _cell_gradients,
     gradient,
     lp_norm,
     make_grid,
@@ -69,6 +73,37 @@ class TestGradient:
         grads = gradient(u)
         assert np.allclose(grads[0], a, atol=1e-9)
         assert np.allclose(grads[1], b, atol=1e-9)
+
+
+# unequal node counts per axis and a spacing that is not a power of two
+ADJOINT_GRIDS = [
+    make_grid([(0.0, 0.7)], 0.1),
+    make_grid([(0.0, 0.5), (0.0, 0.8)], 0.1),
+    make_grid([(0.0, 0.4), (0.0, 0.6), (0.0, 0.3)], 0.1),
+]
+
+
+class TestTransposes:
+    """<A u, w> = <u, A^T w> for the cell gradient and the cell average."""
+
+    @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
+    def test_cell_gradient(self, grid):
+        rng = np.random.default_rng(grid.n)
+        u = rng.standard_normal(grid.shape)
+        for axis in range(grid.n):
+            w = rng.standard_normal(grid.cell_shape)
+            lhs = np.sum(_cell_gradients(u, grid.h)[axis] * w)
+            rhs = np.sum(u * _cell_gradient_transpose(w, axis)) / grid.h
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
+    def test_cell_average(self, grid):
+        rng = np.random.default_rng(10 + grid.n)
+        u = rng.standard_normal(grid.shape)
+        w = rng.standard_normal(grid.cell_shape)
+        lhs = np.sum(_average_to_cells(u) * w)
+        rhs = np.sum(u * _average_to_cells_transpose(w))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 class TestLpNorm:
