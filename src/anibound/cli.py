@@ -96,7 +96,14 @@ def cmd_minimize(args) -> int:
         )
     print(f"solution: {sol_path}")
     print(f"summary: {csv_path}")
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    if not result.converged:
+        print(
+            f"solver stopped: {result.stop_reason} after {result.iterations} Newton steps, "
+            f"residual {_fmt(result.residual)}",
+            file=sys.stderr,
+        )
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _load_solution(cfg: RunConfig, path) -> GridFunction:

@@ -91,8 +91,12 @@ class Exponents:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension n = {self.n} < 1")
+        # Python floats throughout, so an overflow raises OverflowError (which
+        # choose_d maps to inf) for numpy scalars as for values from a config
         object.__setattr__(self, "p", tuple(float(v) for v in self.p))
         object.__setattr__(self, "r", tuple(float(v) for v in self.r))
+        for name in ("q", "gamma", "s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if len(self.p) != self.n or len(self.r) != self.n:
             raise ValueError("p and r must have length n")
         for pi in self.p:

@@ -142,14 +142,17 @@ def make_grid(box, h: float) -> Grid:
 
 def _pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     lead = (slice(None),) * axis
-    return 0.5 * (a[lead + (slice(1, None),)] + a[lead + (slice(None, -1),)])
+    out = a[lead + (slice(1, None),)] + a[lead + (slice(None, -1),)]
+    out *= 0.5
+    return out
 
 
 def _cell_gradients(values: np.ndarray, h: float) -> list:
     """Components of the discrete gradient of a nodal array, one per axis."""
     comps = []
     for i in range(values.ndim):
-        d = np.diff(values, axis=i) / h
+        d = np.diff(values, axis=i)
+        d /= h
         for j in range(values.ndim):
             if j != i:
                 d = _pair_average(d, axis=j)
@@ -173,22 +176,35 @@ def _average_to_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
+    # Bitwise equal to adding 0.5*a into a zeroed array twice: the faces get
+    # 0 + x, the inner slice (0 + x) + y, and adding 0.0 turns the -0.0 that
+    # x + y gives for x = y = -0.0 into the +0.0 of the zeroed array.
+    half = 0.5 * a
     shape = list(a.shape)
     shape[axis] += 1
-    out = np.zeros(shape)
+    out = np.empty(shape)
     lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] += 0.5 * a
-    out[lead + (slice(1, None),)] += 0.5 * a
+    out[lead + (0,)] = half[lead + (0,)] + 0.0
+    out[lead + (-1,)] = half[lead + (-1,)] + 0.0
+    inner = out[lead + (slice(1, -1),)]
+    np.add(half[lead + (slice(1, None),)], half[lead + (slice(None, -1),)], out=inner)
+    inner += 0.0
     return out
 
 
 def _adjoint_diff(a: np.ndarray, axis: int) -> np.ndarray:
+    # Bitwise equal to subtracting a from, then adding it into, a zeroed
+    # array: the faces get 0 - x and 0 + x, the inner slice (0 - x) + y,
+    # which is y - x up to the sign of a zero, fixed by adding 0.0.
     shape = list(a.shape)
     shape[axis] += 1
-    out = np.zeros(shape)
+    out = np.empty(shape)
     lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] -= a
-    out[lead + (slice(1, None),)] += a
+    out[lead + (0,)] = 0.0 - a[lead + (0,)]
+    out[lead + (-1,)] = a[lead + (-1,)] + 0.0
+    inner = out[lead + (slice(1, -1),)]
+    np.subtract(a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)], out=inner)
+    inner += 0.0
     return out
 
 

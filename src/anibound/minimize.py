@@ -1,17 +1,32 @@
 """Discrete energy minimization with fixed Dirichlet boundary data.
 
-The descent is plain gradient descent on the (optionally smoothed) discrete
-energy, with a Barzilai-Borwein trial step and Armijo backtracking so every
-iterate decreases the energy.  Convexity of the model family makes this
-adequate at desk scale; no second-order machinery.
+The solver is a matrix-free truncated Newton-CG method on the (optionally
+smoothed) discrete energy, so its step count does not grow as h shrinks.
 
-Each line-search trial costs one stencil evaluation, which keeps the cell
-state (cell gradients, cell average, smoothing bases); the accepted trial
-becomes the next iterate, and its gradient adds only the adjoint pass over
-that kept state.
+* A Newton step solves H x = -g over the interior nodes by Jacobi-
+  preconditioned CG, stopped at the fixed relative forcing
+  |r| <= 0.1 |g| (2-norms), at the number of interior nodes, or at a
+  non-positive curvature (then the first CG direction is taken). H is a
+  model of the Hessian, built once per step from the cell state of the
+  iterate; each CG iteration costs one Hessian-vector product, i.e. one
+  forward stencil pass and one transpose pass.
+* The line search tries t = 1 first and halves a rejected step. A trial
+  costs one stencil evaluation and one transpose pass over its kept cell
+  state (its gradient). It is accepted on Armijo sufficient decrease
+  (constant 1e-4), or when the slope g(u + t x).x <= 1e-4 g(u).x, which
+  for a convex energy implies the same decrease and stays accurate below
+  the energy's round-off floor. The accepted trial's state and gradient
+  become the next iterate's. A step below t = 1e-10 stops the solve as
+  stalled.
 
 When some p_i < 2 the kink of |t|^p at t = 0 is smoothed to
-(t^2 + eps^2)^(p/2) - eps^p with eps = h^2.
+(t^2 + eps^2)^(p/2) - eps^p with eps = h^2. The energy and its gradient are
+exact; only the Newton model differs from the true Hessian. On the smoothed
+axes it uses the majorizing curvature f'(t)/t = p (t^2 + eps^2)^(p/2 - 1),
+since the exact f'' makes full steps overshoot the kink; on the others the
+exact f'' (2 for p = 2, p(p-1)|t|^(p-2) for p > 2). The |u|^gamma term uses
+gamma(gamma-1)|u|^(gamma-2) for gamma >= 2 and gamma (u^2 + eps^2)^(gamma/2 - 1)
+for gamma < 2, where eps = h^2 > 0 because gamma >= p_i.
 """
 
 from __future__ import annotations
@@ -43,11 +58,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Descent parameters.
+    """Solver parameters: at most max_iters Newton steps, stopping once the
+    residual is at most grad_tol.
 
     grad_tol is compared against the sup norm of the energy gradient scaled
     by h^-n, i.e. a discrete Euler-Lagrange residual that is stable under
-    grid refinement.
+    grid refinement. The forcing 0.1, the Armijo constant 1e-4, the halving
+    of a rejected step and the stall threshold t < 1e-10 are fixed.
     """
 
     max_iters: int = 50_000
@@ -60,21 +77,26 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """stop_reason is "converged", "max_iters" or "stalled" (the line search
+    found no acceptable step above t = 1e-10)."""
+
     u: GridFunction
     final_energy: float
     iterations: int
     converged: bool
     residual: float
+    stop_reason: str
 
 
-# The fixed line search: the trial step when the BB quotient is missing or not
-# positive, the factor a rejected step shrinks by, the sufficient decrease.
-_STEP0, _SHRINK, _ARMIJO_C = 1.0, 0.5, 1e-4
+# The fixed Newton-CG constants: relative CG forcing, sufficient-decrease
+# constant, and the step below which the line search gives up.
+_FORCING, _ARMIJO_C, _MIN_STEP = 0.1, 1e-4, 1e-10
 
 
 class _DiscreteEnergy:
     """Precomputed weights; `evaluate` returns the energy of a nodal array with
-    the cell state from which `gradient` builds its nodal gradient."""
+    the cell state from which `gradient` builds its nodal gradient and
+    `curvature` the weights of the Newton model."""
 
     def __init__(self, m: ModelIntegrand, grid: Grid, eps: float):
         self.m = m
@@ -140,6 +162,109 @@ class _DiscreteEnergy:
             gout += _average_to_cells_transpose(w)
         return gout
 
+    def curvature(self, state):
+        """Per-cell weights (c_1/h, ..., c_n/h; c_u) of the Newton model
+        H = sum_i C_i^T diag(c_i) C_i + A^T diag(c_u) A at a state that
+        `evaluate` returned, C_i the cell-gradient components and A the cell
+        average; c_u is None without a u term. See the module docstring for
+        the curvature of each branch."""
+        grads, bases, uc = state
+        scale = self.hn / self.grid.h
+        cs = []
+        for i, (t, base) in enumerate(zip(grads, bases)):
+            p = self.p[i]
+            if base is not None:
+                k = p * base ** (p / 2.0 - 1.0)
+            elif p == 2:
+                k = 2.0
+            else:
+                k = p * (p - 1.0) * np.abs(t) ** (p - 2.0)
+            cs.append(self.lam[i] * (k * scale))
+        cu = None
+        if uc is not None:
+            g = self.gamma
+            if g >= 2:
+                k = g * (g - 1.0) * np.abs(uc) ** (g - 2.0)
+            else:
+                k = g * (uc * uc + self.eps ** 2) ** (g / 2.0 - 1.0)
+            cu = self.mu * (k * (self.m.u_coeff * self.hn))
+        return cs, cu
+
+    def hessian_product(self, curv, v):
+        """H v for a nodal array v and weights that `curvature` returned."""
+        cs, cu = curv
+        out = np.zeros(self.grid.shape)
+        for i, (c, t) in enumerate(zip(cs, _cell_gradients(v, self.grid.h))):
+            out += _cell_gradient_transpose(c * t, i)
+        if cu is not None:
+            out += _average_to_cells_transpose(cu * _average_to_cells(v))
+        return out
+
+    def hessian_diagonal(self, curv):
+        """The diagonal of H in closed form: a cell's gradient component has
+        the entries +-1/(2^(n-1) h) and its average 1/2^n at its corners, so
+        diag H = A^T (2^n/4^(n-1) * sum_i c_i/h^2 + 2^n/4^n * c_u)."""
+        cs, cu = curv
+        n, h = self.grid.n, self.grid.h
+        w = sum(cs) * (2.0 ** n / 4.0 ** (n - 1) / h)
+        if cu is not None:
+            w = w + cu * (2.0 ** n / 4.0 ** n)
+        return _average_to_cells_transpose(w)
+
+
+def _newton_direction(prob, curv, g, inner):
+    """Approximate solution of H x = -g on the interior nodes by Jacobi-PCG;
+    `g` is the interior block of the gradient and `inner` its index box."""
+    buf = np.zeros(prob.grid.shape)  # its boundary stays zero
+    diag = prob.hessian_diagonal(curv)[inner]
+    minv = np.ones_like(diag)
+    np.divide(1.0, diag, out=minv, where=diag > 0)
+    x = np.zeros_like(g)
+    r = -g
+    z = minv * r
+    d = z.copy()
+    rz = float(np.vdot(r, z))
+    stop = (_FORCING * float(np.linalg.norm(g))) ** 2
+    for k in range(g.size):
+        buf[inner] = d
+        hd = prob.hessian_product(curv, buf)[inner]
+        dhd = float(np.vdot(d, hd))
+        if dhd <= 0:
+            return z if k == 0 else x
+        alpha = rz / dhd
+        x += alpha * d
+        r -= alpha * hd
+        if float(np.vdot(r, r)) <= stop:
+            break
+        z = minv * r
+        rz_next = float(np.vdot(r, z))
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return x
+
+
+def _line_search(prob, u, e_val, g, x, inner):
+    """The accepted trial along x from u, as (values, energy, state, interior
+    gradient), or None once the step falls below _MIN_STEP.
+
+    A trial passes on Armijo decrease of the energy, or else on the slope
+    test; an accepted trial needs its gradient anyway, so each trial costs
+    one stencil evaluation and one transpose pass."""
+    slope = float(np.vdot(g, x))
+    t = 1.0
+    while t >= _MIN_STEP:
+        trial = u.copy()
+        trial[inner] += t * x
+        e_new, state = prob.evaluate(trial)
+        g_new = prob.gradient(state)[inner]
+        if (
+            e_new <= e_val + _ARMIJO_C * t * slope
+            or float(np.vdot(g_new, x)) <= _ARMIJO_C * slope
+        ):
+            return trial, e_new, state, g_new
+        t *= 0.5
+    return None
+
 
 def solve(
     m: ModelIntegrand,
@@ -156,52 +281,37 @@ def solve(
         raise ValueError("boundary data lives on a different grid")
     eps = grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
     prob = _DiscreteEnergy(m, grid, eps)
-    interior = _interior_mask(grid)
+    inner = (slice(1, -1),) * grid.n
     hn = grid.h ** grid.n
 
     u = boundary.values.copy()
     e_val, state = prob.evaluate(u)
-    step = _STEP0
-    prev_u = None
-    prev_g = None
+    g = prob.gradient(state)[inner]
     iterations = 0
 
     while True:
-        # `state` is the cell state of u, kept from the accepted trial; it is
-        # dropped once the gradient is built.
-        g = np.where(interior, prob.gradient(state), 0.0)
-        del state
-        residual = float(np.max(np.abs(g))) / hn
-        converged = residual <= cfg.grad_tol
-        if converged or iterations >= cfg.max_iters:
+        residual = float(np.max(np.abs(g), initial=0.0)) / hn
+        if residual <= cfg.grad_tol:
+            reason = "converged"
             break
-        gnorm2 = float(np.sum(g * g))
-        if prev_u is not None:
-            du = u - prev_u
-            dg = g - prev_g
-            denom = float(np.sum(du * dg))
-            if denom > 0:
-                step = float(np.sum(du * du)) / denom
-            else:
-                step = _STEP0
-            step = min(max(step, 1e-14), 1e14)
-        t = step
-        trial = u - t * g
-        e_new, state = prob.evaluate(trial)
-        while e_new > e_val - _ARMIJO_C * t * gnorm2 and t > 1e-16:
-            t *= _SHRINK
-            trial = u - t * g
-            e_new, state = prob.evaluate(trial)
-        prev_u, prev_g = u, g
-        u, e_val = trial, e_new
+        if iterations >= cfg.max_iters:
+            reason = "max_iters"
+            break
+        x = _newton_direction(prob, prob.curvature(state), g, inner)
+        step = _line_search(prob, u, e_val, g, x, inner)
+        if step is None:
+            reason = "stalled"
+            break
+        u, e_val, state, g = step
         iterations += 1
 
     return SolveResult(
         u=GridFunction(grid, u),
         final_energy=e_val,
         iterations=iterations,
-        converged=converged,
+        converged=reason == "converged",
         residual=residual,
+        stop_reason=reason,
     )
 
 

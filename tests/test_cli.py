@@ -144,7 +144,7 @@ class TestMinimize:
         v = read_gridfn(copy)
         assert (u.values == v.values).all()
 
-    def test_non_convergence_exit_three(self, tmp_path):
+    def test_non_convergence_exit_three(self, tmp_path, capsys):
         text = patch(
             ISO3D,
             "kind = affine\ncoeffs = 1,0,0\noffset = 0",
@@ -153,6 +153,9 @@ class TestMinimize:
         text += "\n[solver]\nmax_iters = 1\ngrad_tol = 1e-14\n"
         cfg = write_config(tmp_path, text)
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert "solver stopped: max_iters after 1 Newton steps" in captured.err
+        assert "solver stopped" not in captured.out
 
 
 class TestCertify:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from anibound.exponents import (
     check_admissibility,
     choose_d,
     conjugate_exponent,
+    default_c0,
     derive,
     harmonic_mean,
     iteration_constants,
@@ -249,6 +252,29 @@ class TestChooseD:
             choose_d(c, 1.0, 1.0, 1.5, 0.0)
         with pytest.raises(ValueError):
             choose_d(c, 1.0, 1.0, 0.0, 0.0)
+
+    def test_numpy_scalars_overflow_like_config_floats(self):
+        # delta1 is about 0.0023, so d = core^(1/delta1) overflows binary64;
+        # numpy scalars would give inf with an overflow RuntimeWarning instead
+        # of the OverflowError that choose_d maps to inf
+        args = (3, (1.071, 1.765, 1.846), 1.954, 2.647, (INF,) * 3, INF)
+        as_numpy = (
+            3,
+            tuple(np.float64(v) for v in args[1]),
+            np.float64(args[2]),
+            np.float64(args[3]),
+            tuple(np.float64(v) for v in args[4]),
+            np.float64(args[5]),
+        )
+        ds = []
+        for e in (Exponents(*args), Exponents(*as_numpy)):
+            assert all(type(v) is float for v in (e.q, e.gamma, e.s, *e.p, *e.r))
+            d_exp = derive(e)
+            c = iteration_constants(d_exp, e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ds.append(choose_d(c, 1.0, default_c0(d_exp, e), 0.4, 1.0))
+        assert ds == [math.inf, math.inf]
 
 
 def test_unit_ball_volume():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from anibound.fields import (
     Ball,
     GridFunction,
+    _adjoint_diff,
+    _adjoint_pair_average,
     _average_to_cells,
     _average_to_cells_transpose,
     _cell_gradient_transpose,
@@ -104,6 +106,35 @@ class TestTransposes:
         lhs = np.sum(_average_to_cells(u) * w)
         rhs = np.sum(u * _average_to_cells_transpose(w))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 7), (3, 5, 4)], ids=len)
+    def test_adjoint_passes_bitwise_equal_zeroed_accumulation(self, shape):
+        # reference: accumulate into a zeroed array, as the passes once did;
+        # the inputs are dense in signed zeros and include subnormals
+        def pair_average_ref(a, axis):
+            out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
+            lead = (slice(None),) * axis
+            out[lead + (slice(None, -1),)] += 0.5 * a
+            out[lead + (slice(1, None),)] += 0.5 * a
+            return out
+
+        def diff_ref(a, axis):
+            out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
+            lead = (slice(None),) * axis
+            out[lead + (slice(None, -1),)] -= a
+            out[lead + (slice(1, None),)] += a
+            return out
+
+        rng = np.random.default_rng(len(shape))
+        pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324, 1e-310, 0.1])
+        for _ in range(50):
+            a = rng.choice(pool, size=shape)
+            for axis in range(len(shape)):
+                for fn, ref in (
+                    (_adjoint_pair_average, pair_average_ref),
+                    (_adjoint_diff, diff_ref),
+                ):
+                    assert fn(a, axis).tobytes() == ref(a, axis).tobytes()
 
 
 class TestLpNorm:

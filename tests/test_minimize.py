@@ -6,6 +6,7 @@ import pytest
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction, make_grid
+from anibound import minimize
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import (
     SolveConfig,
@@ -43,6 +44,21 @@ def radial_data(grid, amplitude=3.0):
     return GridFunction(grid, bnd(grid.node_points()).reshape(grid.shape))
 
 
+def p_gt_2_model():
+    """p = (2.5, 3), q = gamma = 3, a power-law lambda_1, no u term."""
+    e = Exponents(2, (2.5, 3.0), 3.0, 3.0, (INF, INF), INF)
+    lam1 = WeightField("power", amplitude=1.0, center=(0.3, 0.3), exponent=0.5)
+    return ModelIntegrand(e, (lam1, constant(1.0)), constant(1.0), 0.0)
+
+
+def gamma_lt_2_model(lam=1.0):
+    """p = (1.5, 1.6), q = gamma = 1.8, constant lambda_i = lam, and the
+    u_coeff * mu * |u|^gamma term with a power-law mu."""
+    e = Exponents(2, (1.5, 1.6), 1.8, 1.8, (INF, INF), INF)
+    mu = WeightField("power", amplitude=2.0, center=(0.7, 0.4), exponent=1.0)
+    return ModelIntegrand(e, (constant(lam),) * 2, mu, 1.0)
+
+
 # (model, eps) for the three branches of the discrete energy: |t|^p smoothed
 # at eps = h^2 for p_i < 2, plain |t|^2, and the weighted |u|^gamma term.
 H_SMALL = 1 / 4
@@ -51,6 +67,28 @@ BRANCHES = {
     "p_2": (lambda: simple_model(2), 0.0),
     "u_term_power_lambda": (weighted_u_term_model, 0.0),
 }
+
+# Branches on which the Newton model is the exact Hessian: p = 2, p > 2 and
+# the |u|^gamma term with gamma >= 2 (gamma = 3, and gamma = 2 next to p > 2).
+EXACT_CURVATURE = {
+    "p_2": lambda: simple_model(2),
+    "p_gt_2": p_gt_2_model,
+    "u_term_gamma_3": weighted_u_term_model,
+    "u_term_gamma_2_p_gt_2": lambda: simple_model(2, p=2.5, gamma=2.5, u_coeff=1.0),
+}
+# Branches on which it majorizes the Hessian: smoothed p_i < 2, and gamma < 2
+# with lambda_i = 0, so the u term alone.
+MAJORIZED = {
+    "smoothed_p_lt_2": aniso2d_model,
+    "u_term_gamma_lt_2": lambda: gamma_lt_2_model(lam=0.0),
+}
+
+
+def hessian_fd(prob, u, v, delta=1e-6):
+    """Central difference of the gradient along v."""
+    gp = prob.gradient(prob.evaluate(u + delta * v)[1])
+    gm = prob.gradient(prob.evaluate(u - delta * v)[1])
+    return (gp - gm) / (2 * delta)
 
 
 class TestDiscreteEnergy:
@@ -85,6 +123,58 @@ class TestDiscreteEnergy:
         e_fresh, fresh = prob.evaluate(accepted.copy())
         assert e_kept == e_fresh
         assert np.array_equal(prob.gradient(kept), prob.gradient(fresh))
+
+
+class TestNewtonModel:
+    @pytest.mark.parametrize("branch", sorted(EXACT_CURVATURE))
+    def test_hessian_product_matches_central_differences(self, branch):
+        g = unit_grid(2, H_SMALL)
+        prob = _DiscreteEnergy(EXACT_CURVATURE[branch](), g, 0.0)
+        rng = np.random.default_rng(8)
+        u = rng.uniform(-1.0, 1.0, g.shape)
+        curv = prob.curvature(prob.evaluate(u)[1])
+        for _ in range(3):
+            v = rng.uniform(-1.0, 1.0, g.shape)
+            hv = prob.hessian_product(curv, v)
+            fd = hessian_fd(prob, u, v)
+            assert np.max(np.abs(hv)) > 1e-3
+            assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(hv))
+
+    @pytest.mark.parametrize("branch", sorted(MAJORIZED))
+    def test_model_majorizes_the_hessian(self, branch):
+        g = unit_grid(2, H_SMALL)
+        prob = _DiscreteEnergy(MAJORIZED[branch](), g, H_SMALL ** 2)
+        rng = np.random.default_rng(9)
+        # cell averages stay in [0.5, 1.5], well away from the kink of |u|^gamma
+        u = 1.0 + rng.uniform(-0.5, 0.5, g.shape)
+        curv = prob.curvature(prob.evaluate(u)[1])
+        gaps = []
+        for _ in range(20):
+            v = rng.uniform(-1.0, 1.0, g.shape)
+            model = float(np.sum(v * prob.hessian_product(curv, v)))
+            exact = float(np.sum(v * hessian_fd(prob, u, v)))
+            assert model >= exact - 1e-7 * abs(exact)
+            gaps.append(model / exact)
+        assert max(gaps) > 1.01  # a strict majorant, not the exact Hessian
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_diagonal_is_the_diagonal_of_the_product(self, n):
+        # every curvature branch at once: p < 2 smoothed, p = 2, p > 2, u term
+        p = {1: (2.5,), 2: (1.5, 3.0), 3: (1.5, 2.0, 3.0)}[n]
+        e = Exponents(n, p, 3.0, 3.5, (INF,) * n, INF)
+        lam1 = WeightField("power", amplitude=1.0, center=(0.3,) * n, exponent=0.5)
+        mu = WeightField("power", amplitude=2.0, center=(0.6,) * n, exponent=1.0)
+        m = ModelIntegrand(e, (lam1,) + (constant(1.0),) * (n - 1), mu, 1.0)
+        g = make_grid([(0.0, 1.0)] + [(0.0, 0.75)] * (n - 1), H_SMALL)
+        prob = _DiscreteEnergy(m, g, H_SMALL ** 2)
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, g.shape)
+        curv = prob.curvature(prob.evaluate(u)[1])
+        diag = prob.hessian_diagonal(curv)
+        for idx in np.ndindex(*g.shape):
+            e_k = np.zeros(g.shape)
+            e_k[idx] = 1.0
+            exact = prob.hessian_product(curv, e_k)[idx]
+            assert abs(diag[idx] - exact) <= 1e-12 * abs(exact)
 
 
 class TestSolve:
@@ -128,6 +218,45 @@ class TestSolve:
         cfg = SolveConfig(max_iters=1, grad_tol=1e-14)
         res = solve(m, g, coordinate_field(g), cfg)
         assert not res.converged
+        assert res.stop_reason == "max_iters"
+        assert res.iterations == 1
+
+    def test_stalled_line_search(self, monkeypatch):
+        # along an ascent direction no step passes either acceptance test
+        real = minimize._newton_direction
+        monkeypatch.setattr(minimize, "_newton_direction", lambda *a: -real(*a))
+        m = aniso2d_model()
+        g = unit_grid(2, 1 / 8)
+        init = radial_data(g)
+        res = solve(m, g, init, SolveConfig(max_iters=100, grad_tol=1e-6))
+        assert not res.converged
+        assert res.stop_reason == "stalled"
+        assert res.iterations == 0
+        assert np.array_equal(res.u.values, init.values)
+
+    @pytest.mark.parametrize("grad_tol", [1e-6, 1e-8])
+    def test_mesh_independent_step_count(self, grad_tol):
+        # at 1e-8 and h = 1/64 the predicted decrease falls below the energy's
+        # round-off, and only the slope test of the line search accepts steps
+        steps = []
+        for h in (1 / 16, 1 / 32, 1 / 64):
+            g = unit_grid(2, h)
+            res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(200, grad_tol))
+            assert res.converged and res.stop_reason == "converged"
+            steps.append(res.iterations)
+        assert all(b <= 2 * a for a, b in zip(steps, steps[1:])), steps
+
+    def test_gamma_lt_2_u_term_with_data_crossing_zero(self):
+        g = unit_grid(2, 1 / 16)
+        x = g.node_points()[:, 0].reshape(g.shape)
+        res = solve(gamma_lt_2_model(), g, GridFunction(g, 3.0 * (x - 0.4)), SolveConfig(grad_tol=1e-6))
+        assert res.converged
+        assert res.u.values.min() < 0 < res.u.values.max()
+
+    def test_p_gt_2(self):
+        g = unit_grid(2, 1 / 16)
+        res = solve(p_gt_2_model(), g, radial_data(g), SolveConfig(grad_tol=1e-6))
+        assert res.converged
 
     def test_deterministic(self):
         m = simple_model(2, u_coeff=1.0, gamma=3.0)
@@ -190,9 +319,12 @@ class TestQuasiMinimality:
 
 
 class TestTrajectoryPins:
-    """Solver trajectories pinned exactly: iteration count, final energy,
+    """Solver trajectories pinned exactly: Newton step count, final energy,
     residual and the bytes of the minimizer.  Any change to the arithmetic of
-    the energy, its gradient or the line search, or to its order, shows here."""
+    the energy, its gradient, the Newton model, the CG solve or the line
+    search, or to its order, shows here.  The final energies also match the
+    pins of the earlier Barzilai-Borwein descent (836 and 142 iterations) to
+    1e-13 relative: the minimizer did not move."""
 
     CFG = SolveConfig(max_iters=20_000, grad_tol=1e-6)
 
@@ -204,17 +336,19 @@ class TestTrajectoryPins:
         g = unit_grid(2, 1 / 16)
         res = solve(aniso2d_model(), g, radial_data(g), self.CFG)
         assert res.converged
-        assert res.iterations == 836
-        assert res.final_energy == 0.8744924178567419
-        assert res.residual == 7.22900609595456e-07
-        assert self.sha1(res) == "27078cd6b9b1978dd1a11d3ae283ea482ec62460"
+        assert res.iterations == 23
+        assert res.final_energy == 0.8744924178567393
+        assert res.residual == 5.946251775412748e-07
+        assert self.sha1(res) == "e1067279bb4447082c0eaf0257a36f97ca48aec4"
+        assert res.final_energy == pytest.approx(0.8744924178567419, rel=1e-13, abs=0)
 
     def test_gamma3_u_term_radial3d_h8(self):
         g = unit_grid(3, 1 / 8)
         m = simple_model(3, gamma=3.0, u_coeff=1.0)
         res = solve(m, g, radial_data(g), self.CFG)
         assert res.converged
-        assert res.iterations == 142
-        assert res.final_energy == 3.8685710327426035
-        assert res.residual == 7.625073257244708e-07
-        assert self.sha1(res) == "69c028d9a9fd0fdf3390e388b18cc027965b589d"
+        assert res.iterations == 6
+        assert res.final_energy == 3.868571032742585
+        assert res.residual == 4.948740919274996e-07
+        assert self.sha1(res) == "d4f7e4cb85c33b01836f3c18e5ee7a75424bf022"
+        assert res.final_energy == pytest.approx(3.8685710327426035, rel=1e-13, abs=0)
