@@ -15,9 +15,9 @@ from .exponents import (
     iteration_constants,
     choose_d,
 )
-from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm, superlevel_measure, truncate
+from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm, superlevel_measure
 from .integrand import WeightField, ModelIntegrand, eval_integrand, energy
 from .minimize import SolveConfig, SolveResult, solve, verify_quasiminimality
-from .degiorgi import certify, fast_convergence, hole_filling, j_sequence, sequences
+from .degiorgi import certify, fast_convergence, j_sequence, sequences
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ and key.  The full schema, with defaults and checks in the comments::
     coeffs = 1,0                 # radial: center, exponent, amplitude, offset
     offset = 0                   # product: factor<i> = a,b, amplitude, offset
     [solver]                     # optional; any other key is an error
-    max_iters = 50000            # >= 1; counts Newton steps
+    max_iters = 200              # >= 1; counts Newton steps
     grad_tol = 1e-8              # > 0
     [certify]                    # optional
     x0 = 0.5,0.5                 # n coordinates

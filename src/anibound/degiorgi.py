@@ -36,7 +36,6 @@ from .fields import (
 __all__ = [
     "sequences",
     "j_sequence",
-    "hole_filling",
     "fast_convergence",
     "IterationTrace",
     "iteration_trace",
@@ -96,74 +95,6 @@ def j_sequence(
         sel = (dist2 < rho * rho) & (uc > k)
         out[h] = float(np.sum((uc[sel] - k) ** qs) * hn) if sel.any() else 0.0
     return out
-
-
-@dataclass(frozen=True)
-class HoleFillingReport:
-    hypothesis_ok: bool
-    conclusion_ok: bool
-    C_theory: float
-    C_emp: float
-    phi_rho: float
-    bound: float
-
-
-def interpolation_constant(theta: float, alpha: float) -> float:
-    """Constant of the absorption argument: min over tau in (theta^(1/alpha), 1)
-    of (1 - tau)^-alpha / (1 - theta * tau^-alpha)."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    tau_lo = theta ** (1.0 / alpha)
-    taus = tau_lo + (1.0 - tau_lo) * (np.arange(1, 1000) / 1000.0)
-    cands = (1.0 - taus) ** (-alpha) / (1.0 - theta * taus ** (-alpha))
-    return float(np.min(cands))
-
-
-def hole_filling(
-    taus,
-    phi,
-    theta: float,
-    A: float,
-    B: float,
-    alpha: float,
-    rho: float,
-    R: float,
-) -> HoleFillingReport:
-    """Check the absorption lemma on sampled data.
-
-    Hypothesis: phi(s) <= theta*phi(t) + A/(t-s)^alpha + B on all sample pairs
-    s < t.  Conclusion: phi(rho) <= C * (A/(R-rho)^alpha + B) with the standard
-    interpolation constant C(theta, alpha).
-    """
-    taus = np.asarray(taus, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if taus.ndim != 1 or taus.shape != phi.shape or taus.size < 2:
-        raise ValueError("need matching 1-D sample arrays with >= 2 points")
-    if np.any(np.diff(taus) <= 0):
-        raise ValueError("sample abscissae must be strictly increasing")
-    if not taus[0] <= rho < R <= taus[-1]:
-        raise ValueError("need tau0 <= rho < R <= tau1")
-    if A < 0 or B < 0:
-        raise ValueError("A and B must be nonnegative")
-
-    s = taus[:, None]
-    t = taus[None, :]
-    lower = np.triu(np.ones((taus.size, taus.size), dtype=bool), k=1)  # pairs s < t
-    bound_st = theta * phi[None, :] + A / np.where(lower, t - s, 1.0) ** alpha + B
-    hypothesis_ok = bool(
-        np.all((phi[:, None] <= bound_st * (1 + 1e-12) + 1e-12) | ~lower)
-    )
-    C_theory = interpolation_constant(theta, alpha)
-    phi_rho = float(np.interp(rho, taus, phi))
-    structure = A / (R - rho) ** alpha + B
-    bound = C_theory * structure
-    if not hypothesis_ok:
-        return HoleFillingReport(False, False, C_theory, math.inf, phi_rho, bound)
-    C_emp = 0.0 if phi_rho == 0.0 else (math.inf if structure == 0.0 else phi_rho / structure)
-    conclusion_ok = phi_rho <= bound * (1 + 1e-12)
-    return HoleFillingReport(True, conclusion_ok, C_theory, C_emp, phi_rho, bound)
 
 
 @dataclass(frozen=True)

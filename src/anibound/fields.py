@@ -3,10 +3,14 @@
 Conventions used throughout the package:
 
 * nodal values live on the tensor lattice of the box, spacing h on every axis;
-* gradients and integrands are evaluated on the cell lattice (one cell per
-  h-cube); component i of the discrete gradient is the average of the forward
-  differences along axis i over the 2^(n-1) edges of the cell, so affine
-  fields are differentiated exactly;
+* the energy uses the edge stencil: a cell's axis-i term applies the
+  integrand to each of the 2^(n-1) forward differences along axis i on the
+  cell's edges and averages the results, and its u term averages |u|^gamma
+  over the cell's corners; no non-constant field has zero energy on every
+  edge, so the stencil has no checkerboard or hourglass modes, and affine
+  fields are still differentiated exactly;
+* `gradient`, used by the inequality verifiers, is the cell gradient: the
+  average of those 2^(n-1) differences, one vector per cell;
 * level sets are counted on nodes (measure = h^n * node count), integrals are
   cell quadratures with nodal values averaged to cell centers.
 
@@ -29,7 +33,6 @@ __all__ = [
     "cell_average",
     "lp_norm",
     "superlevel_measure",
-    "truncate",
     "write_gridfn",
     "read_gridfn",
 ]
@@ -147,17 +150,13 @@ def _pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _cell_gradients(values: np.ndarray, h: float) -> list:
-    """Components of the discrete gradient of a nodal array, one per axis."""
-    comps = []
-    for i in range(values.ndim):
-        d = np.diff(values, axis=i)
-        d /= h
-        for j in range(values.ndim):
-            if j != i:
-                d = _pair_average(d, axis=j)
-        comps.append(d)
-    return comps
+def _edges_to_cells(e: np.ndarray, axis: int) -> np.ndarray:
+    """An array on the edges along `axis` averaged to cells: the pair average
+    over every other axis, so a cell gets the mean of its 2^(n-1) edges."""
+    for j in range(e.ndim):
+        if j != axis:
+            e = _pair_average(e, axis=j)
+    return e
 
 
 def gradient(u: GridFunction) -> np.ndarray:
@@ -165,7 +164,12 @@ def gradient(u: GridFunction) -> np.ndarray:
     g = u.grid
     if any(m < 2 for m in g.shape):
         raise ValueError("gradient needs at least 2 nodes per axis")
-    return np.stack(_cell_gradients(u.values, g.h), axis=0)
+    comps = []
+    for i in range(g.n):
+        d = np.diff(u.values, axis=i)
+        d /= g.h
+        comps.append(_edges_to_cells(d, i))
+    return np.stack(comps, axis=0)
 
 
 def _average_to_cells(values: np.ndarray) -> np.ndarray:
@@ -176,45 +180,33 @@ def _average_to_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
-    # Bitwise equal to adding 0.5*a into a zeroed array twice: the faces get
-    # 0 + x, the inner slice (0 + x) + y, and adding 0.0 turns the -0.0 that
-    # x + y gives for x = y = -0.0 into the +0.0 of the zeroed array.
+    """Transpose of `_pair_average`: half of each value added into each of
+    its two neighbours along `axis`."""
     half = 0.5 * a
     shape = list(a.shape)
     shape[axis] += 1
-    out = np.empty(shape)
+    out = np.zeros(shape)
     lead = (slice(None),) * axis
-    out[lead + (0,)] = half[lead + (0,)] + 0.0
-    out[lead + (-1,)] = half[lead + (-1,)] + 0.0
-    inner = out[lead + (slice(1, -1),)]
-    np.add(half[lead + (slice(1, None),)], half[lead + (slice(None, -1),)], out=inner)
-    inner += 0.0
+    out[lead + (slice(None, -1),)] += half
+    out[lead + (slice(1, None),)] += half
     return out
 
 
-def _adjoint_diff(a: np.ndarray, axis: int) -> np.ndarray:
-    # Bitwise equal to subtracting a from, then adding it into, a zeroed
-    # array: the faces get 0 - x and 0 + x, the inner slice (0 - x) + y,
-    # which is y - x up to the sign of a zero, fixed by adding 0.0.
-    shape = list(a.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
+def _add_adjoint_diff(out: np.ndarray, a: np.ndarray, axis: int) -> None:
+    """out += D^T a in place, D the forward difference along `axis`: a is an
+    array on the edges along `axis`, out a nodal array."""
     lead = (slice(None),) * axis
-    out[lead + (0,)] = 0.0 - a[lead + (0,)]
-    out[lead + (-1,)] = a[lead + (-1,)] + 0.0
-    inner = out[lead + (slice(1, -1),)]
-    np.subtract(a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)], out=inner)
-    inner += 0.0
-    return out
+    out[lead + (slice(None, -1),)] -= a
+    out[lead + (slice(1, None),)] += a
 
 
-def _cell_gradient_transpose(w: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of h times component `axis` of `_cell_gradients`: a cell array
-    mapped to a nodal array (the caller applies the 1/h)."""
+def _cells_to_edges(w: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of `_edges_to_cells`: a cell array mapped to the edges along
+    `axis`, each edge getting 2^(1-n) times the sum over the cells that share it."""
     for j in range(w.ndim):
         if j != axis:
             w = _adjoint_pair_average(w, axis=j)
-    return _adjoint_diff(w, axis=axis)
+    return w
 
 
 def _average_to_cells_transpose(w: np.ndarray) -> np.ndarray:
@@ -349,11 +341,6 @@ def _tensor_hat(grid: Grid, box) -> np.ndarray:
         shape[i] = len(x)
         vals = vals * hat.reshape(shape)
     return vals
-
-
-def truncate(u: GridFunction, k: float) -> GridFunction:
-    """Nodewise (u - k)_+ = max(u - k, 0)."""
-    return GridFunction(u.grid, np.maximum(u.values - k, 0.0))
 
 
 # ---------------------------------------------------------------------------

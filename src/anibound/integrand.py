@@ -9,12 +9,19 @@ and sandwiched between its own lower envelope and
 mu_tilde(x) * (|xi|^q + |u|^gamma + 1) with mu_tilde = sum_i lambda_i +
 u_coeff * mu, which is the effective upper weight reported to the
 certification engine.
+
+`energy` integrates it with the edge stencil of `fields`: on each cell,
+lambda_i at the centre times the mean of |D_e u / h|^p_i over the cell's
+edges e along axis i, and mu at the centre times the mean of |u|^gamma over
+its corners. By Jensen's inequality this is at least the integrand of the
+cell gradient and cell average, so lower bounds in terms of `gradient` stay
+valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .fields import (
     GridFunction,
     _average_to_cells,
     _cell_box,
-    _cell_gradients,
+    _edges_to_cells,
     _lattice_points,
     _node_box,
     cell_mask,
@@ -33,8 +40,6 @@ __all__ = [
     "WeightField",
     "ModelIntegrand",
     "eval_integrand",
-    "check_growth",
-    "check_convexity",
     "energy",
 ]
 
@@ -79,17 +84,12 @@ class WeightField:
 
 @dataclass(frozen=True)
 class ModelIntegrand:
-    """Separable model integrand; see module docstring.
-
-    mu_tilde_override exists only so tests can break the weight-domination
-    property on purpose; leave it None in real use.
-    """
+    """Separable model integrand; see module docstring."""
 
     exponents: Exponents
     lambdas: tuple
     mu: WeightField
     u_coeff: float = 0.0
-    mu_tilde_override: WeightField | None = field(default=None)
 
     def __post_init__(self):
         e = self.exponents
@@ -116,8 +116,6 @@ class ModelIntegrand:
 
     def _mu_tilde(self, points: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
         """mu_tilde at the points, given lam = lambda_values(points, h)."""
-        if self.mu_tilde_override is not None:
-            return self.mu_tilde_override(points, h)
         out = lam.sum(axis=0)
         if self.u_coeff > 0:
             out = out + self.u_coeff * self.mu(points, h)
@@ -141,71 +139,16 @@ def eval_integrand(m: ModelIntegrand, x, u, xi, h: float = 0.0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    max_lower_violation: float  # max of (lower envelope - f); <= 0 means OK
-    max_upper_violation: float  # max of (f - mu_tilde*(|xi|^q+|u|^gamma+1))
-    num_samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_lower_violation <= 1e-12 and self.max_upper_violation <= 1e-12
-
-
-def check_growth(m: ModelIntegrand, samples) -> SandwichReport:
-    """Check the growth sandwich on a finite sample of (x, u, xi) triples."""
-    lo_v = -math.inf
-    hi_v = -math.inf
-    count = 0
-    for x, u, xi in samples:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        xi = np.asarray(xi, dtype=float).reshape(m.exponents.n, -1)
-        f = eval_integrand(m, x, u, xi)
-        lam = m.lambda_values(x)
-        p = np.asarray(m.exponents.p)[:, None]
-        lower = np.sum(lam * np.abs(xi) ** p, axis=0)
-        xi_norm = np.sqrt(np.sum(xi * xi, axis=0))
-        upper = m.mu_tilde(x) * (
-            xi_norm ** m.exponents.q + np.abs(u) ** m.exponents.gamma + 1.0
-        )
-        lo_v = max(lo_v, float(np.max(lower - f)))
-        hi_v = max(hi_v, float(np.max(f - upper)))
-        count += len(u)
-    return SandwichReport(lo_v, hi_v, count)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    max_violation: float  # max of f(mid) - (f(a)+f(b))/2; <= tol means convex
-    num_pairs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= 1e-12
-
-
-def check_convexity(m: ModelIntegrand, sample_pairs) -> ConvexityReport:
-    """Midpoint-convexity check in (u, xi) at common x on sampled state pairs."""
-    worst = -math.inf
-    count = 0
-    for x, (ua, xia), (ub, xib) in sample_pairs:
-        xia = np.asarray(xia, dtype=float).reshape(m.exponents.n, -1)
-        xib = np.asarray(xib, dtype=float).reshape(m.exponents.n, -1)
-        fa = eval_integrand(m, x, ua, xia)
-        fb = eval_integrand(m, x, ub, xib)
-        fm = eval_integrand(m, x, 0.5 * (np.atleast_1d(ua) + np.atleast_1d(ub)), 0.5 * (xia + xib))
-        worst = max(worst, float(np.max(fm - 0.5 * (fa + fb))))
-        count += 1
-    return ConvexityReport(worst, count)
-
-
 def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
-    """Cell-quadrature energy integral of f(x, u, Du) over the region.
+    """Edge-stencil energy of f(x, u, Du) over the cells of the region.
 
-    The gradient, the cell average and the weights are evaluated only on the
-    bounding box of the region's cells, so beyond building the region's mask
-    the cost scales with that box, not with the grid.
+    A cell contributes h^n times sum_i lambda_i(x_c) times the mean over its
+    2^(n-1) edges along axis i of |D_e u / h|^p_i, plus u_coeff mu(x_c) times
+    the mean over its corners of |u|^gamma; over the whole grid this is the
+    solver's energy without smoothing. The stencil and the weights are
+    evaluated only on the bounding box of the region's cells, so beyond
+    building the region's mask the cost scales with that box, not with the
+    grid.
     """
     g = u.grid
     mask = cell_mask(g, region)
@@ -215,7 +158,13 @@ def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
     sel = mask[box].ravel()
     values = u.values[_node_box(box)]
     centers = _lattice_points(g.cell_axes(), box)[sel]
-    uc = _average_to_cells(values).ravel()[sel]
-    xi = np.stack(_cell_gradients(values, g.h), axis=0).reshape(g.n, -1)[:, sel]
-    f = eval_integrand(m, centers, uc, xi, g.h)
+    lam = m.lambda_values(centers, g.h)
+    f = 0.0
+    for i, p in enumerate(m.exponents.p):
+        t = np.diff(values, axis=i)
+        t /= g.h
+        f = f + lam[i] * _edges_to_cells(np.abs(t) ** p, i).ravel()[sel]
+    if m.u_coeff > 0:
+        uc = _average_to_cells(np.abs(values) ** m.exponents.gamma).ravel()[sel]
+        f = f + m.u_coeff * m.mu(centers, g.h) * uc
     return float(np.sum(f) * g.h ** g.n)

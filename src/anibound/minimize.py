@@ -1,5 +1,13 @@
 """Discrete energy minimization with fixed Dirichlet boundary data.
 
+The discrete energy is the edge stencil of `fields`: the integrand's axis-i
+term is applied to every edge difference along axis i, with per-edge weights
+built once per (model, grid) from lambda_i at the cell centres, and the
+|u|^gamma term is lumped to the nodes. So the gradient and a Hessian-vector
+product cost one difference per axis and its transpose, and at p = 2 the
+Hessian is the (2n+1)-point M-matrix stencil, which keeps the discrete
+maximum principle in any dimension.
+
 The solver is a matrix-free truncated Newton-CG method on the (optionally
 smoothed) discrete energy, so its step count does not grow as h shrinks.
 
@@ -7,17 +15,23 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
   preconditioned CG, stopped at the fixed relative forcing
   |r| <= 0.1 |g| (2-norms), at the number of interior nodes, or at a
   non-positive curvature (then the first CG direction is taken). H is a
-  model of the Hessian, built once per step from the cell state of the
-  iterate; each CG iteration costs one Hessian-vector product, i.e. one
-  forward stencil pass and one transpose pass.
+  model of the Hessian, built once per step from the edge state of the
+  iterate; each CG iteration costs one Hessian-vector product. Its diagonal,
+  the Jacobi preconditioner, is in closed form: at each node the sum of the
+  weights of the edges that end there, plus the node's u-term weight.
 * The line search tries t = 1 first and halves a rejected step. A trial
-  costs one stencil evaluation and one transpose pass over its kept cell
+  costs one stencil evaluation and one transpose pass over its kept edge
   state (its gradient). It is accepted on Armijo sufficient decrease
   (constant 1e-4), or when the slope g(u + t x).x <= 1e-4 g(u).x, which
   for a convex energy implies the same decrease and stays accurate below
   the energy's round-off floor. The accepted trial's state and gradient
-  become the next iterate's. A step below t = 1e-10 stops the solve as
-  stalled.
+  become the next iterate's.
+* A step below t = 1e-10 stops the solve as stalled, and so do 5 accepted
+  steps in a row that take neither the energy nor the residual below the
+  lowest value seen so far: below the round-off floor the slope test keeps
+  accepting noise steps that change nothing. (The energy alone does not
+  tell: p_i < 2 solves still halve the residual in each of several steps
+  after the energy has stopped changing.)
 
 When some p_i < 2 the kink of |t|^p at t = 0 is smoothed to
 (t^2 + eps^2)^(p/2) - eps^p with eps = h^2. The energy and its gradient are
@@ -38,10 +52,10 @@ import numpy as np
 from .fields import (
     Grid,
     GridFunction,
+    _add_adjoint_diff,
     _average_to_cells,
     _average_to_cells_transpose,
-    _cell_gradient_transpose,
-    _cell_gradients,
+    _cells_to_edges,
     _interior_mask,
     _tensor_hat,
 )
@@ -64,10 +78,11 @@ class SolveConfig:
     grad_tol is compared against the sup norm of the energy gradient scaled
     by h^-n, i.e. a discrete Euler-Lagrange residual that is stable under
     grid refinement. The forcing 0.1, the Armijo constant 1e-4, the halving
-    of a rejected step and the stall threshold t < 1e-10 are fixed.
+    of a rejected step and the stall tests (t < 1e-10, or 5 accepted steps
+    in a row without a new low of the energy or the residual) are fixed.
     """
 
-    max_iters: int = 50_000
+    max_iters: int = 200
     grad_tol: float = 1e-8
 
     def __post_init__(self):
@@ -78,7 +93,8 @@ class SolveConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """stop_reason is "converged", "max_iters" or "stalled" (the line search
-    found no acceptable step above t = 1e-10)."""
+    found no acceptable step above t = 1e-10, or 5 accepted steps in a row
+    took neither the energy nor the residual to a new low)."""
 
     u: GridFunction
     final_energy: float
@@ -89,38 +105,53 @@ class SolveResult:
 
 
 # The fixed Newton-CG constants: relative CG forcing, sufficient-decrease
-# constant, and the step below which the line search gives up.
-_FORCING, _ARMIJO_C, _MIN_STEP = 0.1, 1e-4, 1e-10
+# constant, the step below which the line search gives up, and the number of
+# accepted steps in a row without a new low of the energy or the residual
+# that stops a solve.
+_FORCING, _ARMIJO_C, _MIN_STEP, _FLAT_STEPS = 0.1, 1e-4, 1e-10, 5
 
 
 class _DiscreteEnergy:
-    """Precomputed weights; `evaluate` returns the energy of a nodal array with
-    the cell state from which `gradient` builds its nodal gradient and
+    """The edge-stencil energy with its weights built once per (model, grid):
+
+        E(u) = sum_i sum_(edges e along i) w_e f_i(D_e u / h)
+               + sum_(nodes x) c_x |u(x)|^gamma,
+
+    where w_e is h^n 2^(1-n) times the sum of lambda_i over the cells that
+    share e, c_x is u_coeff h^n 2^(-n) times the sum of mu over the cells at
+    x, and f_i(t) is |t|^p_i or its smoothing. `evaluate` returns the energy
+    with the state from which `gradient` builds the nodal gradient and
     `curvature` the weights of the Newton model."""
 
     def __init__(self, m: ModelIntegrand, grid: Grid, eps: float):
-        self.m = m
         self.grid = grid
         self.eps = eps
-        self.hn = grid.h ** grid.n
+        hn = grid.h ** grid.n
         centers = grid.cell_centers()
         cshape = grid.cell_shape
-        self.lam = [
-            lam(centers, grid.h).reshape(cshape) for lam in m.lambdas
+        self.w = [
+            hn * _cells_to_edges(lam(centers, grid.h).reshape(cshape), i)
+            for i, lam in enumerate(m.lambdas)
         ]
-        self.mu = (
-            m.mu(centers, grid.h).reshape(cshape) if m.u_coeff > 0 else None
+        self.wu = (
+            (m.u_coeff * hn)
+            * _average_to_cells_transpose(m.mu(centers, grid.h).reshape(cshape))
+            if m.u_coeff > 0
+            else None
         )
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
+        self._diffs = [np.empty(w.shape) for w in self.w]  # hessian_product's
 
     def evaluate(self, values):
-        """Energy and state: the cell gradients, per axis the smoothing base
-        t^2 + eps^2 (None if unsmoothed), the cell average (None if no u term)."""
-        grads = _cell_gradients(values, self.grid.h)
-        bases = []
+        """Energy and state: per axis the edge differences D_e u / h and the
+        smoothing base t^2 + eps^2 (None if unsmoothed), and `values` itself,
+        which must not change while the state is in use."""
+        ts, bases = [], []
         total = 0.0
-        for i, t in enumerate(grads):
+        for i, w in enumerate(self.w):
+            t = np.diff(values, axis=i)
+            t /= self.grid.h
             p = self.p[i]
             if self.eps > 0 and p < 2:
                 base = t * t + self.eps ** 2
@@ -128,50 +159,41 @@ class _DiscreteEnergy:
             else:
                 base = None
                 f = np.abs(t) ** p
+            ts.append(t)
             bases.append(base)
-            total += float(np.sum(self.lam[i] * f))
-        uc = None
-        if self.mu is not None:
-            uc = _average_to_cells(values)
-            total += self.m.u_coeff * float(
-                np.sum(self.mu * np.abs(uc) ** self.gamma)
-            )
-        return total * self.hn, (grads, bases, uc)
+            total += float(np.vdot(w, f))
+        if self.wu is not None:
+            total += float(np.vdot(self.wu, np.abs(values) ** self.gamma))
+        return total, (ts, bases, values)
 
     def gradient(self, state):
         """Nodal gradient of the energy from a state that `evaluate` returned."""
-        grads, bases, uc = state
-        gout = np.zeros(self.grid.shape)
-        for i, (t, base) in enumerate(zip(grads, bases)):
+        ts, bases, u = state
+        gout = (
+            np.zeros(self.grid.shape)
+            if self.wu is None
+            else self.wu * self.gamma * np.sign(u) * np.abs(u) ** (self.gamma - 1.0)
+        )
+        for i, (w, t, base) in enumerate(zip(self.w, ts, bases)):
             p = self.p[i]
             if base is None:
                 d = p * np.sign(t) * np.abs(t) ** (p - 1.0)
             else:
                 d = p * t * base ** (p / 2.0 - 1.0)
-            w = self.lam[i] * d * (self.hn / self.grid.h)
-            gout += _cell_gradient_transpose(w, i)
-        if uc is not None:
-            w = (
-                self.m.u_coeff
-                * self.mu
-                * self.gamma
-                * np.sign(uc)
-                * np.abs(uc) ** (self.gamma - 1.0)
-                * self.hn
-            )
-            gout += _average_to_cells_transpose(w)
+            d *= w
+            d /= self.grid.h
+            _add_adjoint_diff(gout, d, i)
         return gout
 
     def curvature(self, state):
-        """Per-cell weights (c_1/h, ..., c_n/h; c_u) of the Newton model
-        H = sum_i C_i^T diag(c_i) C_i + A^T diag(c_u) A at a state that
-        `evaluate` returned, C_i the cell-gradient components and A the cell
-        average; c_u is None without a u term. See the module docstring for
-        the curvature of each branch."""
-        grads, bases, uc = state
-        scale = self.hn / self.grid.h
+        """Edge weights (c_1, ..., c_n) and nodal weights c_u of the Newton
+        model H = sum_i D_i^T diag(c_i) D_i + diag(c_u) at a state that
+        `evaluate` returned, D_i the plain edge differences along axis i;
+        c_u is None without a u term. See the module docstring for the
+        curvature of each branch."""
+        ts, bases, u = state
         cs = []
-        for i, (t, base) in enumerate(zip(grads, bases)):
+        for i, (w, t, base) in enumerate(zip(self.w, ts, bases)):
             p = self.p[i]
             if base is not None:
                 k = p * base ** (p / 2.0 - 1.0)
@@ -179,37 +201,38 @@ class _DiscreteEnergy:
                 k = 2.0
             else:
                 k = p * (p - 1.0) * np.abs(t) ** (p - 2.0)
-            cs.append(self.lam[i] * (k * scale))
+            cs.append(w * (k / self.grid.h ** 2))
         cu = None
-        if uc is not None:
+        if self.wu is not None:
             g = self.gamma
             if g >= 2:
-                k = g * (g - 1.0) * np.abs(uc) ** (g - 2.0)
+                k = g * (g - 1.0) * np.abs(u) ** (g - 2.0)
             else:
-                k = g * (uc * uc + self.eps ** 2) ** (g / 2.0 - 1.0)
-            cu = self.mu * (k * (self.m.u_coeff * self.hn))
+                k = g * (u * u + self.eps ** 2) ** (g / 2.0 - 1.0)
+            cu = self.wu * k
         return cs, cu
 
     def hessian_product(self, curv, v):
         """H v for a nodal array v and weights that `curvature` returned."""
         cs, cu = curv
-        out = np.zeros(self.grid.shape)
-        for i, (c, t) in enumerate(zip(cs, _cell_gradients(v, self.grid.h))):
-            out += _cell_gradient_transpose(c * t, i)
-        if cu is not None:
-            out += _average_to_cells_transpose(cu * _average_to_cells(v))
+        out = np.zeros(self.grid.shape) if cu is None else cu * v
+        for i, (c, d) in enumerate(zip(cs, self._diffs)):
+            lead = (slice(None),) * i
+            np.subtract(v[lead + (slice(1, None),)], v[lead + (slice(None, -1),)], out=d)
+            d *= c
+            _add_adjoint_diff(out, d, i)
         return out
 
     def hessian_diagonal(self, curv):
-        """The diagonal of H in closed form: a cell's gradient component has
-        the entries +-1/(2^(n-1) h) and its average 1/2^n at its corners, so
-        diag H = A^T (2^n/4^(n-1) * sum_i c_i/h^2 + 2^n/4^n * c_u)."""
+        """The diagonal of H in closed form: at each node, the weights of the
+        (one or two) edges along each axis that end there, plus c_u."""
         cs, cu = curv
-        n, h = self.grid.n, self.grid.h
-        w = sum(cs) * (2.0 ** n / 4.0 ** (n - 1) / h)
-        if cu is not None:
-            w = w + cu * (2.0 ** n / 4.0 ** n)
-        return _average_to_cells_transpose(w)
+        diag = np.zeros(self.grid.shape) if cu is None else cu.copy()
+        for i, c in enumerate(cs):
+            lead = (slice(None),) * i
+            diag[lead + (slice(None, -1),)] += c
+            diag[lead + (slice(1, None),)] += c
+        return diag
 
 
 def _newton_direction(prob, curv, g, inner):
@@ -288,14 +311,22 @@ def solve(
     e_val, state = prob.evaluate(u)
     g = prob.gradient(state)[inner]
     iterations = 0
+    # accepted steps in a row that lowered neither the energy nor the
+    # residual below the lowest value seen so far
+    flat, e_low, r_low = 0, np.inf, np.inf
 
     while True:
         residual = float(np.max(np.abs(g), initial=0.0)) / hn
+        flat = 0 if e_val < e_low or residual < r_low else flat + 1
+        e_low, r_low = min(e_low, e_val), min(r_low, residual)
         if residual <= cfg.grad_tol:
             reason = "converged"
             break
         if iterations >= cfg.max_iters:
             reason = "max_iters"
+            break
+        if flat >= _FLAT_STEPS:
+            reason = "stalled"
             break
         x = _newton_direction(prob, prob.curvature(state), g, inner)
         step = _line_search(prob, u, e_val, g, x, inner)

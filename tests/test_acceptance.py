@@ -112,6 +112,14 @@ def _problems():
         solver=SolveConfig(max_iters=100000, grad_tol=1e-6),
     ))
 
+    # p < 2 with non-affine data, whose minimizer the solve has to find; at
+    # amplitude 6 it exceeds every sweep level near x0 (at 3 it stays below 1)
+    probs.append(Problem(
+        "aniso2d_radial", m1, unit2, 1 / 32,
+        BoundarySpec("radial", center=(0.5, 0.5), amplitude=6.0, exponent=2.0),
+        (0.5, 0.5), 0.4,
+    ))
+
     e5 = Exponents(3, (2.0, 2.0, 2.0), 2.0, 3.0, (INF,) * 3, INF)
     m5 = ModelIntegrand(e5, (const(),) * 3, const(), 1.0)
     probs.append(Problem(

@@ -259,7 +259,7 @@ class TestVerifyPin:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 0
         data = (out / "pin3d_inequalities.csv").read_bytes()
-        assert hashlib.sha1(data).hexdigest() == "1681d18b36ec601ec6ead371fb943f12d8d87c62"
+        assert hashlib.sha1(data).hexdigest() == "57fc7ac7c296d385560b7365d5e344d15a2b9bc3"
 
 
 class TestSweep:

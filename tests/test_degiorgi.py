@@ -8,8 +8,6 @@ from anibound.degiorgi import (
     calibrate_C,
     certify,
     fast_convergence,
-    hole_filling,
-    interpolation_constant,
     iteration_trace,
     j_sequence,
     sequences,
@@ -79,47 +77,6 @@ class TestJSequence:
         u = coordinate_field(g)
         with pytest.raises(ValueError):
             j_sequence(u, (0.5, 0.5), 0.6, 4.0, e)
-
-
-class TestHoleFilling:
-    def test_interpolation_constant_grows_with_theta(self):
-        cs = [interpolation_constant(t, 1.0) for t in (0.5, 0.9, 0.99)]
-        assert cs[0] < cs[1] < cs[2]
-        assert all(c > 1.0 for c in cs)
-
-    def test_constant_phi(self):
-        taus = np.linspace(0.2, 0.4, 21)
-        phi = np.full_like(taus, 3.0)
-        # phi(s) = 3 <= 0.5 * 3 + B with B = 1.5: hypothesis holds with A = 0
-        rep = hole_filling(taus, phi, 0.5, 0.0, 1.5, 1.0, 0.25, 0.4)
-        assert rep.hypothesis_ok
-        assert rep.conclusion_ok
-        assert rep.C_emp <= rep.C_theory
-
-    def test_power_phi(self):
-        # phi(s) = A0 / (0.5 - s), a shape the lemma is built for
-        taus = np.linspace(0.2, 0.4, 41)
-        phi = 0.01 / (0.5 - taus)
-        rep = hole_filling(taus, phi, 0.5, 0.2, 0.0, 1.0, 0.25, 0.4)
-        assert rep.hypothesis_ok
-        assert rep.conclusion_ok
-
-    def test_hypothesis_violation_detected(self):
-        taus = np.linspace(0.2, 0.4, 11)
-        phi = np.linspace(10.0, 0.0, 11)  # decreasing: phi(s) > theta*phi(t) + small
-        rep = hole_filling(taus, phi, 0.5, 0.01, 0.0, 1.0, 0.25, 0.4)
-        assert not rep.hypothesis_ok
-        assert not rep.conclusion_ok
-
-    def test_guards(self):
-        taus = np.linspace(0.2, 0.4, 11)
-        phi = np.full_like(taus, 1.0)
-        with pytest.raises(ValueError):
-            hole_filling(taus[::-1], phi, 0.5, 1.0, 0.0, 1.0, 0.25, 0.4)
-        with pytest.raises(ValueError):
-            hole_filling(taus, phi, 0.5, 1.0, 0.0, 1.0, 0.1, 0.4)
-        with pytest.raises(ValueError):
-            interpolation_constant(1.0, 1.0)
 
 
 class TestFastConvergence:

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from anibound.fields import (
     Ball,
     GridFunction,
-    _adjoint_diff,
+    _add_adjoint_diff,
     _adjoint_pair_average,
     _average_to_cells,
     _average_to_cells_transpose,
-    _cell_gradient_transpose,
-    _cell_gradients,
+    _cells_to_edges,
     gradient,
     lp_norm,
     make_grid,
     read_gridfn,
     superlevel_measure,
-    truncate,
     write_gridfn,
 )
 from conftest import coordinate_field, hat_bump, unit_grid
@@ -90,12 +88,17 @@ class TestTransposes:
 
     @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
     def test_cell_gradient(self, grid):
+        # the cell gradient is the edge difference averaged to cells, so its
+        # transpose is the edge-difference transpose after `_cells_to_edges`
         rng = np.random.default_rng(grid.n)
         u = rng.standard_normal(grid.shape)
+        grads = gradient(GridFunction(grid, u))
         for axis in range(grid.n):
             w = rng.standard_normal(grid.cell_shape)
-            lhs = np.sum(_cell_gradients(u, grid.h)[axis] * w)
-            rhs = np.sum(u * _cell_gradient_transpose(w, axis)) / grid.h
+            lhs = np.sum(grads[axis] * w)
+            transpose = np.zeros(grid.shape)
+            _add_adjoint_diff(transpose, _cells_to_edges(w, axis), axis)
+            rhs = np.sum(u * transpose) / grid.h
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
@@ -109,7 +112,7 @@ class TestTransposes:
 
     @pytest.mark.parametrize("shape", [(9,), (4, 7), (3, 5, 4)], ids=len)
     def test_adjoint_passes_bitwise_equal_zeroed_accumulation(self, shape):
-        # reference: accumulate into a zeroed array, as the passes once did;
+        # reference: accumulate into a zeroed array, one slice at a time;
         # the inputs are dense in signed zeros and include subnormals
         def pair_average_ref(a, axis):
             out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
@@ -125,6 +128,11 @@ class TestTransposes:
             out[lead + (slice(1, None),)] += a
             return out
 
+        def diff_in_place(a, axis):
+            out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
+            _add_adjoint_diff(out, a, axis)
+            return out
+
         rng = np.random.default_rng(len(shape))
         pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324, 1e-310, 0.1])
         for _ in range(50):
@@ -132,7 +140,7 @@ class TestTransposes:
             for axis in range(len(shape)):
                 for fn, ref in (
                     (_adjoint_pair_average, pair_average_ref),
-                    (_adjoint_diff, diff_ref),
+                    (diff_in_place, diff_ref),
                 ):
                     assert fn(a, axis).tobytes() == ref(a, axis).tobytes()
 
@@ -201,22 +209,6 @@ class TestSuperlevel:
             superlevel_measure(u, 0.0, Ball((0.5, 0.5), R)) for R in (0.1, 0.2, 0.3, 0.4)
         ]
         assert all(a <= b for a, b in zip(meas, meas[1:]))
-
-
-class TestTruncate:
-    def test_values(self):
-        g = make_grid([(0, 1)], 0.5)
-        u = GridFunction(g, [3.0, 0.5, 2.0])
-        t = truncate(u, 1.0)
-        assert list(t.values) == [2.0, 0.0, 1.0]
-
-    @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
-    def test_monotone_in_level(self, k1, k2):
-        g = unit_grid(1, 0.25)
-        rng = np.random.default_rng(5)
-        u = GridFunction(g, rng.standard_normal(g.shape))
-        lo, hi = min(k1, k2), max(k1, k2)
-        assert np.all(truncate(u, hi).values <= truncate(u, lo).values)
 
 
 class TestGridFnFormat:

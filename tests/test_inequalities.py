@@ -132,14 +132,17 @@ class TestWeightDomination:
         g = unit_grid(2, 1 / 16)
         assert verify_weight_domination(m, g).passed
 
-    def test_adversarial_override(self):
+    def test_adversarial_override(self, monkeypatch):
+        # an upper weight of 1 under lambda_1 = 4 breaks the domination
         e = Exponents(2, (2, 2), 2, 2, (INF, INF), INF)
         m = ModelIntegrand(
             e,
             (WeightField("constant", amplitude=4.0), WeightField("constant")),
             WeightField("constant"),
             0.0,
-            mu_tilde_override=WeightField("constant", amplitude=1.0),
+        )
+        monkeypatch.setattr(
+            ModelIntegrand, "_mu_tilde", lambda self, points, h, lam: np.ones(len(points))
         )
         g = unit_grid(2, 1 / 8)
         assert not verify_weight_domination(m, g).passed

@@ -246,6 +246,36 @@ class TestSolve:
             steps.append(res.iterations)
         assert all(b <= 2 * a for a, b in zip(steps, steps[1:])), steps
 
+    def test_noise_steps_below_the_round_off_floor_stall(self):
+        # grad_tol = 1e-300 is out of reach: once the energy and the residual
+        # stop reaching new lows, the solve stops instead of running to max_iters
+        g = unit_grid(2, 1 / 16)
+        res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(300, 1e-300))
+        assert res.stop_reason == "stalled"
+        assert res.iterations <= 60
+        assert res.residual <= 1e-11
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_3d_maximum_principle(self, seed):
+        # random {0, 1} data: the edge stencil's p = 2 Hessian is an M-matrix,
+        # so the discrete minimizer stays within the range of its data
+        g = unit_grid(3, 1 / 8)
+        data = np.random.default_rng(seed).integers(0, 2, size=g.shape).astype(float)
+        res = solve(simple_model(3), g, GridFunction(g, data), SolveConfig())
+        assert res.converged
+        interior = res.u.values[1:-1, 1:-1, 1:-1]
+        assert 0.0 <= interior.min() and interior.max() <= 1.0
+
+    def test_energy_converges_at_second_order(self):
+        energies = []
+        for h in (1 / 32, 1 / 64, 1 / 128):
+            g = unit_grid(2, h)
+            res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(grad_tol=1e-6))
+            assert res.converged
+            energies.append(res.final_energy)
+        ratio = (energies[0] - energies[1]) / (energies[1] - energies[2])
+        assert 3.0 <= ratio <= 5.0, energies
+
     def test_gamma_lt_2_u_term_with_data_crossing_zero(self):
         g = unit_grid(2, 1 / 16)
         x = g.node_points()[:, 0].reshape(g.shape)
@@ -322,11 +352,12 @@ class TestTrajectoryPins:
     """Solver trajectories pinned exactly: Newton step count, final energy,
     residual and the bytes of the minimizer.  Any change to the arithmetic of
     the energy, its gradient, the Newton model, the CG solve or the line
-    search, or to its order, shows here.  The final energies also match the
-    pins of the earlier Barzilai-Borwein descent (836 and 142 iterations) to
-    1e-13 relative: the minimizer did not move."""
+    search, or to its order, shows here.  The final energies also match
+    those of the same solves run to the round-off floor, where they stop as
+    stalled, to 1e-13 relative: the pinned iterate is the minimizer."""
 
     CFG = SolveConfig(max_iters=20_000, grad_tol=1e-6)
+    FLOOR = SolveConfig(max_iters=200, grad_tol=1e-300)
 
     @staticmethod
     def sha1(res):
@@ -337,18 +368,22 @@ class TestTrajectoryPins:
         res = solve(aniso2d_model(), g, radial_data(g), self.CFG)
         assert res.converged
         assert res.iterations == 23
-        assert res.final_energy == 0.8744924178567393
-        assert res.residual == 5.946251775412748e-07
-        assert self.sha1(res) == "e1067279bb4447082c0eaf0257a36f97ca48aec4"
-        assert res.final_energy == pytest.approx(0.8744924178567419, rel=1e-13, abs=0)
+        assert res.final_energy == 0.9048240078476288
+        assert res.residual == 7.230867886676151e-07
+        assert self.sha1(res) == "ef240608cd49e0a6af8c173edcc266e86cf6a778"
+        floor = solve(aniso2d_model(), g, radial_data(g), self.FLOOR)
+        assert floor.stop_reason == "stalled"
+        assert res.final_energy == pytest.approx(floor.final_energy, rel=1e-13, abs=0)
 
     def test_gamma3_u_term_radial3d_h8(self):
         g = unit_grid(3, 1 / 8)
         m = simple_model(3, gamma=3.0, u_coeff=1.0)
         res = solve(m, g, radial_data(g), self.CFG)
         assert res.converged
-        assert res.iterations == 6
-        assert res.final_energy == 3.868571032742585
-        assert res.residual == 4.948740919274996e-07
-        assert self.sha1(res) == "d4f7e4cb85c33b01836f3c18e5ee7a75424bf022"
-        assert res.final_energy == pytest.approx(3.8685710327426035, rel=1e-13, abs=0)
+        assert res.iterations == 7
+        assert res.final_energy == 4.349210703939757
+        assert res.residual == 5.09984290797405e-07
+        assert self.sha1(res) == "9e3166c40308737fabf6778f41631877c91e0815"
+        floor = solve(m, g, radial_data(g), self.FLOOR)
+        assert floor.stop_reason == "stalled"
+        assert res.final_energy == pytest.approx(floor.final_energy, rel=1e-13, abs=0)
