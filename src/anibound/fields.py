@@ -331,15 +331,23 @@ def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
 
 def _tensor_hat(grid: Grid, box) -> np.ndarray:
     """Nodal values of the product over axes of the hats that peak at the
-    midpoint of [a_i, b_i] and vanish outside it; box = [(a_1, b_1), ...]."""
-    vals = np.ones(grid.shape)
+    midpoint of [a_i, b_i] and vanish outside it; box = [(a_1, b_1), ...]
+    with a_i < b_i. The product is formed only on the box of nodes where
+    every axis hat is nonzero; the rest of the grid is zero."""
+    vals = np.zeros(grid.shape)
+    support, prod = [], 1.0
     for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
+        nonzero = np.flatnonzero(hat)
+        if nonzero.size == 0:
+            return vals
+        support.append(slice(nonzero[0], nonzero[-1] + 1))
         shape = [1] * grid.n
-        shape[i] = len(x)
-        vals = vals * hat.reshape(shape)
+        shape[i] = -1
+        prod = prod * hat[support[-1]].reshape(shape)
+    vals[tuple(support)] = prod
     return vals
 
 
@@ -351,20 +359,30 @@ _MAGIC = "GRIDFN v1"
 
 
 def write_gridfn(path, u: GridFunction) -> None:
-    """Write a grid function in the GRIDFN v1 ASCII format (17 significant digits)."""
+    """Write a grid function in the GRIDFN v1 ASCII format (17 significant digits).
+
+    The values are rendered by one %-format over their Python floats, which
+    gives the same bytes as formatting each value on its own.
+    """
     g = u.grid
-    lines = [_MAGIC, f"dim={g.n}"]
-    lines.append("box=" + ",".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in zip(g.lo, g.hi)))
-    lines.append(f"h={g.h:.17g}")
-    lines.extend(f"{v:.17g}" for v in u.values.ravel(order="C"))
+    header = [_MAGIC, f"dim={g.n}"]
+    header.append("box=" + ",".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in zip(g.lo, g.hi)))
+    header.append(f"h={g.h:.17g}")
+    values = u.values.ravel(order="C").tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def read_gridfn(path) -> GridFunction:
-    """Read a GRIDFN v1 file written by write_gridfn."""
+    """Read a GRIDFN v1 file written by write_gridfn.
+
+    Blank lines and whitespace around a line are ignored, as are CR line
+    ends; each remaining line after the 4 header lines holds exactly one
+    value, converted as Python's float() converts it.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a GRIDFN v1 file")
     try:
@@ -379,7 +397,7 @@ def read_gridfn(path) -> GridFunction:
     if len(box) != dim:
         raise ValueError(f"{path}: box has {len(box)} axes, expected {dim}")
     grid = make_grid(box, h)
-    values = np.array([float(v) for v in lines[4:]])
+    values = np.fromiter(map(float, lines[4:]), dtype=float, count=len(lines) - 4)
     if values.size != grid.num_nodes:
         raise ValueError(
             f"{path}: expected {grid.num_nodes} values, found {values.size}"

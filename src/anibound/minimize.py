@@ -53,10 +53,8 @@ from .fields import (
     Grid,
     GridFunction,
     _add_adjoint_diff,
-    _average_to_cells,
     _average_to_cells_transpose,
     _cells_to_edges,
-    _interior_mask,
     _tensor_hat,
 )
 from .integrand import ModelIntegrand, energy
@@ -359,7 +357,11 @@ class QuasiMinimalityReport:
 
 def _support_mask(phi: GridFunction) -> np.ndarray:
     """Cells touched by phi: any corner value nonzero (covers forward diffs)."""
-    return _average_to_cells((phi.values != 0.0).astype(float)) > 0
+    mask = phi.values != 0.0
+    for axis in range(mask.ndim):
+        lead = (slice(None),) * axis
+        mask = mask[lead + (slice(1, None),)] | mask[lead + (slice(None, -1),)]
+    return mask
 
 
 def verify_quasiminimality(
@@ -396,15 +398,18 @@ def verify_quasiminimality(
 def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
     """Seeded compactly supported tensor-hat bumps vanishing on the boundary."""
     rng = np.random.default_rng(seed)
-    interior = _interior_mask(grid)
     out = []
     for _ in range(count):
         box = []
         for lo, hi in zip(grid.lo, grid.hi):
             a = rng.uniform(lo, hi - 2 * grid.h)
             box.append((a, rng.uniform(a + 2 * grid.h, hi)))
+        vals = _tensor_hat(grid, box)
         # force exact zeros on boundary nodes
-        vals = np.where(interior, _tensor_hat(grid, box), 0.0)
-        amp = amplitude * rng.uniform(-1.0, 1.0)
-        out.append(GridFunction(grid, amp * vals))
+        for axis in range(grid.n):
+            lead = (slice(None),) * axis
+            vals[lead + (0,)] = 0.0
+            vals[lead + (-1,)] = 0.0
+        vals *= amplitude * rng.uniform(-1.0, 1.0)
+        out.append(GridFunction(grid, vals))
     return out

@@ -32,6 +32,34 @@ def hat_bump(grid, amplitude=1.0):
     return GridFunction(grid, amplitude * _tensor_hat(grid, zip(grid.lo, grid.hi)))
 
 
+GRIDFN_REJECTS = (
+    "non_numeric_value",
+    "two_values_on_one_line",
+    "one_value_too_few",
+    "one_value_too_many",
+    "missing_h_line",
+    "empty_file",
+)
+
+
+def gridfn_reject(text, name):
+    """A malformed variant, one of GRIDFN_REJECTS, of a valid GRIDFN v1 text
+    with at least two values; read_gridfn must reject it."""
+    if name == "empty_file":
+        return ""
+    lines = text.splitlines()
+    head, body = lines[:4], lines[4:]
+    variants = {
+        "non_numeric_value": head + ["abc"] + body[1:],
+        # the token count still matches the grid; only the line count does not
+        "two_values_on_one_line": head + [body[0] + " " + body[1]] + body[2:],
+        "one_value_too_few": head + body[:-1],
+        "one_value_too_many": head + body + [body[-1]],
+        "missing_h_line": head[:3] + body,
+    }
+    return "\n".join(variants[name]) + "\n"
+
+
 def random_exponents(rng):
     """One random exponent tuple; may or may not be admissible."""
     n = int(rng.integers(2, 5))

@@ -128,6 +128,16 @@ def _problems():
         (0.5, 0.5, 0.5), 0.4,
         solver=SolveConfig(max_iters=20000, grad_tol=1e-6),
     ))
+
+    # radial3d's minimizer stays below the lowest sweep level k = 1 in every
+    # ball, so its sweep entries are all 0; at amplitude 6 the same model's
+    # minimizer exceeds every sweep level near x0
+    probs.append(Problem(
+        "radial3d_amp6", m5, unit3, 1 / 16,
+        BoundarySpec("radial", center=(0.5, 0.5, 0.5), amplitude=6.0, exponent=2.0),
+        (0.5, 0.5, 0.5), 0.4,
+        solver=SolveConfig(max_iters=20000, grad_tol=1e-6),
+    ))
     return probs
 
 
@@ -318,6 +328,8 @@ def test_criterion_6_caccioppoli_stability(solved_problems):
             for key, a in coarse.items():
                 pinned = baselines[name][key]
                 ok &= abs(a - pinned) <= 1e-9 * max(abs(pinned), 1.0)
+        # the 3-D problem with the u term pins a sweep that is not vacuous
+        ok &= any(v != 0 for v in baselines["radial3d_amp6"].values())
         note = "checked against pinned baselines"
     else:
         os.makedirs(DATA_DIR, exist_ok=True)

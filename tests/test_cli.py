@@ -7,6 +7,7 @@ import pytest
 from anibound.cli import main
 from anibound.config import load_config
 from anibound.fields import read_gridfn, write_gridfn
+from conftest import GRIDFN_REJECTS, gridfn_reject
 
 ISO3D = """\
 [problem]
@@ -208,6 +209,20 @@ class TestVerify:
         names = {row.split(",")[0] for row in rows[1:]}
         assert {"lower_bound", "weight_domination", "embedding",
                 "poincare_sobolev", "caccioppoli", "higher_integrability"} <= names
+
+
+class TestMalformedSolution:
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    @pytest.mark.parametrize("name", GRIDFN_REJECTS)
+    def test_exit_one(self, tmp_path, capsys, command, name):
+        cfg = write_config(tmp_path, ISO3D)
+        sol = tmp_path / "iso3d.gridfn"
+        write_gridfn(sol, load_config(cfg).initial_field())
+        sol.write_text(gridfn_reject(sol.read_text(), name))
+        out = str(tmp_path / "o")
+        assert main([command, "--config", cfg, "--solution", str(sol), "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 PIN3D = """\

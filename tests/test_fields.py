@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from anibound.fields import (
     _average_to_cells,
     _average_to_cells_transpose,
     _cells_to_edges,
+    _tensor_hat,
     gradient,
     lp_norm,
     make_grid,
@@ -20,7 +22,7 @@ from anibound.fields import (
     superlevel_measure,
     write_gridfn,
 )
-from conftest import coordinate_field, hat_bump, unit_grid
+from conftest import GRIDFN_REJECTS, coordinate_field, gridfn_reject, hat_bump, unit_grid
 
 
 class TestMakeGrid:
@@ -243,3 +245,121 @@ class TestGridFnFormat:
         path.write_text("not a field\n")
         with pytest.raises(ValueError):
             read_gridfn(path)
+
+    # signed zeros, subnormal and largest magnitudes, non-terminating binary
+    # fractions and integer-valued floats; the rest of a field is spread over
+    # 1e-300 .. 1e300 by exact ldexp arithmetic
+    AWKWARD = (
+        0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+        1 / 3, -1 / 3, 1.0, -7.0, 2.0 ** 53, 1e22, 0.1,
+    )
+
+    @classmethod
+    def awkward_field(cls, box, h):
+        g = make_grid(box, h)
+        vals = list(cls.AWKWARD)
+        for k in range(len(vals), g.num_nodes):
+            frac = (k * 2654435761 % 2 ** 52) / 2 ** 52
+            vals.append((-1) ** k * math.ldexp(1.0 + frac, k * 97 % 1995 - 997))
+        return GridFunction(g, np.array(vals).reshape(g.shape))
+
+    @pytest.mark.parametrize(
+        "box,h,digest",
+        [
+            ([(0.0, 1.0)], 1 / 40, "735949005747aac6c5059b493376eb0a3d17e076"),
+            ([(-0.5, 1.0), (0.0, 2.0)], 1 / 8, "99b430c1e883d72f2eda57fa24523ba86cc2060f"),
+            ([(0.0, 1.0)] * 3, 1 / 4, "947bfa9cbd94b6a677e4d7d49783b003643a576a"),
+        ],
+    )
+    def test_write_bytes_pinned(self, tmp_path, box, h, digest):
+        u = self.awkward_field(box, h)
+        g = u.grid
+        path = tmp_path / "u.gridfn"
+        write_gridfn(path, u)
+        data = path.read_bytes()
+        ref = ["GRIDFN v1", f"dim={g.n}"]
+        ref.append("box=" + ",".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in zip(g.lo, g.hi)))
+        ref.append(f"h={g.h:.17g}")
+        ref.extend(f"{v:.17g}" for v in u.values.ravel())
+        assert data == ("\n".join(ref) + "\n").encode()
+        assert hashlib.sha1(data).hexdigest() == digest
+        back = read_gridfn(path)
+        assert back.grid == g
+        assert back.values.tobytes() == u.values.tobytes()
+
+    @staticmethod
+    def small_text(tmp_path):
+        path = tmp_path / "ok.gridfn"
+        write_gridfn(path, coordinate_field(unit_grid(2, 0.25)))
+        return path.read_text()
+
+    @pytest.mark.parametrize("name", GRIDFN_REJECTS)
+    def test_rejects(self, tmp_path, name):
+        path = tmp_path / "bad.gridfn"
+        path.write_text(gridfn_reject(self.small_text(tmp_path), name))
+        with pytest.raises(ValueError):
+            read_gridfn(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: "".join(f" \t{ln}  \n" for ln in text.splitlines()),
+            lambda text: "\n" + text.replace("\n", "\n\n", 6) + "\n \n",
+        ],
+        ids=["crlf", "spaces_around_values", "blank_lines"],
+    )
+    def test_accepts(self, tmp_path, edit):
+        text = self.small_text(tmp_path)
+        path = tmp_path / "edited.gridfn"
+        path.write_bytes(edit(text).encode())
+        ref = read_gridfn(tmp_path / "ok.gridfn")
+        got = read_gridfn(path)
+        assert got.grid == ref.grid
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+class TestTensorHat:
+    """The hat is formed on the box of nodes where every axis hat is nonzero;
+    the oracle is the full-grid product."""
+
+    @staticmethod
+    def full_grid_hat(grid, box):
+        vals = np.ones(grid.shape)
+        for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
+            shape = [1] * grid.n
+            shape[i] = len(x)
+            vals = vals * hat.reshape(shape)
+        return vals
+
+    def check(self, grid, box):
+        got = _tensor_hat(grid, box)
+        assert got.shape == grid.shape
+        assert got.tobytes() == self.full_grid_hat(grid, box).tobytes()
+        return got
+
+    @pytest.mark.parametrize("n,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
+    def test_random_boxes(self, n, h):
+        rng = np.random.default_rng(11 + n)
+        grid = make_grid([(-0.5, 1.0)] * n, h)
+        for _ in range(20):
+            a = rng.uniform(-0.5, 0.9, size=n)
+            b = a + rng.uniform(2 * h, 1.0, size=n)
+            assert self.check(grid, list(zip(a, b))).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_past_the_grid(self, n):
+        grid = unit_grid(n, 1 / 8)
+        self.check(grid, [(-0.3, 0.6)] + [(0.4, 1.7)] * (n - 1))
+        self.check(grid, [(-2.0, 3.0)] * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_node_on_some_axis(self, n):
+        grid = unit_grid(n, 1 / 8)
+        # (0.26, 0.37) holds no node; (1.5, 2.5) lies outside the grid
+        for axis_box in [(0.26, 0.37), (1.5, 2.5)]:
+            box = [(0.1, 0.9)] * (n - 1) + [axis_box]
+            assert not self.check(grid, box).any()

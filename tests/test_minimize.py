@@ -5,7 +5,7 @@ import pytest
 
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction, make_grid
+from anibound.fields import GridFunction, _average_to_cells, make_grid
 from anibound import minimize
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import (
@@ -332,6 +332,18 @@ class TestQuasiMinimality:
         b = random_perturbations(g, 5, seed=3)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.values, pb.values)
+
+    @pytest.mark.parametrize("n,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
+    def test_support_mask_matches_cell_average(self, n, h):
+        rng = np.random.default_rng(5 + n)
+        g = unit_grid(n, h)
+        for density in (0.0, 0.01, 0.1, 0.5):
+            vals = np.where(rng.random(g.shape) < density, rng.standard_normal(g.shape), 0.0)
+            phi = GridFunction(g, vals)
+            ref = _average_to_cells((phi.values != 0).astype(float)) > 0
+            got = minimize._support_mask(phi)
+            assert got.dtype == bool
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize(
         "box,h,digest",
