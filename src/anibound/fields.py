@@ -192,6 +192,27 @@ def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _prolong(a: np.ndarray, axis: int) -> np.ndarray:
+    """Linear prolongation along `axis`, from M + 1 nodes to 2M + 1: the even
+    nodes take the coarse values and each odd node the mean of its two."""
+    shape = list(a.shape)
+    shape[axis] = 2 * shape[axis] - 1
+    out = np.empty(shape)
+    lead = (slice(None),) * axis
+    out[lead + (slice(None, None, 2),)] = a
+    out[lead + (slice(1, None, 2),)] = _pair_average(a, axis)
+    return out
+
+
+def _restrict(a: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of `_prolong`, from 2M + 1 nodes to M + 1: each even node
+    plus half of each of its odd neighbours (weights 1/2, 1, 1/2)."""
+    lead = (slice(None),) * axis
+    out = _adjoint_pair_average(a[lead + (slice(1, None, 2),)], axis)
+    out += a[lead + (slice(None, None, 2),)]
+    return out
+
+
 def _add_adjoint_diff(out: np.ndarray, a: np.ndarray, axis: int) -> None:
     """out += D^T a in place, D the forward difference along `axis`: a is an
     array on the edges along `axis`, out a nodal array."""

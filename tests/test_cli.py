@@ -392,3 +392,14 @@ class TestCertifyOverflow:
         row = (out / "iso3d_certificate.csv").read_text().splitlines()[1].split(",")
         assert row[2] == "inf"
         assert row[-1] == "0"
+
+
+def test_ci_smoke_config_runs_every_command(tmp_path):
+    # the problem both CI jobs run through the installed console script
+    cfg = str(Path(__file__).parent / "data" / "smoke.cfg")
+    out = str(tmp_path / "smoke")
+    solution = str(tmp_path / "smoke" / "smoke_solution.gridfn")
+    assert main(["admissible", "--config", cfg]) == 0
+    assert main(["minimize", "--config", cfg, "--out", out]) == 0
+    assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0

@@ -14,6 +14,8 @@ from anibound.fields import (
     _average_to_cells,
     _average_to_cells_transpose,
     _cells_to_edges,
+    _prolong,
+    _restrict,
     _tensor_hat,
     gradient,
     lp_norm,
@@ -86,7 +88,8 @@ ADJOINT_GRIDS = [
 
 
 class TestTransposes:
-    """<A u, w> = <u, A^T w> for the cell gradient and the cell average."""
+    """<A u, w> = <u, A^T w> for the cell gradient, the cell average and
+    linear prolongation."""
 
     @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
     def test_cell_gradient(self, grid):
@@ -111,6 +114,20 @@ class TestTransposes:
         lhs = np.sum(_average_to_cells(u) * w)
         rhs = np.sum(u * _average_to_cells_transpose(w))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("shape", [(9,), (5, 7), (3, 5, 9)], ids=len)
+    def test_restriction_is_the_transpose_of_prolongation(self, shape):
+        # <P a, b> = <a, P^T b> along every axis; P copies the even nodes and
+        # averages into the odd ones, so P of a constant is that constant
+        rng = np.random.default_rng(20 + len(shape))
+        for axis in range(len(shape)):
+            coarse = shape[:axis] + ((shape[axis] + 1) // 2,) + shape[axis + 1 :]
+            a = rng.standard_normal(coarse)
+            b = rng.standard_normal(shape)
+            lhs = np.sum(_prolong(a, axis) * b)
+            rhs = np.sum(a * _restrict(b, axis))
+            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(a)) * np.max(np.abs(b))
+            assert _prolong(np.ones(coarse), axis).tobytes() == np.ones(shape).tobytes()
 
     @pytest.mark.parametrize("shape", [(9,), (4, 7), (3, 5, 4)], ids=len)
     def test_adjoint_passes_bitwise_equal_zeroed_accumulation(self, shape):

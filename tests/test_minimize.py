@@ -169,12 +169,160 @@ class TestNewtonModel:
         prob = _DiscreteEnergy(m, g, H_SMALL ** 2)
         u = np.random.default_rng(n).uniform(-1.0, 1.0, g.shape)
         curv = prob.curvature(prob.evaluate(u)[1])
-        diag = prob.hessian_diagonal(curv)
+        diag = minimize._edge_diagonal(*curv)
         for idx in np.ndindex(*g.shape):
             e_k = np.zeros(g.shape)
             e_k[idx] = 1.0
             exact = prob.hessian_product(curv, e_k)[idx]
             assert abs(diag[idx] - exact) <= 1e-12 * abs(exact)
+
+
+def vcycle(prob, u):
+    """The V-cycle preconditioner built from the Newton model at u."""
+    mg = minimize._VCycle(prob.grid.shape)
+    mg.update(prob.curvature(prob.evaluate(u)[1]))
+    return mg
+
+
+def aniso3d_model():
+    """p = (1.5, 2, 2), q = 2, gamma = 2.5, unit weights, no u term."""
+    e = Exponents(3, (1.5, 2.0, 2.0), 2.0, 2.5, (INF,) * 3, INF)
+    return ModelIntegrand(e, (constant(1.0),) * 3, constant(1.0), 0.0)
+
+
+def box(n, h):
+    """[0, 1] x [0, 1/2]^(n-1), with 1/h and 1/(2h) cells per axis."""
+    return make_grid([(0.0, 1.0)] + [(0.0, 0.5)] * (n - 1), h)
+
+
+class TestVCycle:
+    @pytest.mark.parametrize("u_coeff", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coarse_weights_are_the_weights_at_2h(self, n, u_coeff):
+        # constant lambda at p = 2 (and gamma = 2): level k holds the weights
+        # that _DiscreteEnergy builds at spacing 2^k h, boundary nodes included
+        m = simple_model(n, gamma=2.0, u_coeff=u_coeff)
+        h = 1 / 16
+        g = box(n, h)
+        u = np.random.default_rng(n).uniform(-1.0, 1.0, g.shape)
+        mg = vcycle(_DiscreteEnergy(m, g, 0.0), u)
+        assert len(mg.levels) == (4 if n == 1 else 3)  # down to 2 cells on some axis
+        for k, lv in enumerate(mg.levels[1:], start=1):
+            coarse = _DiscreteEnergy(m, box(n, h * 2 ** k), 0.0)
+            cs, cu = coarse.curvature(coarse.evaluate(np.zeros(coarse.grid.shape))[1])
+            for got, want in zip(lv.cs, cs):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            if u_coeff:
+                np.testing.assert_allclose(lv.cu, cu, rtol=1e-13, atol=0)
+            else:
+                assert lv.cu is None
+
+    @pytest.mark.parametrize(
+        "case",
+        ["smoothed_u_term", "p_gt_2_flat", "dense_3_cells", "coarsest_scaled"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symmetric_and_positive(self, n, case):
+        rng = np.random.default_rng(30 + n)
+        if case == "p_gt_2_flat":
+            # data flat on most of the box: the p > 2 curvature |t|^(p-2) is 0
+            # on every edge there, so whole coarse rows vanish and the
+            # coarsest operator (1 node) is 0
+            m = simple_model(n, p=3.0)
+            g = unit_grid(n, 1 / 8)
+            u = np.zeros(g.shape)
+            u[(slice(0, 3),) * n] = rng.uniform(0.0, 1.0, (3,) * n)
+        else:
+            p = {1: (1.5,), 2: (1.5, 2.5), 3: (1.5, 2.0, 2.5)}[n]
+            e = Exponents(n, p, 2.5, 3.0, (INF,) * n, INF)
+            lam1 = WeightField("power", amplitude=1.0, center=(0.3,) * n, exponent=0.5)
+            m = ModelIntegrand(e, (lam1,) + (constant(1.0),) * (n - 1), constant(1.0), 1.0)
+            # 8 cells coarsen to 1 interior node and 12 to a 3-cell level,
+            # both solved densely; 134, 22 and 14 cells to a 67-, 11- and
+            # 7-cell level with more than _DENSE_MAX interior nodes, only scaled
+            scaled = {1: 134, 2: 22, 3: 14}[n]
+            cells = {"smoothed_u_term": 8, "dense_3_cells": 12, "coarsest_scaled": scaled}[case]
+            g = unit_grid(n, 1 / cells)
+            u = rng.uniform(-1.0, 1.0, g.shape)
+        mg = vcycle(_DiscreteEnergy(m, g, g.h ** 2), u)
+        assert len(mg.levels) > 1
+        assert mg.dense == (case != "coarsest_scaled")
+        inner = (slice(1, -1),) * n
+        vecs = [rng.standard_normal(u[inner].shape) for _ in range(6)]
+        images = [mg.apply(v) for v in vecs]
+        for a, ba in zip(vecs, images):
+            assert float(np.vdot(a, ba)) > 0
+            for b, bb in zip(vecs, images):
+                lhs, rhs = float(np.vdot(b, ba)), float(np.vdot(a, bb))
+                assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(bb)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_level_is_jacobi(self, n):
+        # an odd cell count cannot be coarsened: the cycle is r / diag(H), with
+        # 1 in place of a zero diagonal, bit for bit
+        g = unit_grid(n, 1 / 9)
+        m = simple_model(n, p=3.0, u_coeff=1.0, gamma=3.0)
+        u = np.zeros(g.shape)
+        u[(slice(0, 3),) * n] = 1.0
+        prob = _DiscreteEnergy(m, g, 0.0)
+        curv = prob.curvature(prob.evaluate(u)[1])
+        mg = minimize._VCycle(g.shape)
+        mg.update(curv)
+        inner = (slice(1, -1),) * n
+        diag = minimize._edge_diagonal(*curv)[inner]
+        assert len(mg.levels) == 1 and np.any(diag == 0)
+        minv = np.ones_like(diag)
+        np.divide(1.0, diag, out=minv, where=diag > 0)
+        r = np.random.default_rng(n).standard_normal(diag.shape)
+        assert mg.apply(r).tobytes() == (minv * r).tobytes()
+
+
+class TestMultigridSolve:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Counts the CG loop's Hessian products: one per CG iteration."""
+        count = [0]
+        real = _DiscreteEnergy.hessian_product
+
+        def counted(self, *args):
+            count[0] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(_DiscreteEnergy, "hessian_product", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "model,n,h",
+        [(aniso2d_model, 2, 1 / 16), (aniso2d_model, 2, 1 / 32), (aniso2d_model, 2, 1 / 64), (aniso3d_model, 3, 1 / 16)],
+        ids=["aniso2d_h16", "aniso2d_h32", "aniso2d_h64", "aniso3d_h16"],
+    )
+    def test_cg_iterations_per_step_stay_bounded(self, products, model, n, h):
+        # Jacobi-PCG took 13.8, 29.4, 59.3 and 11.0 per step here
+        g = unit_grid(n, h)
+        res = solve(model(), g, radial_data(g), SolveConfig(grad_tol=1e-6))
+        assert res.converged
+        assert products[0] <= 4 * res.iterations, (products[0], res.iterations)
+
+    def test_grid_that_cannot_coarsen_keeps_the_jacobi_trajectory(self):
+        # 45 cells: one level, so the values of the Jacobi-PCG solver hold
+        g = unit_grid(2, 1 / 45)
+        res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(20_000, 1e-6))
+        assert res.converged
+        assert res.iterations == 25
+        assert res.final_energy == 0.8832727962922606
+        assert res.residual == 6.508473447686125e-07
+
+    @pytest.mark.parametrize(
+        "grid",
+        [unit_grid(2, 1 / 24), make_grid([(0.0, 2.0), (0.0, 1.0)], 1 / 16)],
+        ids=["24_cells", "box_2x1"],
+    )
+    def test_converges_on_other_hierarchies(self, products, grid):
+        # 24 cells stop at a 3-cell level; 32 x 16 cells at 4 x 2
+        res = solve(aniso2d_model(), grid, radial_data(grid), SolveConfig(grad_tol=1e-6))
+        assert res.converged and res.stop_reason == "converged"
+        assert products[0] <= 4 * res.iterations
 
 
 class TestSolve:
@@ -363,10 +511,12 @@ class TestQuasiMinimality:
 class TestTrajectoryPins:
     """Solver trajectories pinned exactly: Newton step count, final energy,
     residual and the bytes of the minimizer.  Any change to the arithmetic of
-    the energy, its gradient, the Newton model, the CG solve or the line
-    search, or to its order, shows here.  The final energies also match
-    those of the same solves run to the round-off floor, where they stop as
-    stalled, to 1e-13 relative: the pinned iterate is the minimizer."""
+    the energy, its gradient, the Newton model, the CG solve, its V-cycle
+    preconditioner or the line search, or to its order, shows here.  The
+    final energies also match those of the same solves run to the round-off
+    floor, where they stop as stalled, and those pinned for the Jacobi-
+    preconditioned solver, to 1e-13 relative: the pinned iterate is the
+    minimizer."""
 
     CFG = SolveConfig(max_iters=20_000, grad_tol=1e-6)
     FLOOR = SolveConfig(max_iters=200, grad_tol=1e-300)
@@ -380,9 +530,11 @@ class TestTrajectoryPins:
         res = solve(aniso2d_model(), g, radial_data(g), self.CFG)
         assert res.converged
         assert res.iterations == 23
-        assert res.final_energy == 0.9048240078476288
-        assert res.residual == 7.230867886676151e-07
-        assert self.sha1(res) == "ef240608cd49e0a6af8c173edcc266e86cf6a778"
+        assert res.final_energy == 0.904824007847629
+        assert res.residual == 7.404802175869918e-07
+        assert self.sha1(res) == "b0c633e4a958860d0552e1448b11a5706fa1f858"
+        # the Jacobi-PCG solver's pinned energy
+        assert res.final_energy == pytest.approx(0.9048240078476288, rel=1e-13, abs=0)
         floor = solve(aniso2d_model(), g, radial_data(g), self.FLOOR)
         assert floor.stop_reason == "stalled"
         assert res.final_energy == pytest.approx(floor.final_energy, rel=1e-13, abs=0)
@@ -392,10 +544,12 @@ class TestTrajectoryPins:
         m = simple_model(3, gamma=3.0, u_coeff=1.0)
         res = solve(m, g, radial_data(g), self.CFG)
         assert res.converged
-        assert res.iterations == 7
+        assert res.iterations == 5
         assert res.final_energy == 4.349210703939757
-        assert res.residual == 5.09984290797405e-07
-        assert self.sha1(res) == "9e3166c40308737fabf6778f41631877c91e0815"
+        assert res.residual == 2.388189557223086e-08
+        assert self.sha1(res) == "45dba490345d9c0b5165da4c350be25ac6d1d4ed"
+        # the Jacobi-PCG solver's pinned energy
+        assert res.final_energy == pytest.approx(4.349210703939757, rel=1e-13, abs=0)
         floor = solve(m, g, radial_data(g), self.FLOOR)
         assert floor.stop_reason == "stalled"
         assert res.final_energy == pytest.approx(floor.final_energy, rel=1e-13, abs=0)
