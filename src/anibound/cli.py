@@ -122,15 +122,7 @@ def cmd_certify(args) -> int:
         return EXIT_INADMISSIBLE
     u = _load_solution(cfg, args.solution)
     spec = cfg.certify
-    C_cal = spec.C_cal
-    if C_cal is None:
-        probe = degiorgi.certify(
-            cfg.model, u, spec.x0, spec.R, cfg.exponents, C_cal=1.0, H=spec.H
-        )
-        C_cal = degiorgi.calibrate_C(probe.traces)
-    cert = degiorgi.certify(
-        cfg.model, u, spec.x0, spec.R, cfg.exponents, C_cal=C_cal, H=spec.H
-    )
+    cert = degiorgi.certify(u, spec.x0, spec.R, cfg.exponents, C_cal=spec.C_cal, H=spec.H)
     cert_path = _out_path(args, cfg, f"{cfg.name}_certificate.csv")
     with open(cert_path, "w") as fh:
         fh.write(degiorgi.certificate_csv_header() + "\n")

@@ -1,8 +1,9 @@
 """Run-configuration files: flat key-value text with bracketed sections.
 
-Numbers are decimal binary64, "inf" is the infinity literal, and n, max_iters
-and H must be whole numbers.  Errors raise ConfigError, naming the section
-and key.  The full schema, with defaults and checks in the comments::
+Numbers are decimal binary64, "inf" is the infinity literal, nan is an error,
+and n, max_iters and H must be whole numbers.  Errors raise ConfigError,
+naming the section and key.  The full schema, with defaults and checks in
+the comments::
 
     [problem]
     name = iso2d                 # default run
@@ -66,9 +67,10 @@ class ConfigError(ValueError):
 
 def _num(text: str) -> float:
     text = text.strip()
-    if text.lower() == "inf":
-        return math.inf
-    return float(text)
+    val = math.inf if text.lower() == "inf" else float(text)
+    if math.isnan(val):
+        raise ValueError("nan is not a number")
+    return val
 
 
 def _num_list(text: str):
@@ -305,7 +307,7 @@ def load_config(path) -> RunConfig:
         if len(x0) != n:
             raise ConfigError(f"[certify] field 'x0': expected {n} coordinates")
         c_raw = csec.get("c_cal", default="1")
-        C_cal = None if c_raw.strip().lower() == "calibrate" else _num(c_raw)
+        C_cal = None if c_raw.strip().lower() == "calibrate" else csec.num("c_cal", 1.0)
         certify = CertifySpec(
             x0=x0,
             R=csec.num("r", required=True),

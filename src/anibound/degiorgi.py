@@ -208,21 +208,21 @@ class Certificate:
 
 
 def certify(
-    m,
     u: GridFunction,
     x0,
     R: float,
     e: Exponents,
-    C_cal: float = 1.0,
+    C_cal: float | None = 1.0,
     H: int = DEFAULT_STEPS,
-    c0: float | None = None,
 ) -> Certificate:
     """Certify local boundedness of u on B_{R/2}(x0).
 
-    Computes the closed-form level scale d from the calibrated constant,
-    runs the J-recursion for both signs of u, and reports whether the
+    Computes the closed-form level scale d from the recursion constant
+    C_cal, runs the J-recursion for both signs of u, and reports whether the
     discrete sup over the half ball stays below a finite d while both
-    J-sequences decay.  Validity is a reproducibility statement about this
+    J-sequences decay.  With C_cal=None the constant is calibrated on u
+    itself: both J-recursions are run at C = 1 and C_cal is calibrate_C of
+    those two traces.  Validity is a reproducibility statement about this
     engine with its calibrated constant, not a restatement of the theorem.
     """
     if not 0.0 < R <= 1.0:
@@ -233,15 +233,16 @@ def certify(
         raise ValueError("ball leaves the grid box")
     d_exp = derive(e)
     c = iteration_constants(d_exp, e)  # raises on inadmissible exponents
-    if c0 is None:
-        c0 = default_c0(d_exp, e)
-
+    c0 = default_c0(d_exp, e)
     N = lp_norm(cell_average(u), d_exp.sigma_star, grid, ball)
-    d = choose_d(c, C_cal, c0, R, N)  # N is sign-invariant: one d serves u and -u
 
-    traces = tuple(
-        iteration_trace(u, x0, R, d, e, c, N, H, sign) for sign in (+1, -1)
-    )
+    def run(C):
+        d = choose_d(c, C, c0, R, N)  # N is sign-invariant: one d serves u and -u
+        return d, tuple(iteration_trace(u, x0, R, d, e, c, N, H, sign) for sign in (+1, -1))
+
+    if C_cal is None:
+        C_cal = calibrate_C(run(1.0)[1])
+    d, traces = run(C_cal)
     decayed = all(
         t.js[-1] <= DECAY_FACTOR * max(t.js[0], DECAY_FLOOR) for t in traces
     )

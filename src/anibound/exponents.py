@@ -210,7 +210,6 @@ class IterationConstants:
     delta2: float
     alpha: float
     lambda_base: float
-    theta: float
     theta1: float
     theta2: float
     norm_exponent: float
@@ -230,7 +229,6 @@ def iteration_constants(
     sp, ss, pb = d.s_prime, d.sigma_star, d.p_bar
     q, g = e.q, e.gamma
     qs = q * sp
-    theta = 1.0 - (g - q) * sp / ss
     delta2 = q * qs / pb
     D = _denominator(d, e)
     delta1 = qs * D / (pb * ss)
@@ -245,7 +243,6 @@ def iteration_constants(
         delta2=delta2,
         alpha=alpha,
         lambda_base=lambda_base,
-        theta=theta,
         theta1=theta1,
         theta2=theta2,
         norm_exponent=norm_exponent,

@@ -407,13 +407,11 @@ def read_gridfn(path) -> GridFunction:
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a GRIDFN v1 file")
     try:
-        dim = int(lines[1].split("=", 1)[1])
-        box = [
-            tuple(float(v) for v in part.split(":"))
-            for part in lines[2].split("=", 1)[1].split(",")
-        ]
-        h = float(lines[3].split("=", 1)[1])
-    except (IndexError, ValueError) as exc:
+        head = dict(line.split("=", 1) for line in lines[1:4])
+        dim = int(head["dim"])
+        box = [tuple(float(v) for v in part.split(":")) for part in head["box"].split(",")]
+        h = float(head["h"])
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed GRIDFN header") from exc
     if len(box) != dim:
         raise ValueError(f"{path}: box has {len(box)} axes, expected {dim}")

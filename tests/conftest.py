@@ -38,6 +38,9 @@ GRIDFN_REJECTS = (
     "one_value_too_few",
     "one_value_too_many",
     "missing_h_line",
+    "wrong_dim_key",
+    "wrong_box_key",
+    "wrong_h_key",
     "empty_file",
 )
 
@@ -57,6 +60,11 @@ def gridfn_reject(text, name):
         "one_value_too_many": head + body + [body[-1]],
         "missing_h_line": head[:3] + body,
     }
+    # a header line whose value is intact but whose key is not dim, box or h
+    for i, key in enumerate(("dim", "box", "h"), 1):
+        variants[f"wrong_{key}_key"] = (
+            head[:i] + ["foo=" + head[i].split("=", 1)[1]] + head[i + 1:] + body
+        )
     return "\n".join(variants[name]) + "\n"
 
 

@@ -2,8 +2,11 @@
 
 Each numbered test exercises one contract of the library at fixed tolerances
 and prints a single pass/fail line.  The level-set sweep values are pinned as
-regression baselines in tests/data/caccioppoli_baselines.json; delete that
-file to re-baseline after an intentional numerical change.
+regression baselines in tests/data/caccioppoli_baselines.json, and criterion
+6 fails without that file.  After an intentional numerical change, re-pin
+them by running this file as a script from the repository root::
+
+    python tests/test_acceptance.py
 """
 
 import json
@@ -17,7 +20,7 @@ import pytest
 
 from anibound.cli import main as cli_main
 from anibound.config import BoundarySpec
-from anibound.degiorgi import calibrate_C, certify, fast_convergence
+from anibound.degiorgi import certify, fast_convergence
 from anibound.exponents import (
     INF,
     Exponents,
@@ -274,11 +277,7 @@ def test_criterion_5_certificates(solved_problems):
     details = []
     for prob, u, t_solve in solved_problems:
         t0 = time.perf_counter()
-        e = prob.model.exponents
-        probe = certify(prob.model, u, prob.x0, prob.R, e, C_cal=1.0)
-        cert = certify(
-            prob.model, u, prob.x0, prob.R, e, C_cal=calibrate_C(probe.traces)
-        )
+        cert = certify(u, prob.x0, prob.R, prob.model.exponents, C_cal=None)
         elapsed = t_solve + (time.perf_counter() - t0)
         decay_ok = all(
             t.js[-1] <= 1e-10 * max(t.js[0], 1e-30) for t in cert.traces
@@ -332,10 +331,8 @@ def test_criterion_6_caccioppoli_stability(solved_problems):
         ok &= any(v != 0 for v in baselines["radial3d_amp6"].values())
         note = "checked against pinned baselines"
     else:
-        os.makedirs(DATA_DIR, exist_ok=True)
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(coarse_all, fh, indent=1, sort_keys=True)
-        note = "baselines written"
+        ok = False
+        note = f"{BASELINE_PATH} is missing; re-pin with `python tests/test_acceptance.py`"
     elapsed = time.perf_counter() - t0
     report(
         6,
@@ -446,3 +443,11 @@ def test_criterion_8_determinism(tmp_path):
     ok &= bool((read_gridfn(copy).values == u.values).all())
     elapsed = time.perf_counter() - t0
     report(8, f"determinism and formats ({elapsed:.1f}s)", ok and elapsed < 30.0)
+
+
+if __name__ == "__main__":
+    # re-pin criterion 6's baselines from the coarse solve of every problem
+    pins = {prob.name: _sweep(prob.model, prob.solve(), prob.x0) for prob in _problems()}
+    with open(BASELINE_PATH, "w") as fh:
+        json.dump(pins, fh, indent=1, sort_keys=True)
+    print(f"wrote {BASELINE_PATH}")

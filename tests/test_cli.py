@@ -2,8 +2,10 @@ import hashlib
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from anibound import degiorgi
 from anibound.cli import main
 from anibound.config import load_config
 from anibound.fields import read_gridfn, write_gridfn
@@ -174,6 +176,22 @@ class TestCertify:
         assert trace[0] == "sign,h,rho_h,k_h,J_h,rhs_h"
         assert len(trace) == 2 * 40 + 1
 
+    @pytest.mark.parametrize("c_cal, passed", [("calibrate", None), ("2.5", 2.5)])
+    def test_one_certify_call(self, solved, tmp_path, monkeypatch, c_cal, passed):
+        calls = []
+        certify = degiorgi.certify
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["C_cal"])
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(degiorgi, "certify", counted)
+        cfg = write_config(tmp_path, patch(ISO3D, "C_cal = calibrate", f"C_cal = {c_cal}"))
+        sol = os.path.join(solved[1], "iso3d_solution.gridfn")
+        assert main(["certify", "--config", cfg, "--solution", sol,
+                     "--out", str(tmp_path / "c")]) == 0
+        assert calls == [passed]
+
     def test_bad_radius_exit_one(self, solved, tmp_path):
         cfg_text = patch(ISO3D, "R = 0.4", "R = 1.5")
         cfg = write_config(tmp_path, cfg_text)
@@ -336,6 +354,24 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, ISO3D + f"\n[solver]\n{key} = 0.5\n")
         assert main(["admissible", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("u_coeff = 0", "u_coeff = 0\nlambda1.kind = constant\nlambda1.amplitude = nan",
+             "[weights] field 'lambda1.amplitude'"),
+            ("u_coeff = 0", "u_coeff = nan", "[weights] field 'u_coeff'"),
+            ("r = inf,inf,inf", "r = inf,nan,inf", "[exponents] field 'r'"),
+            ("R = 0.4", "R = NaN", "[certify] field 'r'"),
+            ("C_cal = calibrate", "C_cal = nan", "[certify] field 'c_cal'"),
+        ],
+        ids=["lambda1.amplitude", "u_coeff", "r", "R", "C_cal"],
+    )
+    def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, patch(ISO3D, old, new))
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_integer(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ISO3D + "\n[solver]\nmax_iters = inf\n")
         assert main(["admissible", "--config", cfg]) == 1
@@ -370,6 +406,27 @@ class TestConfigErrors:
     def test_verify_subbox(self, tmp_path, capsys, subbox, message):
         assert self._verify(tmp_path, ISO3D + f"subbox = {subbox}\n") == 1
         assert message in capsys.readouterr().err
+
+
+PRODUCT2D = patch(
+    patch(ISO2D_INADMISSIBLE, "kind = affine\ncoeffs = 1,0\noffset = 0",
+          "kind = product\nfactor1 = 2,1\nfactor2 = -1,3\namplitude = 0.5\noffset = 4"),
+    "h = 0.125", "h = 0.25",
+)
+
+
+class TestProductBoundary:
+    def test_node_values(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, PRODUCT2D))
+        x, y = np.meshgrid(*cfg.grid.node_axes(), indexing="ij")
+        expected = 4.0 + 0.5 * (2.0 * x + 1.0) * (-1.0 * y + 3.0)
+        np.testing.assert_allclose(cfg.initial_field().values, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("factor", ["2", "2,1,0"])
+    def test_factor_length(self, tmp_path, capsys, factor):
+        cfg = write_config(tmp_path, patch(PRODUCT2D, "factor2 = -1,3", f"factor2 = {factor}"))
+        assert main(["admissible", "--config", cfg]) == 1
+        assert "error: [boundary] field 'factor2': expected 'a,b'" in capsys.readouterr().err
 
 
 EDGE3D = patch(

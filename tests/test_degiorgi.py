@@ -1,10 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from anibound import degiorgi
 from anibound.degiorgi import (
+    Certificate,
+    IterationTrace,
     calibrate_C,
     certify,
     fast_convergence,
@@ -15,9 +18,7 @@ from anibound.degiorgi import (
 from anibound.exponents import INF, Exponents, derive, iteration_constants
 from anibound.fields import GridFunction
 from anibound.minimize import SolveConfig, solve
-from anibound.integrand import ModelIntegrand
 from conftest import (
-    constant,
     coordinate_field,
     random_admissible_exponents,
     simple_model,
@@ -148,12 +149,44 @@ class TestCalibration:
             assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)
 
 
+def assert_same_certificate(a, b):
+    """Field-by-field equality of two certificates, traces included."""
+    for f in fields(Certificate):
+        if f.name != "traces":
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+    assert len(a.traces) == len(b.traces)
+    for ta, tb in zip(a.traces, b.traces):
+        for f in fields(IterationTrace):
+            np.testing.assert_array_equal(getattr(ta, f.name), getattr(tb, f.name), f.name)
+
+
+class TestCalibratedCertify:
+    def test_equals_probe_then_certify(self, harmonic_3d):
+        m, u = harmonic_3d
+        probe = certify(u, X0, 0.4, m.exponents, C_cal=1.0, H=12)
+        manual = certify(u, X0, 0.4, m.exponents, C_cal=calibrate_C(probe.traces), H=12)
+        assert_same_certificate(certify(u, X0, 0.4, m.exponents, C_cal=None, H=12), manual)
+
+    def test_certifies_at_the_calibrated_constant(self, harmonic_3d, monkeypatch):
+        # the minimizers here leave every J_h = 0, so calibrate_C returns 1;
+        # a stand-in constant shows which traces it gets and where its value goes
+        m, u = harmonic_3d
+        seen = []
+        monkeypatch.setattr(degiorgi, "calibrate_C", lambda traces: seen.append(traces) or 7.5)
+        cert = certify(u, X0, 0.4, m.exponents, C_cal=None, H=12)
+        probe = certify(u, X0, 0.4, m.exponents, C_cal=1.0, H=12)
+        assert len(seen) == 1
+        assert_same_certificate(replace(probe, traces=seen[0]), probe)
+        assert_same_certificate(cert, certify(u, X0, 0.4, m.exponents, C_cal=7.5, H=12))
+        assert cert.d > probe.d
+
+
 class TestCertify:
     def test_zero_field_certifies(self):
         g = unit_grid(3, 1 / 8)
         e = simple_model(3).exponents
         u = GridFunction(g, np.zeros(g.shape))
-        cert = certify(simple_model(3), u, X0, 0.4, e)
+        cert = certify(u, X0, 0.4, e)
         assert cert.valid
         assert cert.sup_half_ball == 0.0
         assert cert.slack == cert.d
@@ -161,7 +194,7 @@ class TestCertify:
 
     def test_harmonic_minimizer_certifies(self, harmonic_3d):
         m, u = harmonic_3d
-        cert = certify(m, u, X0, 0.4, m.exponents)
+        cert = certify(u, X0, 0.4, m.exponents)
         assert cert.valid
         assert cert.sup_half_ball <= 0.7 + 1e-9
         assert cert.sup_half_ball < cert.d
@@ -169,15 +202,15 @@ class TestCertify:
 
     def test_sign_symmetry(self, harmonic_3d):
         m, u = harmonic_3d
-        cp = certify(m, u, X0, 0.4, m.exponents)
-        cm = certify(m, -u, X0, 0.4, m.exponents)
+        cp = certify(u, X0, 0.4, m.exponents)
+        cm = certify(-u, X0, 0.4, m.exponents)
         assert cp.d == cm.d
         assert cp.sup_half_ball == cm.sup_half_ball
         assert cp.valid == cm.valid
 
     def test_two_traces_recorded(self, harmonic_3d):
         m, u = harmonic_3d
-        cert = certify(m, u, X0, 0.4, m.exponents, H=12)
+        cert = certify(u, X0, 0.4, m.exponents, H=12)
         assert len(cert.traces) == 2
         assert {t.sign for t in cert.traces} == {1, -1}
         assert all(len(t.js) == 13 for t in cert.traces)
@@ -185,15 +218,15 @@ class TestCertify:
     def test_radius_guard(self, harmonic_3d):
         m, u = harmonic_3d
         with pytest.raises(ValueError):
-            certify(m, u, X0, 1.5, m.exponents)
+            certify(u, X0, 1.5, m.exponents)
         with pytest.raises(ValueError):
-            certify(m, u, X0, 0.6, m.exponents)
+            certify(u, X0, 0.6, m.exponents)
 
     def test_inadmissible_guard(self, harmonic_3d):
         m, u = harmonic_3d
         bad = Exponents(3, (2, 2, 2), 2, 7, (INF,) * 3, INF)
         with pytest.raises(ValueError):
-            certify(m, u, X0, 0.4, bad)
+            certify(u, X0, 0.4, bad)
 
     def test_d_equals_closed_form_bound(self):
         # choose_d and rhs_bound are the same closed form, so validity does not
@@ -204,10 +237,9 @@ class TestCertify:
             # binary64 scalars, as a config file gives them
             e = replace(e, q=float(e.q), gamma=float(e.gamma), s=float(e.s))
             g = unit_grid(e.n, 1 / 4)
-            m = ModelIntegrand(e, (constant(1.0),) * e.n, constant(1.0))
             R = float(rng.uniform(0.1, 0.5))
             C_cal = float(10.0 ** rng.uniform(-2, 2))
-            cert = certify(m, coordinate_field(g), (0.5,) * e.n, R, e, C_cal=C_cal, H=4)
+            cert = certify(coordinate_field(g), (0.5,) * e.n, R, e, C_cal=C_cal, H=4)
             if math.isinf(cert.d):
                 assert not cert.valid
                 continue

@@ -247,7 +247,7 @@ def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
             assert np.array_equal(got, ref_j_sequence(u, ball.x0, ball.R, d, e, 12))
     if check_admissibility(derive(e), e).admissible:
         ball = balls[0]
-        cert = certify(m, u, ball.x0, ball.R, e, H=12)
+        cert = certify(u, ball.x0, ball.R, e, H=12)
         half = Ball(ball.x0, ball.R / 2)
         inside = half.contains(grid.node_points()).reshape(grid.shape)
         assert cert.sup_half_ball == float(np.max(np.abs(u.values[inside])))
