@@ -18,7 +18,7 @@ the comments::
     r = inf,inf                  # n values
     s = inf
     [weights]
-    lambda1.kind = constant      # or power (center, exponent); default constant 1
+    lambda1.kind = constant      # or power (center, exponent); default constant
     lambda1.amplitude = 1
     mu.kind = constant           # as lambda<i>
     u_coeff = 0                  # >= 0
@@ -132,15 +132,13 @@ class _Section:
         return int(val)
 
 
-def _parse_weight(sec: _Section, prefix: str, default_constant=None) -> WeightField:
-    kind = sec.get(f"{prefix}.kind")
-    if kind is None:
-        if default_constant is not None:
-            return WeightField("constant", amplitude=default_constant)
-        raise ConfigError(f"[{sec.name}] missing field {prefix}.kind")
-    kind = kind.strip()
+def _parse_weight(sec: _Section, prefix: str) -> WeightField:
+    kind = sec.get(f"{prefix}.kind", default="constant").strip()
     amp = sec.num(f"{prefix}.amplitude", default=1.0)
     if kind == "constant":
+        for key in (f"{prefix}.center", f"{prefix}.exponent"):
+            if key in sec.raw:
+                raise ConfigError(f"[{sec.name}] field {key}: needs {prefix}.kind = power")
         return WeightField("constant", amplitude=amp)
     if kind == "power":
         center = sec.nums(f"{prefix}.center", required=True)
@@ -254,8 +252,9 @@ def load_config(path) -> RunConfig:
 
     gsec = _Section(parser, "grid")
     h = gsec.num("h", required=True)
+    box = gsec.box("box", required=True)
     try:
-        grid = make_grid(gsec.box("box", required=True), h)
+        grid = make_grid(box, h)
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from None
 
@@ -263,22 +262,23 @@ def load_config(path) -> RunConfig:
     n = esec.integer("n", required=True)
     if n != grid.n:
         raise ConfigError(f"[exponents] field 'n': {n} does not match grid dimension {grid.n}")
+    parsed = dict(
+        n=n,
+        p=tuple(esec.nums("p", required=True)),
+        q=esec.num("q", required=True),
+        gamma=esec.num("gamma", required=True),
+        r=tuple(esec.nums("r", required=True)),
+        s=esec.num("s", required=True),
+    )
     try:
-        exps = Exponents(
-            n=n,
-            p=tuple(esec.nums("p", required=True)),
-            q=esec.num("q", required=True),
-            gamma=esec.num("gamma", required=True),
-            r=tuple(esec.nums("r", required=True)),
-            s=esec.num("s", required=True),
-        )
+        exps = Exponents(**parsed)
     except ValueError as exc:
         raise ConfigError(f"[exponents]: {exc}") from None
 
     wsec = _Section(parser, "weights")
-    lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}", default_constant=1.0) for i in range(n))
+    lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}") for i in range(n))
     u_coeff = wsec.num("u_coeff", default=0.0)
-    mu = _parse_weight(wsec, "mu", default_constant=1.0)
+    mu = _parse_weight(wsec, "mu")
     try:
         model = ModelIntegrand(exponents=exps, lambdas=lambdas, mu=mu, u_coeff=u_coeff)
     except ValueError as exc:

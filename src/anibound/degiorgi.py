@@ -23,15 +23,7 @@ from .exponents import (
     derive,
     iteration_constants,
 )
-from .fields import (
-    Ball,
-    GridFunction,
-    _average_to_cells,
-    _ball_box,
-    _node_box,
-    cell_average,
-    lp_norm,
-)
+from .fields import Ball, GridFunction, _ball_cells, _ball_nodes, lp_norm
 
 __all__ = [
     "sequences",
@@ -77,7 +69,7 @@ def j_sequence(
 ) -> np.ndarray:
     """Super-level masses J_h = integral over {u > k_h} of (u - k_h)^{qs'}, h = 0..H.
 
-    Only the cells of the bounding box of B_R(x0) are visited.
+    Only the cells of the box of B_R(x0) are visited (`fields._ball_cells`).
     """
     if H < 1:
         raise ValueError("need at least one step")
@@ -86,8 +78,7 @@ def j_sequence(
     if not grid.contains_ball(ball):
         raise ValueError("ball leaves the grid box")
     qs = e.qs_prime
-    box, _, dist2 = _ball_box(grid, ball)  # every rho_h is at most R
-    uc = _average_to_cells(u.values[_node_box(box)]).ravel()
+    _, uc, dist2 = _ball_cells(u, ball)  # every rho_h is at most R
     hn = grid.h ** grid.n
     out = np.empty(H + 1)
     for h in range(H + 1):
@@ -234,7 +225,8 @@ def certify(
     d_exp = derive(e)
     c = iteration_constants(d_exp, e)  # raises on inadmissible exponents
     c0 = default_c0(d_exp, e)
-    N = lp_norm(cell_average(u), d_exp.sigma_star, grid, ball)
+    _, uc, dist2 = _ball_cells(u, ball)
+    N = lp_norm(uc[dist2 < R * R], d_exp.sigma_star, grid)
 
     def run(C):
         d = choose_d(c, C, c0, R, N)  # N is sign-invariant: one d serves u and -u
@@ -247,11 +239,8 @@ def certify(
         t.js[-1] <= DECAY_FACTOR * max(t.js[0], DECAY_FLOOR) for t in traces
     )
 
-    half = Ball(x0, R / 2.0)
-    nodes, _, dist2 = _ball_box(grid, half, nodes=True)
-    values = u.values[nodes]
-    inside = (dist2 < half.R * half.R).reshape(values.shape)
-    sup_half = float(np.max(np.abs(values[inside]))) if inside.any() else 0.0
+    half = _ball_nodes(u, Ball(x0, R / 2.0))
+    sup_half = float(np.max(np.abs(half))) if half.size else 0.0
 
     try:
         composite = (C_cal * c0 ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (

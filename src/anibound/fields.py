@@ -14,7 +14,8 @@ Conventions used throughout the package:
 * level sets are counted on nodes (measure = h^n * node count), integrals are
   cell quadratures with nodal values averaged to cell centers.
 
-The stencil, its transposes and the lattice geometry of regions live only here.
+The stencil, its transposes and the geometry of regions (a ball's box, its
+cells and its nodes) live only here; weights are sampled in `integrand`.
 """
 
 from __future__ import annotations
@@ -254,32 +255,18 @@ def _lattice_points(axes, box=None) -> np.ndarray:
     all of them), shape (N, n), row-major order."""
     if box is not None:
         axes = [a[s] for a, s in zip(axes, box)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)  # views: one copy, in stack
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
-def _cell_box(grid: Grid, region) -> tuple:
-    """Index slices, one per axis, of a box of cells that holds every cell of a
-    cell mask or every cell center inside a Ball, clamped to the grid.
-
-    The box of a mask is tight (empty slices for an empty mask). The box of a
-    Ball keeps one spare index on each side, so rounding never cuts off a
-    cell, and widened by one node at the upper end it holds every node inside
-    the ball as well.
-    """
-    if isinstance(region, np.ndarray):
-        mask = region.reshape(grid.cell_shape)
-        box = []
-        for i in range(grid.n):
-            hits = np.flatnonzero(mask.any(axis=tuple(j for j in range(grid.n) if j != i)))
-            box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
-        return tuple(box)
+def _cell_box(grid: Grid, mask: np.ndarray) -> tuple:
+    """Index slices, one per axis, of the tight box of cells that holds every
+    cell of a cell mask (empty slices for an empty mask)."""
+    mask = mask.reshape(grid.cell_shape)
     box = []
-    for i, count in enumerate(grid.cell_shape):
-        lo = (region.x0[i] - region.R - grid.lo[i]) / grid.h - 0.5
-        hi = (region.x0[i] + region.R - grid.lo[i]) / grid.h - 0.5
-        start = min(max(0, math.floor(lo)), count)
-        box.append(slice(start, max(start, min(count, math.floor(hi) + 2))))
+    for i in range(grid.n):
+        hits = np.flatnonzero(mask.any(axis=tuple(j for j in range(grid.n) if j != i)))
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
     return tuple(box)
 
 
@@ -288,24 +275,46 @@ def _node_box(box: tuple) -> tuple:
     return tuple(slice(s.start, s.stop + 1) for s in box)
 
 
-def _ball_box(grid: Grid, ball: Ball, nodes: bool = False) -> tuple:
-    """The box of a Ball's cells (`_cell_box`), or with `nodes` that box's
-    nodes, with its lattice points, shape (N, n), and their squared distances
-    from x0, shape (N,), both in row-major order."""
-    box = _cell_box(grid, ball)
-    axes = grid.cell_axes()
-    if nodes:
-        box = _node_box(box)
-        axes = grid.node_axes()
-    points = _lattice_points(axes, box)
-    diff = points - np.asarray(ball.x0)
-    return box, points, np.einsum("ij,ij->i", diff, diff)
+def _ball_box(grid: Grid, ball: Ball) -> tuple:
+    """Index slices, one per axis, of a box of cells that holds every cell
+    center inside the ball, clamped to the grid. It keeps one spare index on
+    each side, so rounding never cuts off a cell, and its nodes (`_node_box`)
+    hold every node inside the ball as well."""
+    box = []
+    for i, count in enumerate(grid.cell_shape):
+        lo = (ball.x0[i] - ball.R - grid.lo[i]) / grid.h - 0.5
+        hi = (ball.x0[i] + ball.R - grid.lo[i]) / grid.h - 0.5
+        start = min(max(0, math.floor(lo)), count)
+        box.append(slice(start, max(start, min(count, math.floor(hi) + 2))))
+    return tuple(box)
+
+
+def _dist2(axes, box: tuple, x0) -> np.ndarray:
+    """Squared distances from x0 of the lattice points in `box`, in the box's shape."""
+    diff = _lattice_points(axes, box) - np.asarray(x0)
+    return np.einsum("ij,ij->i", diff, diff).reshape([s.stop - s.start for s in box])
+
+
+def _ball_cells(u: GridFunction, ball: Ball) -> tuple:
+    """The ball's box of cells (`_ball_box`), u averaged to those cells and
+    their centers' squared distances from x0, both in the box's shape; the
+    cells inside the ball are those with distance below R^2."""
+    box = _ball_box(u.grid, ball)
+    uc = _average_to_cells(u.values[_node_box(box)])
+    return box, uc, _dist2(u.grid.cell_axes(), box, ball.x0)
+
+
+def _ball_nodes(u: GridFunction, ball: Ball) -> np.ndarray:
+    """u at the nodes inside the ball, flat in row-major order; only the nodes
+    of the ball's box are visited."""
+    box = _node_box(_ball_box(u.grid, ball))
+    return u.values[box][_dist2(u.grid.node_axes(), box, ball.x0) < ball.R * ball.R]
 
 
 def cell_mask(grid: Grid, region) -> np.ndarray:
     """Boolean mask over cells; region is None, a Ball, a mask, or a predicate on centers.
 
-    A Ball is tested only on the cells of its bounding box.
+    A Ball is tested only on the cells of its box.
     """
     shape = grid.cell_shape
     if region is None:
@@ -313,22 +322,20 @@ def cell_mask(grid: Grid, region) -> np.ndarray:
     if isinstance(region, np.ndarray):
         return region.reshape(shape)
     if isinstance(region, Ball):
-        box, _, dist2 = _ball_box(grid, region)
+        box = _ball_box(grid, region)
         mask = np.zeros(shape, dtype=bool)
-        mask[box] = (dist2 < region.R * region.R).reshape(mask[box].shape)
+        mask[box] = _dist2(grid.cell_axes(), box, region.x0) < region.R * region.R
         return mask
     return np.asarray(region(grid.cell_centers()), dtype=bool).reshape(shape)
 
 
-def lp_norm(f: np.ndarray, beta: float, grid: Grid, region=None) -> float:
-    """L^beta norm of a cell field by midpoint quadrature; max over cells at beta = inf.
-
-    With region None, f may also be the values of any set of cells, flat.
-    """
+def lp_norm(f, beta: float, grid: Grid) -> float:
+    """L^beta norm by midpoint quadrature of f, the values of a set of cells
+    of the grid in any shape (select a region's cells before the call); max
+    over them at beta = inf, 0 for no cells."""
     if beta < 1:
         raise ValueError(f"need beta >= 1, got {beta}")
-    vals = np.abs(np.asarray(f))
-    vals = vals.ravel() if region is None else vals[cell_mask(grid, region)]
+    vals = np.abs(np.asarray(f)).ravel()
     if vals.size == 0:
         return 0.0
     if math.isinf(beta):
@@ -339,15 +346,11 @@ def lp_norm(f: np.ndarray, beta: float, grid: Grid, region=None) -> float:
 def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
     """h^n times the number of nodes with |x - x0| < R and u(x) > k.
 
-    Only the nodes of the ball's bounding box are visited, so the cost scales
-    with that box, not with the grid.
+    Only the nodes of the ball's box are visited, so the cost scales with
+    that box, not with the grid.
     """
     g = u.grid
-    box, _, dist2 = _ball_box(g, ball, nodes=True)
-    values = u.values[box]
-    inside = (dist2 < ball.R * ball.R).reshape(values.shape)
-    count = int(np.count_nonzero(inside & (values > k)))
-    return count * g.h ** g.n
+    return int(np.count_nonzero(_ball_nodes(u, ball) > k)) * g.h ** g.n
 
 
 def _tensor_hat(grid: Grid, box) -> np.ndarray:

@@ -20,12 +20,9 @@ from .exponents import DerivedExponents, conjugate_exponent, derive
 from .fields import (
     Ball,
     GridFunction,
-    _average_to_cells,
-    _ball_box,
+    _ball_cells,
     _interior_mask,
-    _node_box,
     cell_average,
-    cell_mask,
     gradient,
     lp_norm,
     superlevel_measure,
@@ -87,15 +84,15 @@ def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> Inequality
     """Lower energy bound: directional norms of Du against the energy integral."""
     grid = u.grid
     mask = _box_mask(grid, subbox)
-    centers = grid.cell_centers()[mask.ravel()]
+    lam, _ = m.on_cells(grid)
     d = derive(m.exponents)
     grads = gradient(u)
     lhs = 0.0
     for i in range(grid.n):
-        wnorm = lp_norm(1.0 / m.lambdas[i](centers, grid.h), m.exponents.r[i], grid)
+        wnorm = lp_norm(1.0 / lam[i][mask], m.exponents.r[i], grid)
         if wnorm == 0.0:
             continue
-        gnorm = lp_norm(grads[i], d.sigma[i], grid, mask)
+        gnorm = lp_norm(grads[i][mask], d.sigma[i], grid)
         lhs += (1.0 / wnorm) * gnorm ** m.exponents.p[i]
     lhs /= grid.n
     rhs = energy(m, u, mask)
@@ -126,35 +123,34 @@ def verify_embedding(u: GridFunction, d: DerivedExponents) -> InequalityReport:
 
 
 def verify_poincare_sobolev(
-    m: ModelIntegrand, v: GridFunction, d: DerivedExponents, subbox=None
+    m: ModelIntegrand, v: GridFunction, d: DerivedExponents
 ) -> InequalityReport:
-    """Weighted Poincare-Sobolev bound with the weight norms on the right."""
+    """Weighted Poincare-Sobolev bound on the grid, weight norms on the right."""
     if d.sigma_star is None:
         raise ValueError("needs sigma_bar < n")
     _check_vanishes_near_boundary(v)
     grid = v.grid
-    mask = cell_mask(grid, None) if subbox is None else _box_mask(grid, subbox)
-    lhs = lp_norm(cell_average(v), d.sigma_star, grid, mask)
+    lhs = lp_norm(cell_average(v), d.sigma_star, grid)
     grads = gradient(v)
-    centers = grid.cell_centers()
+    lam, _ = m.on_cells(grid)
     hn = grid.h ** grid.n
     prod = 1.0
     for i in range(grid.n):
-        lam = m.lambdas[i](centers, grid.h).reshape(grid.cell_shape)
-        wnorm = lp_norm(1.0 / lam[mask], m.exponents.r[i], grid)
-        integral = float(
-            np.sum((lam * np.abs(grads[i]) ** m.exponents.p[i])[mask]) * hn
-        )
+        wnorm = lp_norm(1.0 / lam[i], m.exponents.r[i], grid)
+        integral = float(np.sum(lam[i] * np.abs(grads[i]) ** m.exponents.p[i]) * hn)
         prod *= (wnorm * integral) ** (1.0 / m.exponents.p[i])
     rhs = prod ** (1.0 / grid.n)
-    return _make_report("poincare_sobolev", lhs, rhs, {"subbox": subbox})
+    return _make_report("poincare_sobolev", lhs, rhs, {"subbox": None})
 
 
 def verify_weight_domination(m: ModelIntegrand, grid) -> InequalityReport:
-    """Per-direction weights against twice the effective upper weight."""
-    centers = grid.cell_centers()
-    lam = m.lambda_values(centers, grid.h)
-    mu_t = m._mu_tilde(centers, grid.h, lam)
+    """Per-direction weights against twice the effective upper weight.
+
+    lambda_i <= mu_tilde holds for every model of this separable family, so
+    the row fails only for an overridden mu_tilde, as test_adversarial_override
+    simulates."""
+    lam, mu = m.on_cells(grid)
+    mu_t = m._mu_tilde(lam, mu)
     violation = float(np.max(lam - 2.0 * mu_t))
     lhs = float(np.max(lam))
     rhs = float(np.min(2.0 * mu_t)) if mu_t.size else 0.0
@@ -175,9 +171,9 @@ def verify_caccioppoli(
 ) -> InequalityReport:
     """Caccioppoli level-set inequality for a quasi-minimizer.
 
-    Every term is computed on the bounding box of the big ball's cells, and
-    mu_tilde only at the cells inside that ball, so the cost scales with the
-    box, not with the grid.
+    Every term is computed on the box of the big ball's cells
+    (`fields._ball_cells`), so the cost scales with the box, not with the
+    grid.
     """
     if not 0.0 < rho < R:
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
@@ -190,17 +186,16 @@ def verify_caccioppoli(
     e = m.exponents
     s_prime = conjugate_exponent(e.s)
 
-    box, centers, dist2 = _ball_box(grid, big)
-    uc = _average_to_cells(u.values[_node_box(box)]).ravel()
+    box, uc, dist2 = _ball_cells(u, big)
     in_ball = dist2 < R * R
     above = uc > k
 
     in_small = np.zeros(grid.cell_shape, dtype=bool)
-    in_small[box] = ((dist2 < rho * rho) & above).reshape(in_small[box].shape)
+    in_small[box] = (dist2 < rho * rho) & above
     lhs = energy(m, u, in_small)
 
     hn = grid.h ** grid.n
-    mu_t = m.mu_tilde(centers[in_ball], grid.h)
+    mu_t = m._mu_tilde(*m.on_cells(grid, box))[in_ball]
     in_big = above[in_ball]
     excess = uc[in_ball][in_big] - k
     term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
@@ -216,8 +211,8 @@ def verify_caccioppoli(
 
 def higher_integrability_norm(u: GridFunction, e, ball: Ball) -> float:
     """||u||_{L^{qs'}} over a ball; finite by construction, reported for stability checks."""
-    s_prime = conjugate_exponent(e.s)
-    return lp_norm(cell_average(u), e.q * s_prime, u.grid, ball)
+    _, uc, dist2 = _ball_cells(u, ball)
+    return lp_norm(uc[dist2 < ball.R * ball.R], e.q * conjugate_exponent(e.s), u.grid)
 
 
 def report_csv_header() -> str:

@@ -15,7 +15,7 @@ lambda_i at the centre times the mean of |D_e u / h|^p_i over the cell's
 edges e along axis i, and mu at the centre times the mean of |u|^gamma over
 its corners. By Jensen's inequality this is at least the integrand of the
 cell gradient and cell average, so lower bounds in terms of `gradient` stay
-valid.
+valid. Weights are sampled at cell centres only by `ModelIntegrand.on_cells`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .exponents import Exponents
 from .fields import (
+    Grid,
     GridFunction,
     _average_to_cells,
     _cell_box,
@@ -110,15 +111,26 @@ class ModelIntegrand:
         """Stack of lambda_i at the given points, shape (n, N)."""
         return np.stack([lam(points, h) for lam in self.lambdas], axis=0)
 
+    def on_cells(self, grid: Grid, box=None) -> tuple:
+        """lambda_i and mu at the centers of a box of cells (one slice per
+        axis, None for every cell), sampled with the grid's h: arrays of shape
+        (n, *box shape) and (*box shape), mu None without a u term."""
+        shape = grid.cell_shape if box is None else tuple(s.stop - s.start for s in box)
+        centers = _lattice_points(grid.cell_axes(), box)
+        lam = self.lambda_values(centers, grid.h).reshape((len(self.lambdas),) + shape)
+        mu = self.mu(centers, grid.h).reshape(shape) if self.u_coeff > 0 else None
+        return lam, mu
+
     def mu_tilde(self, points: np.ndarray, h: float = 0.0) -> np.ndarray:
         """Effective upper weight sum_i lambda_i + u_coeff * mu."""
-        return self._mu_tilde(points, h, self.lambda_values(points, h))
+        return self._mu_tilde(self.lambda_values(points, h), self.mu(points, h))
 
-    def _mu_tilde(self, points: np.ndarray, h: float, lam: np.ndarray) -> np.ndarray:
-        """mu_tilde at the points, given lam = lambda_values(points, h)."""
+    def _mu_tilde(self, lam: np.ndarray, mu) -> np.ndarray:
+        """mu_tilde from lambda_i stacked on the first axis of lam and mu at
+        the same points (read only with a u term)."""
         out = lam.sum(axis=0)
         if self.u_coeff > 0:
-            out = out + self.u_coeff * self.mu(points, h)
+            out = out + self.u_coeff * mu
         return out
 
 
@@ -155,16 +167,15 @@ def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
     if not mask.any():
         return 0.0
     box = _cell_box(g, mask)
-    sel = mask[box].ravel()
+    sel = mask[box]
     values = u.values[_node_box(box)]
-    centers = _lattice_points(g.cell_axes(), box)[sel]
-    lam = m.lambda_values(centers, g.h)
+    lam, mu = m.on_cells(g, box)
     f = 0.0
     for i, p in enumerate(m.exponents.p):
         t = np.diff(values, axis=i)
         t /= g.h
-        f = f + lam[i] * _edges_to_cells(np.abs(t) ** p, i).ravel()[sel]
+        f = f + lam[i][sel] * _edges_to_cells(np.abs(t) ** p, i)[sel]
     if m.u_coeff > 0:
-        uc = _average_to_cells(np.abs(values) ** m.exponents.gamma).ravel()[sel]
-        f = f + m.u_coeff * m.mu(centers, g.h) * uc
+        uc = _average_to_cells(np.abs(values) ** m.exponents.gamma)[sel]
+        f = f + m.u_coeff * mu[sel] * uc
     return float(np.sum(f) * g.h ** g.n)

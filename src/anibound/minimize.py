@@ -147,18 +147,9 @@ class _DiscreteEnergy:
         self.grid = grid
         self.eps = eps
         hn = grid.h ** grid.n
-        centers = grid.cell_centers()
-        cshape = grid.cell_shape
-        self.w = [
-            hn * _cells_to_edges(lam(centers, grid.h).reshape(cshape), i)
-            for i, lam in enumerate(m.lambdas)
-        ]
-        self.wu = (
-            (m.u_coeff * hn)
-            * _average_to_cells_transpose(m.mu(centers, grid.h).reshape(cshape))
-            if m.u_coeff > 0
-            else None
-        )
+        lam, mu = m.on_cells(grid)
+        self.w = [hn * _cells_to_edges(lam_i, i) for i, lam_i in enumerate(lam)]
+        self.wu = None if mu is None else (m.u_coeff * hn) * _average_to_cells_transpose(mu)
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
         self._diffs = [np.empty(w.shape) for w in self.w]  # hessian_product's
@@ -582,9 +573,9 @@ def verify_quasiminimality(
 
 
 def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
-    """Seeded compactly supported tensor-hat bumps vanishing on the boundary."""
+    """Seeded compactly supported tensor-hat bumps vanishing on the boundary,
+    yielded one at a time: each is drawn only when the caller asks for it."""
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(count):
         box = []
         for lo, hi in zip(grid.lo, grid.hi):
@@ -593,5 +584,4 @@ def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float
         vals = _tensor_hat(grid, box)
         _zero_boundary(vals)  # exact zeros on boundary nodes
         vals *= amplitude * rng.uniform(-1.0, 1.0)
-        out.append(GridFunction(grid, vals))
-    return out
+        yield GridFunction(grid, vals)

@@ -359,12 +359,14 @@ class TestConfigErrors:
         [
             ("u_coeff = 0", "u_coeff = 0\nlambda1.kind = constant\nlambda1.amplitude = nan",
              "[weights] field 'lambda1.amplitude'"),
+            ("u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = nan",
+             "[weights] field 'lambda1.amplitude'"),
             ("u_coeff = 0", "u_coeff = nan", "[weights] field 'u_coeff'"),
             ("r = inf,inf,inf", "r = inf,nan,inf", "[exponents] field 'r'"),
             ("R = 0.4", "R = NaN", "[certify] field 'r'"),
             ("C_cal = calibrate", "C_cal = nan", "[certify] field 'c_cal'"),
         ],
-        ids=["lambda1.amplitude", "u_coeff", "r", "R", "C_cal"],
+        ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "u_coeff", "r", "R", "C_cal"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))
@@ -406,6 +408,39 @@ class TestConfigErrors:
     def test_verify_subbox(self, tmp_path, capsys, subbox, message):
         assert self._verify(tmp_path, ISO3D + f"subbox = {subbox}\n") == 1
         assert message in capsys.readouterr().err
+
+    def test_weight_without_kind_is_constant(self, tmp_path):
+        cfg = write_config(tmp_path, patch(ISO3D, "u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = 5"))
+        assert main(["admissible", "--config", cfg]) == 0
+        lam = load_config(cfg).model.lambdas
+        assert (lam[0].kind, lam[0].amplitude) == ("constant", 5.0)
+        assert (lam[1].kind, lam[1].amplitude) == ("constant", 1.0)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("lambda1.center = 0.5,0.5,0.5", "[weights] field lambda1.center"),
+            ("mu.exponent = 1", "[weights] field mu.exponent"),
+        ],
+        ids=["center", "exponent"],
+    )
+    def test_power_field_without_kind(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, patch(ISO3D, "u_coeff = 0", f"u_coeff = 0\n{line}"))
+        assert main(["admissible", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, prefix",
+        [
+            ("box = 0:1,0:1,0:1", "box = 0:1,0:1,0:nan", "error: [grid] field 'box'"),
+            ("r = inf,inf,inf", "r = inf,nan,inf", "error: [exponents] field 'r'"),
+        ],
+        ids=["box", "r"],
+    )
+    def test_field_error_prefix_once(self, tmp_path, capsys, old, new, prefix):
+        cfg = write_config(tmp_path, patch(ISO3D, old, new))
+        assert main(["admissible", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 PRODUCT2D = patch(

@@ -185,7 +185,7 @@ class TestLpNorm:
     def test_empty_region(self):
         g = unit_grid(2, 0.25)
         f = np.ones(g.cell_shape)
-        assert lp_norm(f, 2.0, g, np.zeros(g.cell_shape, dtype=bool)) == 0.0
+        assert lp_norm(f[np.zeros(g.cell_shape, dtype=bool)], 2.0, g) == 0.0
 
     @given(st.floats(min_value=-10, max_value=10))
     def test_homogeneity(self, t):

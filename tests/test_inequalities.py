@@ -142,7 +142,7 @@ class TestWeightDomination:
             0.0,
         )
         monkeypatch.setattr(
-            ModelIntegrand, "_mu_tilde", lambda self, points, h, lam: np.ones(len(points))
+            ModelIntegrand, "_mu_tilde", lambda self, lam, mu: np.ones(lam.shape[1:])
         )
         g = unit_grid(2, 1 / 8)
         assert not verify_weight_domination(m, g).passed

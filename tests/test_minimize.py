@@ -468,7 +468,7 @@ class TestQuasiMinimality:
         m = simple_model(2)
         g = unit_grid(2, 1 / 16)
         res = solve(m, g, coordinate_field(g), SolveConfig())
-        bump = random_perturbations(g, 1, seed=2, amplitude=0.5)[0]
+        bump = next(random_perturbations(g, 1, seed=2, amplitude=0.5))
         bad = GridFunction(g, res.u.values + bump.values)
         correction = GridFunction(g, res.u.values - bad.values)
         rep = verify_quasiminimality(m, bad, 1.0, [correction])

@@ -1,7 +1,8 @@
 """Region-restricted computations against full-grid reference implementations.
 
-energy, cell_mask, superlevel_measure, verify_caccioppoli, j_sequence and the
-half-ball sup of certify work only on the index bounding box of their region.
+energy, cell_mask, superlevel_measure, verify_caccioppoli, j_sequence,
+higher_integrability_norm and certify's N and half-ball sup work only on the
+index bounding box of their region.
 The references below evaluate the whole grid and then mask, the way these
 functions did before; every result must agree bitwise.
 """
@@ -21,7 +22,7 @@ from anibound.fields import (
     make_grid,
     superlevel_measure,
 )
-from anibound.inequalities import verify_caccioppoli
+from anibound.inequalities import higher_integrability_norm, verify_caccioppoli
 from anibound.integrand import ModelIntegrand, WeightField, energy
 from conftest import constant
 
@@ -78,9 +79,7 @@ def ref_caccioppoli_sides(m, u, k, rho, R, x0):
     excess = uc[in_big] - k
     term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
     term1 /= (R - rho) ** e.q
-    mu_norm = lp_norm(
-        mu_t.reshape(grid.cell_shape), e.s, grid, ref_cell_mask(grid, big)
-    )
+    mu_norm = lp_norm(mu_t[ref_cell_mask(grid, big).ravel()], e.s, grid)
     level = ref_superlevel_measure(u, k, big)
     s_prime = conjugate_exponent(e.s)
     term2 = mu_norm * level ** (1.0 / s_prime) if level > 0 else 0.0
@@ -251,3 +250,23 @@ def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
         half = Ball(ball.x0, ball.R / 2)
         inside = half.contains(grid.node_points()).reshape(grid.shape)
         assert cert.sup_half_ball == float(np.max(np.abs(u.values[inside])))
+
+
+def ref_ball_norm(u, beta, ball):
+    """lp_norm of the full-grid cell average on the ball's cells."""
+    return lp_norm(cell_average(u)[ref_cell_mask(u.grid, ball)], beta, u.grid)
+
+
+def test_ball_norms_match_the_full_grid(problem):
+    m, u, rng = problem
+    grid = u.grid
+    e = m.exponents
+    balls = [tangent_ball(grid, 0.4), random_ball(grid, rng, 0.3)]
+    qs = e.q * conjugate_exponent(e.s)
+    # the higher-integrability norm also takes a ball that leaves the grid box
+    for ball in balls + [random_ball(grid, rng, 0.31, inside=False)]:
+        assert higher_integrability_norm(u, e, ball) == ref_ball_norm(u, qs, ball)
+    if check_admissibility(derive(e), e).admissible:
+        for ball in balls:
+            cert = certify(u, ball.x0, ball.R, e, H=12)
+            assert cert.N == ref_ball_norm(u, derive(e).sigma_star, ball)
