@@ -16,7 +16,7 @@ from .exponents import (
     choose_d,
 )
 from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm, superlevel_measure
-from .integrand import WeightField, ModelIntegrand, eval_integrand, energy
+from .integrand import WeightField, ModelIntegrand, energy
 from .minimize import SolveConfig, SolveResult, solve, verify_quasiminimality
 from .degiorgi import certify, fast_convergence, j_sequence, sequences
 

@@ -152,14 +152,9 @@ def cmd_verify(args) -> int:
         bump = GridFunction(cfg.grid, _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi)))
         reports.append(inequalities.verify_embedding(bump, d))
         reports.append(inequalities.verify_poincare_sobolev(cfg.model, bump, d))
-    for k in spec.levels:
-        for rho in spec.rhos:
-            for R in spec.radii:
-                if rho >= R:
-                    continue
-                reports.append(
-                    inequalities.verify_caccioppoli(cfg.model, u, k, rho, R, spec.x0)
-                )
+    reports += inequalities.caccioppoli_sweep(
+        cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
+    )
     # higher integrability: finiteness of ||u||_{qs'} on the largest ball
     ball = Ball(spec.x0, max(spec.radii))
     hi_norm = inequalities.higher_integrability_norm(u, cfg.exponents, ball)

@@ -18,13 +18,13 @@ the comments::
     r = inf,inf                  # n values
     s = inf
     [weights]
-    lambda1.kind = constant      # or power (center, exponent); default constant
+    lambda1.kind = constant      # or power (center (n), exponent); default constant
     lambda1.amplitude = 1
     mu.kind = constant           # as lambda<i>
     u_coeff = 0                  # >= 0
     [boundary]
     kind = affine                # affine: coeffs (n), offset
-    coeffs = 1,0                 # radial: center, exponent, amplitude, offset
+    coeffs = 1,0                 # radial: center (n), exponent, amplitude, offset
     offset = 0                   # product: factor<i> = a,b, amplitude, offset
     [solver]                     # optional; any other key is an error
     max_iters = 200              # >= 1; counts Newton steps
@@ -101,14 +101,17 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] field {key!r}: not a number: {raw!r}") from None
 
-    def nums(self, key, default=None, required=False):
+    def nums(self, key, default=None, required=False, count=None):
         raw = self.get(key, required=required)
         if raw is None:
             return default
         try:
-            return _num_list(raw)
+            values = _num_list(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] field {key!r}: not a number list: {raw!r}") from None
+        if count is not None and len(values) != count:
+            raise ConfigError(f"[{self.name}] field {key!r}: expected {count} entries")
+        return values
 
     def box(self, key, default=None, required=False):
         """Sides lo:hi separated by commas, each with lo < hi."""
@@ -132,7 +135,7 @@ class _Section:
         return int(val)
 
 
-def _parse_weight(sec: _Section, prefix: str) -> WeightField:
+def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     kind = sec.get(f"{prefix}.kind", default="constant").strip()
     amp = sec.num(f"{prefix}.amplitude", default=1.0)
     if kind == "constant":
@@ -141,7 +144,7 @@ def _parse_weight(sec: _Section, prefix: str) -> WeightField:
                 raise ConfigError(f"[{sec.name}] field {key}: needs {prefix}.kind = power")
         return WeightField("constant", amplitude=amp)
     if kind == "power":
-        center = sec.nums(f"{prefix}.center", required=True)
+        center = sec.nums(f"{prefix}.center", required=True, count=n)
         expo = sec.num(f"{prefix}.exponent", required=True)
         return WeightField("power", amplitude=amp, center=tuple(center), exponent=expo)
     raise ConfigError(f"[{sec.name}] field {prefix}.kind: unknown kind {kind!r}")
@@ -178,12 +181,10 @@ class BoundarySpec:
 def _parse_boundary(sec: _Section, n: int) -> BoundarySpec:
     kind = sec.get("kind", required=True).strip()
     if kind == "affine":
-        coeffs = sec.nums("coeffs", required=True)
-        if len(coeffs) != n:
-            raise ConfigError(f"[{sec.name}] field 'coeffs': expected {n} entries")
+        coeffs = sec.nums("coeffs", required=True, count=n)
         return BoundarySpec("affine", coeffs=tuple(coeffs), offset=sec.num("offset", 0.0))
     if kind == "radial":
-        center = sec.nums("center", required=True)
+        center = sec.nums("center", required=True, count=n)
         return BoundarySpec(
             "radial",
             center=tuple(center),
@@ -276,9 +277,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"[exponents]: {exc}") from None
 
     wsec = _Section(parser, "weights")
-    lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}") for i in range(n))
+    lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}", n) for i in range(n))
     u_coeff = wsec.num("u_coeff", default=0.0)
-    mu = _parse_weight(wsec, "mu")
+    mu = _parse_weight(wsec, "mu", n)
     try:
         model = ModelIntegrand(exponents=exps, lambdas=lambdas, mu=mu, u_coeff=u_coeff)
     except ValueError as exc:
@@ -303,9 +304,7 @@ def load_config(path) -> RunConfig:
     certify = None
     if parser.has_section("certify"):
         csec = _Section(parser, "certify")
-        x0 = tuple(csec.nums("x0", required=True))
-        if len(x0) != n:
-            raise ConfigError(f"[certify] field 'x0': expected {n} coordinates")
+        x0 = tuple(csec.nums("x0", required=True, count=n))
         c_raw = csec.get("c_cal", default="1")
         C_cal = None if c_raw.strip().lower() == "calibrate" else csec.num("c_cal", 1.0)
         certify = CertifySpec(
@@ -318,9 +317,8 @@ def load_config(path) -> RunConfig:
     verify = None
     if parser.has_section("verify"):
         vsec = _Section(parser, "verify")
-        x0 = tuple(vsec.nums("x0", default=[0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]))
-        if len(x0) != n:
-            raise ConfigError(f"[verify] field 'x0': expected {n} coordinates")
+        centre = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
+        x0 = tuple(vsec.nums("x0", default=centre, count=n))
         default_sub = tuple(
             (lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
             for lo, hi in zip(grid.lo, grid.hi)

@@ -98,9 +98,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def scaled(self, t: float) -> "GridFunction":
-        return GridFunction(self.grid, t * self.values)
-
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.grid, -self.values)
 
@@ -116,11 +113,6 @@ class Ball:
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.R <= 0:
             raise ValueError(f"ball radius must be positive, got {self.R}")
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Strict membership |x - x0| < R for an (N, n) array of points."""
-        diff = points - np.asarray(self.x0)
-        return np.einsum("ij,ij->i", diff, diff) < self.R * self.R
 
 
 def make_grid(box, h: float) -> Grid:

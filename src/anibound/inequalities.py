@@ -21,13 +21,14 @@ from .fields import (
     Ball,
     GridFunction,
     _ball_cells,
+    _dist2,
     _interior_mask,
+    _node_box,
     cell_average,
     gradient,
     lp_norm,
-    superlevel_measure,
 )
-from .integrand import ModelIntegrand, energy
+from .integrand import ModelIntegrand, cell_energy, energy
 
 __all__ = [
     "InequalityReport",
@@ -36,6 +37,7 @@ __all__ = [
     "verify_poincare_sobolev",
     "verify_weight_domination",
     "verify_caccioppoli",
+    "caccioppoli_sweep",
     "higher_integrability_norm",
     "report_csv_header",
     "report_csv_row",
@@ -162,51 +164,64 @@ def verify_weight_domination(m: ModelIntegrand, grid) -> InequalityReport:
 
 
 def verify_caccioppoli(
-    m: ModelIntegrand,
-    u: GridFunction,
-    k: float,
-    rho: float,
-    R: float,
-    x0,
+    m: ModelIntegrand, u: GridFunction, k: float, rho: float, R: float, x0
 ) -> InequalityReport:
-    """Caccioppoli level-set inequality for a quasi-minimizer.
-
-    Every term is computed on the box of the big ball's cells
-    (`fields._ball_cells`), so the cost scales with the box, not with the
-    grid.
-    """
+    """Caccioppoli level-set inequality for a quasi-minimizer at one
+    (k, rho, R): the one-triple `caccioppoli_sweep`."""
     if not 0.0 < rho < R:
         raise ValueError(f"need 0 < rho < R, got rho={rho}, R={R}")
-    if k < 1.0:
-        raise ValueError(f"need k >= 1, got {k}")
+    return caccioppoli_sweep(m, u, (k,), (rho,), (R,), x0)[0]
+
+
+def caccioppoli_sweep(m: ModelIntegrand, u: GridFunction, levels, rhos, radii, x0) -> list:
+    """Caccioppoli level-set inequality for a quasi-minimizer at every
+    (k, rho, R) with rho < R, in the loop order k, rho, R. The cell averages,
+    energy density, mu_tilde and distances are formed once, on the box of the
+    largest ball's cells, and every term is a masked sum over them; a lhs is
+    bitwise `energy` on its region."""
+    pairs = [(rho, R) for rho in rhos for R in radii if rho < R]
+    if not levels or not pairs:
+        return []
+    if min(levels) < 1.0 or min(pairs)[0] <= 0.0:
+        raise ValueError(f"need k >= 1 and 0 < rho, got k={min(levels)}, rho={min(pairs)[0]}")
     grid = u.grid
-    big = Ball(x0, R)
+    big = Ball(x0, max(R for _, R in pairs))
     if not grid.contains_ball(big):
         raise ValueError("ball leaves the grid box")
     e = m.exponents
-    s_prime = conjugate_exponent(e.s)
-
-    box, uc, dist2 = _ball_cells(u, big)
-    in_ball = dist2 < R * R
-    above = uc > k
-
-    in_small = np.zeros(grid.cell_shape, dtype=bool)
-    in_small[box] = (dist2 < rho * rho) & above
-    lhs = energy(m, u, in_small)
-
     hn = grid.h ** grid.n
-    mu_t = m._mu_tilde(*m.on_cells(grid, box))[in_ball]
-    in_big = above[in_ball]
-    excess = uc[in_ball][in_big] - k
-    term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
-    term1 /= (R - rho) ** e.q
-    mu_norm = lp_norm(mu_t, e.s, grid)
-    level_measure = superlevel_measure(u, k, big)
-    term2 = mu_norm * level_measure ** (1.0 / s_prime) if level_measure > 0 else 0.0
-    rhs = term1 + term2
-    return _make_report(
-        "caccioppoli", lhs, rhs, {"k": k, "rho": rho, "R": R, "x0": tuple(x0)}
-    )
+    inv_s_prime = 1.0 / conjugate_exponent(e.s)
+    box, uc, dist2 = _ball_cells(u, big)
+    nodes = _node_box(box)
+    node_values = u.values[nodes]
+    lam, mu = m.on_cells(grid, box)
+    density = cell_energy(m, grid, node_values, (lam, mu))
+    mu_tilde = m._mu_tilde(lam, mu)
+    node_dist2 = _dist2(grid.node_axes(), nodes, big.x0)
+    balls = {}  # R -> mu_tilde, u and the node values in B_R, ||mu_tilde||_s
+    for R in {R for _, R in pairs}:
+        in_ball = dist2 < R * R
+        mu_t = mu_tilde[in_ball]
+        balls[R] = mu_t, uc[in_ball], node_values[node_dist2 < R * R], lp_norm(mu_t, e.s, grid)
+
+    reports = []
+    for k in levels:
+        above = uc > k
+        rhs = {}  # R -> term1 before its 1 / (R - rho)^q, term2
+        for R, (mu_t, uc_ball, ball_nodes, mu_norm) in balls.items():
+            in_big = uc_ball > k
+            excess = uc_ball[in_big] - k
+            term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
+            level = int(np.count_nonzero(ball_nodes > k)) * hn
+            rhs[R] = term1, mu_norm * level ** inv_s_prime if level > 0 else 0.0
+        lhs = {rho: float(np.sum(density[(dist2 < rho * rho) & above]) * hn)
+               for rho in {rho for rho, _ in pairs}}
+        for rho, R in pairs:
+            term1, term2 = rhs[R]
+            rhs_structure = term1 / (R - rho) ** e.q + term2
+            context = {"k": k, "rho": rho, "R": R, "x0": tuple(x0)}
+            reports.append(_make_report("caccioppoli", lhs[rho], rhs_structure, context))
+    return reports
 
 
 def higher_integrability_norm(u: GridFunction, e, ball: Ball) -> float:

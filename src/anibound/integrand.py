@@ -10,12 +10,14 @@ mu_tilde(x) * (|xi|^q + |u|^gamma + 1) with mu_tilde = sum_i lambda_i +
 u_coeff * mu, which is the effective upper weight reported to the
 certification engine.
 
-`energy` integrates it with the edge stencil of `fields`: on each cell,
-lambda_i at the centre times the mean of |D_e u / h|^p_i over the cell's
-edges e along axis i, and mu at the centre times the mean of |u|^gamma over
-its corners. By Jensen's inequality this is at least the integrand of the
-cell gradient and cell average, so lower bounds in terms of `gradient` stay
-valid. Weights are sampled at cell centres only by `ModelIntegrand.on_cells`.
+`cell_energy` is its one discrete form, a density per cell from the edge
+stencil of `fields`: lambda_i at the centre times the mean of |D_e u / h|^p_i
+over the cell's edges e along axis i, plus u_coeff mu at the centre times
+the mean of |u|^gamma over its corners. By Jensen's inequality this is at
+least the integrand of the cell gradient and cell average, so lower bounds
+in terms of `gradient` stay valid. A region's energy is h^n times the sum
+of the density over its cells. Weights are sampled at cell centres only by
+`ModelIntegrand.on_cells`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .fields import (
 __all__ = [
     "WeightField",
     "ModelIntegrand",
-    "eval_integrand",
+    "cell_energy",
     "energy",
 ]
 
@@ -107,75 +109,57 @@ class ModelIntegrand:
                         f"integrability of 1/lambda in L^{ri} (need a*r < n)"
                     )
 
-    def lambda_values(self, points: np.ndarray, h: float = 0.0) -> np.ndarray:
-        """Stack of lambda_i at the given points, shape (n, N)."""
-        return np.stack([lam(points, h) for lam in self.lambdas], axis=0)
-
     def on_cells(self, grid: Grid, box=None) -> tuple:
         """lambda_i and mu at the centers of a box of cells (one slice per
         axis, None for every cell), sampled with the grid's h: arrays of shape
         (n, *box shape) and (*box shape), mu None without a u term."""
         shape = grid.cell_shape if box is None else tuple(s.stop - s.start for s in box)
         centers = _lattice_points(grid.cell_axes(), box)
-        lam = self.lambda_values(centers, grid.h).reshape((len(self.lambdas),) + shape)
+        lam = np.stack([w(centers, grid.h).reshape(shape) for w in self.lambdas])
         mu = self.mu(centers, grid.h).reshape(shape) if self.u_coeff > 0 else None
         return lam, mu
 
-    def mu_tilde(self, points: np.ndarray, h: float = 0.0) -> np.ndarray:
-        """Effective upper weight sum_i lambda_i + u_coeff * mu."""
-        return self._mu_tilde(self.lambda_values(points, h), self.mu(points, h))
-
     def _mu_tilde(self, lam: np.ndarray, mu) -> np.ndarray:
-        """mu_tilde from lambda_i stacked on the first axis of lam and mu at
-        the same points (read only with a u term)."""
+        """The upper weight mu_tilde = sum_i lambda_i + u_coeff * mu from lambda_i
+        stacked on the first axis of lam and mu (read only with a u term)."""
         out = lam.sum(axis=0)
         if self.u_coeff > 0:
             out = out + self.u_coeff * mu
         return out
 
 
-def eval_integrand(m: ModelIntegrand, x, u, xi, h: float = 0.0) -> np.ndarray:
-    """f(x, u, xi) for vectorized inputs: x (N, n), u (N,), xi (n, N).
-
-    h is the grid spacing the weights shift singular samples by (see
-    WeightField); pass the grid's h for cell centers of a grid.
+def cell_energy(m: ModelIntegrand, grid: Grid, values: np.ndarray, weights) -> np.ndarray:
+    """Edge-stencil density of f(x, u, Du) on a box of cells, in its shape:
+    sum_i lambda_i(x_c) times the mean over the cell's 2^(n-1) edges along
+    axis i of |D_e u / h|^p_i, plus u_coeff mu(x_c) times the mean over its
+    corners of |u|^gamma. values holds u at the nodes of the box
+    (`fields._node_box`) and weights is `m.on_cells(grid, box)`. Summed over
+    every cell and times h^n, it is the solver's energy without smoothing.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    lam = m.lambda_values(x, h)
-    p = np.asarray(m.exponents.p)[:, None]
-    out = np.sum(lam * np.abs(xi) ** p, axis=0)
+    lam, mu = weights
+    f = 0.0
+    for i, p in enumerate(m.exponents.p):
+        t = np.diff(values, axis=i)
+        t /= grid.h
+        f = f + lam[i] * _edges_to_cells(np.abs(t) ** p, i)
     if m.u_coeff > 0:
-        out = out + m.u_coeff * m.mu(x, h) * np.abs(u) ** m.exponents.gamma
-    return out
+        f = f + m.u_coeff * mu * _average_to_cells(np.abs(values) ** m.exponents.gamma)
+    return f
 
 
 def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
-    """Edge-stencil energy of f(x, u, Du) over the cells of the region.
+    """Edge-stencil energy of f(x, u, Du) over the cells of the region: h^n
+    times the sum of `cell_energy` over them, in row-major order.
 
-    A cell contributes h^n times sum_i lambda_i(x_c) times the mean over its
-    2^(n-1) edges along axis i of |D_e u / h|^p_i, plus u_coeff mu(x_c) times
-    the mean over its corners of |u|^gamma; over the whole grid this is the
-    solver's energy without smoothing. The stencil and the weights are
-    evaluated only on the bounding box of the region's cells, so beyond
-    building the region's mask the cost scales with that box, not with the
-    grid.
+    The density is formed only on the bounding box of the region's cells,
+    so beyond building the region's mask the cost scales with that box. A
+    density formed on a larger box and summed over the same cells gives the
+    same bits.
     """
     g = u.grid
     mask = cell_mask(g, region)
     if not mask.any():
         return 0.0
     box = _cell_box(g, mask)
-    sel = mask[box]
-    values = u.values[_node_box(box)]
-    lam, mu = m.on_cells(g, box)
-    f = 0.0
-    for i, p in enumerate(m.exponents.p):
-        t = np.diff(values, axis=i)
-        t /= g.h
-        f = f + lam[i][sel] * _edges_to_cells(np.abs(t) ** p, i)[sel]
-    if m.u_coeff > 0:
-        uc = _average_to_cells(np.abs(values) ** m.exponents.gamma)[sel]
-        f = f + m.u_coeff * mu[sel] * uc
-    return float(np.sum(f) * g.h ** g.n)
+    density = cell_energy(m, g, u.values[_node_box(box)], m.on_cells(g, box))
+    return float(np.sum(density[mask[box]]) * g.h ** g.n)

@@ -32,6 +32,40 @@ def hat_bump(grid, amplitude=1.0):
     return GridFunction(grid, amplitude * _tensor_hat(grid, zip(grid.lo, grid.hi)))
 
 
+def scaled(u, t):
+    """The grid function t * u."""
+    return GridFunction(u.grid, t * u.values)
+
+
+def ball_contains(ball, points):
+    """Strict membership |x - x0| < R of an (N, n) array of points."""
+    diff = points - np.asarray(ball.x0)
+    return np.einsum("ij,ij->i", diff, diff) < ball.R * ball.R
+
+
+def lambda_values(m, points, h=0.0):
+    """lambda_i at an (N, n) array of points, shape (n, N)."""
+    return np.stack([lam(points, h) for lam in m.lambdas])
+
+
+def mu_tilde(m, points, h=0.0):
+    """The effective upper weight sum_i lambda_i + u_coeff * mu at points."""
+    return m._mu_tilde(lambda_values(m, points, h), m.mu(points, h))
+
+
+def eval_integrand(m, x, u, xi, h=0.0):
+    """f(x, u, xi) for vectorized inputs: x (N, n), u (N,), xi (n, N); h is
+    the spacing by which the weights shift a sample on a singular center."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    p = np.asarray(m.exponents.p)[:, None]
+    out = np.sum(lambda_values(m, x, h) * np.abs(xi) ** p, axis=0)
+    if m.u_coeff > 0:
+        out = out + m.u_coeff * m.mu(x, h) * np.abs(u) ** m.exponents.gamma
+    return out
+
+
 GRIDFN_REJECTS = (
     "non_numeric_value",
     "two_values_on_one_line",

@@ -30,7 +30,7 @@ from anibound.exponents import (
 )
 from anibound.fields import GridFunction, make_grid, read_gridfn, write_gridfn
 from anibound.inequalities import (
-    verify_caccioppoli,
+    caccioppoli_sweep,
     verify_embedding,
     verify_lower_bound,
     verify_poincare_sobolev,
@@ -41,6 +41,7 @@ from conftest import (
     hat_bump,
     random_admissible_exponents,
     random_exponents,
+    scaled,
     simple_model,
     unit_grid,
 )
@@ -296,13 +297,8 @@ SWEEP_RS = (0.35, 0.4, 0.45)
 
 
 def _sweep(model, u, x0):
-    out = {}
-    for k in SWEEP_KS:
-        for rho in SWEEP_RHOS:
-            for R in SWEEP_RS:
-                rep = verify_caccioppoli(model, u, k, rho, R, x0)
-                out[f"{k},{rho},{R}"] = rep.c_emp
-    return out
+    reports = caccioppoli_sweep(model, u, SWEEP_KS, SWEEP_RHOS, SWEEP_RS, x0)
+    return {f"{r.context['k']},{r.context['rho']},{r.context['R']}": r.c_emp for r in reports}
 
 
 def test_criterion_6_caccioppoli_stability(solved_problems):
@@ -357,9 +353,9 @@ def test_criterion_7_homogeneity(solved_problems):
         base_em = verify_embedding(bump, d).c_emp
         base_ps = verify_poincare_sobolev(prob.model, bump, d).c_emp
         for t in (0.5, 3.0, 10.0):
-            lb = verify_lower_bound(prob.model, u.scaled(t), subbox).c_emp
-            em = verify_embedding(bump.scaled(t), d).c_emp
-            ps = verify_poincare_sobolev(prob.model, bump.scaled(t), d).c_emp
+            lb = verify_lower_bound(prob.model, scaled(u, t), subbox).c_emp
+            em = verify_embedding(scaled(bump, t), d).c_emp
+            ps = verify_poincare_sobolev(prob.model, scaled(bump, t), d).c_emp
             ok &= abs(lb - base_lb) <= 1e-10 * abs(base_lb)
             ok &= abs(em - base_em) <= 1e-10 * abs(base_em)
             ok &= abs(ps - base_ps) <= 1e-10 * abs(base_ps)

@@ -409,6 +409,24 @@ class TestConfigErrors:
         assert self._verify(tmp_path, ISO3D + f"subbox = {subbox}\n") == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("center", ["0.25", "0.25,0.25,0.25"], ids=["1-entry", "3-entry"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("u_coeff = 0",
+             "u_coeff = 0\nlambda1.kind = power\nlambda1.exponent = 0.5\nlambda1.center = {}",
+             "error: [weights] field 'lambda1.center': expected 2 entries"),
+            ("center = 0.5,0.5", "center = {}", "error: [boundary] field 'center': expected 2 entries"),
+        ],
+        ids=["lambda1", "boundary"],
+    )
+    def test_center_length_must_match_n(self, tmp_path, capsys, old, new, message, center):
+        smoke = (Path(__file__).parent / "data" / "smoke.cfg").read_text()
+        cfg = write_config(tmp_path, patch(smoke, old, new.format(center)))
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_weight_without_kind_is_constant(self, tmp_path):
         cfg = write_config(tmp_path, patch(ISO3D, "u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = 5"))
         assert main(["admissible", "--config", cfg]) == 0
@@ -495,3 +513,4 @@ def test_ci_smoke_config_runs_every_command(tmp_path):
     assert main(["minimize", "--config", cfg, "--out", out]) == 0
     assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0
+    assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", out]) == 0

@@ -21,6 +21,7 @@ from anibound.minimize import SolveConfig, solve
 from conftest import (
     coordinate_field,
     random_admissible_exponents,
+    scaled,
     simple_model,
     unit_grid,
 )
@@ -67,7 +68,7 @@ class TestJSequence:
     def test_monotone_nonincreasing(self):
         g = unit_grid(2, 1 / 16)
         e = simple_model(2).exponents
-        u = coordinate_field(g).scaled(6.0)
+        u = scaled(coordinate_field(g), 6.0)
         js = j_sequence(u, (0.5, 0.5), 0.4, 4.0, e, H=10)
         assert js[0] > 0.0
         assert np.all(np.diff(js) <= 0.0)
@@ -143,7 +144,7 @@ class TestCalibration:
         m, u = harmonic_3d
         e = m.exponents
         c = iteration_constants(derive(e), e)
-        t = iteration_trace(u.scaled(8.0), X0, 0.4, 2.0, e, c, 1.0, H=10)
+        t = iteration_trace(scaled(u, 8.0), X0, 0.4, 2.0, e, c, 1.0, H=10)
         if t.C_emp > 0.0:
             assert calibrate_C([t]) == pytest.approx(2.0 * t.C_emp)
             assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)

@@ -6,6 +6,7 @@ import pytest
 from anibound.exponents import INF, Exponents, derive
 from anibound.fields import GridFunction
 from anibound.inequalities import (
+    caccioppoli_sweep,
     verify_caccioppoli,
     verify_embedding,
     verify_lower_bound,
@@ -14,7 +15,7 @@ from anibound.inequalities import (
 )
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import SolveConfig, solve
-from conftest import coordinate_field, hat_bump, simple_model, unit_grid
+from conftest import coordinate_field, hat_bump, scaled, simple_model, unit_grid
 
 SUBBOX_2D = ((0.25, 0.75), (0.25, 0.75))
 
@@ -43,7 +44,7 @@ class TestLowerBound:
         u = GridFunction(g, rng.standard_normal(g.shape))
         base = verify_lower_bound(m, u, SUBBOX_2D)
         for t in (0.5, 3.0, 10.0):
-            rep = verify_lower_bound(m, u.scaled(t), SUBBOX_2D)
+            rep = verify_lower_bound(m, scaled(u, t), SUBBOX_2D)
             assert rep.c_emp == pytest.approx(base.c_emp, rel=1e-10)
 
     def test_outside_grid(self):
@@ -152,7 +153,7 @@ class TestWeightDomination:
 def minimizer():
     m = simple_model(2)
     g = unit_grid(2, 1 / 32)
-    init = coordinate_field(g).scaled(3.0)
+    init = scaled(coordinate_field(g), 3.0)
     res = solve(m, g, init, SolveConfig())
     return m, res.u
 
@@ -186,3 +187,27 @@ class TestCaccioppoli:
             verify_caccioppoli(m, u, 0.5, 0.2, 0.4, (0.5, 0.5))
         with pytest.raises(ValueError):
             verify_caccioppoli(m, u, 1.0, 0.2, 0.9, (0.5, 0.5))
+
+    def test_sweep_guards(self, minimizer):
+        m, u = minimizer
+        x0 = (0.5, 0.5)
+        with pytest.raises(ValueError, match="k >= 1"):
+            caccioppoli_sweep(m, u, (1.0, 0.5), (0.2,), (0.4,), x0)
+        with pytest.raises(ValueError, match="0 < rho"):
+            caccioppoli_sweep(m, u, (1.0,), (0.2, 0.0), (0.4,), x0)
+        with pytest.raises(ValueError, match="0 < rho"):
+            caccioppoli_sweep(m, u, (1.0,), (-0.1,), (0.4,), x0)
+        with pytest.raises(ValueError, match="leaves the grid"):
+            caccioppoli_sweep(m, u, (1.0,), (0.2,), (0.4, 0.6), x0)
+
+    def test_sweep_skips_rho_at_least_R(self, minimizer):
+        m, u = minimizer
+        x0 = (0.5, 0.5)
+        reps = caccioppoli_sweep(m, u, (1.0, 1.5), (0.2, 0.3, 0.4), (0.25, 0.3), x0)
+        assert [(r.context["k"], r.context["rho"], r.context["R"]) for r in reps] == [
+            (1.0, 0.2, 0.25), (1.0, 0.2, 0.3), (1.5, 0.2, 0.25), (1.5, 0.2, 0.3)
+        ]
+        # only skipped pairs: nothing is checked, as the verify command never
+        # checked a triple it skipped
+        assert caccioppoli_sweep(m, u, (0.5,), (0.4,), (0.2, 0.4), x0) == []
+        assert caccioppoli_sweep(m, u, (), (0.2,), (0.4,), x0) == []

@@ -3,9 +3,17 @@ import pytest
 
 from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction
-from anibound.integrand import ModelIntegrand, WeightField, energy, eval_integrand
+from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from anibound.minimize import _DiscreteEnergy
-from conftest import coordinate_field, simple_model, unit_grid
+from conftest import (
+    constant,
+    coordinate_field,
+    eval_integrand,
+    lambda_values,
+    mu_tilde,
+    simple_model,
+    unit_grid,
+)
 
 
 def growth_violations(m, x, u, xi):
@@ -14,8 +22,8 @@ def growth_violations(m, x, u, xi):
     certificate's upper weight is valid when both are <= 0."""
     e = m.exponents
     f = eval_integrand(m, x, u, xi)
-    lower = np.sum(m.lambda_values(x) * np.abs(xi) ** np.asarray(e.p)[:, None], axis=0)
-    upper = m.mu_tilde(x) * (
+    lower = np.sum(lambda_values(m, x) * np.abs(xi) ** np.asarray(e.p)[:, None], axis=0)
+    upper = mu_tilde(m, x) * (
         np.linalg.norm(xi, axis=0) ** e.q + np.abs(u) ** e.gamma + 1.0
     )
     return float(np.max(lower - f)), float(np.max(f - upper))
@@ -180,3 +188,25 @@ class TestEnergyMatchesSolver:
             m = ModelIntegrand(e, (lam1, WeightField("constant")), mu, u_coeff)
             solver_energy, _ = _DiscreteEnergy(m, g, 0.0).evaluate(u.values)
             assert energy(m, u) == pytest.approx(solver_energy, rel=1e-12, abs=0.0)
+
+
+class TestCellEnergy:
+    """The per-cell density summed over every cell is the solver's energy
+    without smoothing: one stencil, read per cell or per edge."""
+
+    @pytest.mark.parametrize("u_coeff", [0.0, 0.8], ids=["no-u-term", "u-term"])
+    @pytest.mark.parametrize("n,h", [(2, 1 / 16), (3, 1 / 8)])
+    def test_sum_is_the_solver_energy(self, n, h, u_coeff, rng):
+        e = Exponents(n, (1.6, 2.0, 2.5)[:n], 2.5, 3.0, (INF,) * n, INF)
+        lam1 = WeightField("power", amplitude=1.5, center=(0.3,) * n, exponent=0.4)
+        mu = WeightField("power", amplitude=2.0, center=(0.7,) * n, exponent=1.5)
+        m = ModelIntegrand(e, (lam1,) + (constant(0.5),) * (n - 1), mu, u_coeff)
+        g = unit_grid(n, h)
+        values = rng.uniform(-2.0, 2.0, size=g.shape)
+        density = cell_energy(m, g, values, m.on_cells(g))
+        assert density.shape == g.cell_shape
+        assert np.all(density >= 0.0)
+        solver_energy, _ = _DiscreteEnergy(m, g, 0.0).evaluate(values)
+        total = float(np.sum(density)) * g.h ** g.n
+        assert total == pytest.approx(solver_energy, rel=1e-13, abs=0.0)
+        assert energy(m, GridFunction(g, values)) == float(np.sum(density) * g.h ** g.n)

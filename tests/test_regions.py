@@ -1,6 +1,6 @@
 """Region-restricted computations against full-grid reference implementations.
 
-energy, cell_mask, superlevel_measure, verify_caccioppoli, j_sequence,
+energy, cell_mask, superlevel_measure, caccioppoli_sweep, j_sequence,
 higher_integrability_norm and certify's N and half-ball sup work only on the
 index bounding box of their region.
 The references below evaluate the whole grid and then mask, the way these
@@ -15,16 +15,23 @@ from anibound.exponents import INF, Exponents, check_admissibility, conjugate_ex
 from anibound.fields import (
     Ball,
     GridFunction,
+    _average_to_cells,
+    _cell_box,
     _edges_to_cells,
+    _node_box,
     cell_average,
     cell_mask,
     lp_norm,
     make_grid,
     superlevel_measure,
 )
-from anibound.inequalities import higher_integrability_norm, verify_caccioppoli
-from anibound.integrand import ModelIntegrand, WeightField, energy
-from conftest import constant
+from anibound.inequalities import (
+    caccioppoli_sweep,
+    higher_integrability_norm,
+    verify_caccioppoli,
+)
+from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
+from conftest import ball_contains, constant, lambda_values, mu_tilde
 
 # ------------------------------------------------------------- references
 
@@ -34,7 +41,7 @@ def ref_cell_mask(grid, region):
     if region is None:
         return np.ones(grid.cell_shape, dtype=bool)
     if isinstance(region, Ball):
-        return region.contains(centers).reshape(grid.cell_shape)
+        return ball_contains(region, centers).reshape(grid.cell_shape)
     if isinstance(region, np.ndarray):
         return region.reshape(grid.cell_shape)
     return np.asarray(region(centers), dtype=bool).reshape(grid.cell_shape)
@@ -47,7 +54,7 @@ def ref_energy(m, u, region=None):
     if not mask.any():
         return 0.0
     centers = g.cell_centers()[mask]
-    lam = m.lambda_values(centers, g.h)
+    lam = lambda_values(m, centers, g.h)
     f = 0.0
     for i, p in enumerate(m.exponents.p):
         t = np.diff(u.values, axis=i)
@@ -59,9 +66,31 @@ def ref_energy(m, u, region=None):
     return float(np.sum(f) * g.h ** g.n)
 
 
+def box_energy(m, u, region=None):
+    """energy() as it was before the density had its own function: the
+    stencil on the box of the region's cells, masked term by term."""
+    g = u.grid
+    mask = cell_mask(g, region)
+    if not mask.any():
+        return 0.0
+    box = _cell_box(g, mask)
+    sel = mask[box]
+    values = u.values[_node_box(box)]
+    lam, mu = m.on_cells(g, box)
+    f = 0.0
+    for i, p in enumerate(m.exponents.p):
+        t = np.diff(values, axis=i)
+        t /= g.h
+        f = f + lam[i][sel] * _edges_to_cells(np.abs(t) ** p, i)[sel]
+    if m.u_coeff > 0:
+        uc = _average_to_cells(np.abs(values) ** m.exponents.gamma)[sel]
+        f = f + m.u_coeff * mu[sel] * uc
+    return float(np.sum(f) * g.h ** g.n)
+
+
 def ref_superlevel_measure(u, k, ball):
     g = u.grid
-    inside = ball.contains(g.node_points()).reshape(g.shape)
+    inside = ball_contains(ball, g.node_points()).reshape(g.shape)
     return int(np.count_nonzero(inside & (u.values > k))) * g.h ** g.n
 
 
@@ -71,11 +100,11 @@ def ref_caccioppoli_sides(m, u, k, rho, R, x0):
     big = Ball(x0, R)
     centers = grid.cell_centers()
     uc = cell_average(u).ravel()
-    in_small = Ball(x0, rho).contains(centers) & (uc > k)
-    in_big = big.contains(centers) & (uc > k)
+    in_small = ball_contains(Ball(x0, rho), centers) & (uc > k)
+    in_big = ball_contains(big, centers) & (uc > k)
     lhs = ref_energy(m, u, in_small.reshape(grid.cell_shape))
     hn = grid.h ** grid.n
-    mu_t = m.mu_tilde(centers, grid.h)
+    mu_t = mu_tilde(m, centers, grid.h)
     excess = uc[in_big] - k
     term1 = float(np.sum(mu_t[in_big] * (excess ** e.q + k ** e.gamma)) * hn)
     term1 /= (R - rho) ** e.q
@@ -209,6 +238,34 @@ def test_cell_mask_and_energy_match_the_full_grid(problem):
         assert energy(m, u, region) == ref_energy(m, u, region)
 
 
+def test_energy_is_bitwise_the_box_stencil(problem):
+    m, u, rng = problem
+    grid = u.grid
+    extra = [rng.random(grid.cell_shape) < rng.uniform(0.01, 0.9) for _ in range(10)]
+    extra += [random_ball(grid, rng, rng.uniform(0.05, 0.5), inside=False) for _ in range(10)]
+    # zero lambdas: the u term alone, so that its last bits reach the sums
+    u_only = ModelIntegrand(m.exponents, (constant(0.0),) * grid.n, weighted_model(grid.n).mu, 0.8)
+    for region in regions(grid, rng) + extra:
+        assert energy(m, u, region) == box_energy(m, u, region)
+        assert energy(u_only, u, region) == box_energy(u_only, u, region)
+
+
+def test_density_on_a_box_is_the_full_density_there(problem):
+    """Each cell's density is the same bits whatever box it is formed on,
+    which is what lets one density serve every region inside its box."""
+    m, u, rng = problem
+    grid = u.grid
+    full = cell_energy(m, grid, u.values, m.on_cells(grid))
+    for _ in range(10):
+        box = []
+        for count in grid.cell_shape:
+            a, b = sorted(rng.choice(count + 1, size=2, replace=False))
+            box.append(slice(int(a), int(b)))
+        box = tuple(box)
+        got = cell_energy(m, grid, u.values[_node_box(box)], m.on_cells(grid, box))
+        assert np.array_equal(got, full[box])
+
+
 def test_superlevel_measure_matches_the_full_grid(problem):
     _, u, rng = problem
     grid = u.grid
@@ -235,6 +292,34 @@ def test_caccioppoli_matches_the_full_grid(problem):
                 assert rep.rhs_structure == rhs
 
 
+def test_caccioppoli_sweep_matches_the_full_grid_per_triple(problem):
+    m, u, rng = problem
+    grid = u.grid
+    h = grid.h
+    # a cell centre as x0 with radii that are multiples of h puts cell
+    # centres and nodes exactly on the spheres, and integer data puts cell
+    # averages and node values exactly on the levels
+    centre = tuple(lo + h * (count // 2 + 0.5) for lo, count in zip(grid.lo, grid.cell_shape))
+    cases = [
+        (u, tangent_ball(grid, 0.35).x0, (0.05, 0.1, 0.2, 0.3), (0.11, 0.25, 0.35)),
+        (u, random_ball(grid, rng, 0.35).x0, (0.05, 0.1, 0.2, 0.3), (0.11, 0.25, 0.35)),
+        (GridFunction(grid, np.floor(u.values)), centre, (h, 2 * h, 3 * h), (2 * h, 3 * h)),
+    ]
+    levels = (1.0, 1.7, 2.0, 2.5)
+    for v, x0, rhos, radii in cases:
+        uc = cell_average(v)
+        reports = caccioppoli_sweep(m, v, levels, rhos, radii, x0)
+        # the verify command's loop order, pairs with rho >= R skipped
+        triples = [(k, rho, R) for k in levels for rho in rhos for R in radii if rho < R]
+        assert [(r.context["k"], r.context["rho"], r.context["R"]) for r in reports] == triples
+        for rep, (k, rho, R) in zip(reports, triples):
+            lhs, rhs = ref_caccioppoli_sides(m, v, k, rho, R, x0)
+            assert rep.lhs == lhs
+            assert rep.rhs_structure == rhs
+            assert rep.lhs == energy(m, v, cell_mask(grid, Ball(x0, rho)) & (uc > k))
+            assert rep == verify_caccioppoli(m, v, k, rho, R, x0)
+
+
 def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
     m, u, rng = problem
     grid = u.grid
@@ -248,7 +333,7 @@ def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
         ball = balls[0]
         cert = certify(u, ball.x0, ball.R, e, H=12)
         half = Ball(ball.x0, ball.R / 2)
-        inside = half.contains(grid.node_points()).reshape(grid.shape)
+        inside = ball_contains(half, grid.node_points()).reshape(grid.shape)
         assert cert.sup_half_ball == float(np.max(np.abs(u.values[inside])))
 
 
