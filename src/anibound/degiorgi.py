@@ -6,6 +6,10 @@ zero, and the closed-form choice of the level scale d.  The recursion
 constant is existential in the continuum statement; here it is calibrated
 empirically once per problem class and the certificate records how much
 slack the computed minimizer leaves under the resulting bound.
+
+The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
+are one pass over the ball's cells (`_masses`), and `certify` forms those
+cells once for N, both signs and both of its runs.
 """
 
 from __future__ import annotations
@@ -59,6 +63,41 @@ def sequences(R: float, d: float, h: int):
     return rho, k, rho_bar
 
 
+def _ball_data(u: GridFunction, x0, R: float) -> tuple:
+    """u averaged to the cells whose centres lie in B_R(x0) and those centres'
+    squared distances from x0, flat in row-major order; only the cells of
+    the ball's box are visited (`fields._ball_cells`)."""
+    ball = Ball(x0, R)
+    if not u.grid.contains_ball(ball):
+        raise ValueError("ball leaves the grid box")
+    _, uc, dist2 = _ball_cells(u, ball)
+    inside = dist2 < R * R
+    return uc[inside], dist2[inside]
+
+
+def _masses(values, dist2, R: float, d: float, qs: float, hn: float, H: int) -> np.ndarray:
+    """J_h for h = 0..H from the values and squared distances of cells that
+    include every cell of B_R.
+
+    rho_h is non-increasing and k_h non-decreasing in floating point too, so
+    the sets {values > k_h} within B_{rho_h} are nested: step h filters only
+    the cells that step h - 1 kept. They stay in the order given, so each
+    J_h is bitwise the sum a scan of all the cells would give. Once the set
+    is empty the remaining J_h are 0.
+    """
+    if H < 1:
+        raise ValueError("need at least one step")
+    out = np.zeros(H + 1)
+    for h in range(H + 1):
+        rho, k, _ = sequences(R, d, h)
+        keep = (dist2 < rho * rho) & (values > k)
+        if not keep.any():
+            break
+        values, dist2 = values[keep], dist2[keep]
+        out[h] = float(np.sum((values - k) ** qs) * hn)
+    return out
+
+
 def j_sequence(
     u: GridFunction,
     x0,
@@ -69,23 +108,11 @@ def j_sequence(
 ) -> np.ndarray:
     """Super-level masses J_h = integral over {u > k_h} of (u - k_h)^{qs'}, h = 0..H.
 
-    Only the cells of the box of B_R(x0) are visited (`fields._ball_cells`).
+    Only the cells of the box of B_R(x0) are visited, and each step only the
+    cells that the step before kept (`_masses`).
     """
-    if H < 1:
-        raise ValueError("need at least one step")
-    grid = u.grid
-    ball = Ball(x0, R)
-    if not grid.contains_ball(ball):
-        raise ValueError("ball leaves the grid box")
-    qs = e.qs_prime
-    _, uc, dist2 = _ball_cells(u, ball)  # every rho_h is at most R
-    hn = grid.h ** grid.n
-    out = np.empty(H + 1)
-    for h in range(H + 1):
-        rho, k, _ = sequences(R, d, h)
-        sel = (dist2 < rho * rho) & (uc > k)
-        out[h] = float(np.sum((uc[sel] - k) ** qs) * hn) if sel.any() else 0.0
-    return out
+    values, dist2 = _ball_data(u, x0, R)
+    return _masses(values, dist2, R, d, e.qs_prime, u.grid.h ** u.grid.n, H)
 
 
 @dataclass(frozen=True)
@@ -155,8 +182,13 @@ def iteration_trace(
     sign: int = 1,
 ) -> IterationTrace:
     """Run the J-recursion diagnostics for u (sign=+1) or -u (sign=-1)."""
-    field = u if sign > 0 else -u
-    js = j_sequence(field, x0, R, d, e, H)
+    js = j_sequence(u if sign > 0 else -u, x0, R, d, e, H)
+    return _trace(x0, R, d, c, N, sign, js)
+
+
+def _trace(x0, R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
+    """The diagnostics of one run from its masses J_0..J_H."""
+    H = len(js) - 1
     rhos = np.empty(H + 1)
     ks = np.empty(H + 1)
     for h in range(H + 1):
@@ -215,22 +247,28 @@ def certify(
     itself: both J-recursions are run at C = 1 and C_cal is calibrate_C of
     those two traces.  Validity is a reproducibility statement about this
     engine with its calibrated constant, not a restatement of the theorem.
+
+    The cells of B_R are formed once; N, both signs and both runs read them.
+    The cell averages of -u are those of u negated, bitwise, so no -u is
+    built, and each trace equals `iteration_trace` of u at that sign.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")
     grid = u.grid
-    ball = Ball(x0, R)
-    if not grid.contains_ball(ball):
-        raise ValueError("ball leaves the grid box")
+    uc, dist2 = _ball_data(u, x0, R)
     d_exp = derive(e)
     c = iteration_constants(d_exp, e)  # raises on inadmissible exponents
     c0 = default_c0(d_exp, e)
-    _, uc, dist2 = _ball_cells(u, ball)
-    N = lp_norm(uc[dist2 < R * R], d_exp.sigma_star, grid)
+    N = lp_norm(uc, d_exp.sigma_star, grid)
+    hn = grid.h ** grid.n
+    signed = ((+1, uc), (-1, -uc))
 
     def run(C):
         d = choose_d(c, C, c0, R, N)  # N is sign-invariant: one d serves u and -u
-        return d, tuple(iteration_trace(u, x0, R, d, e, c, N, H, sign) for sign in (+1, -1))
+        return d, tuple(
+            _trace(x0, R, d, c, N, sign, _masses(vals, dist2, R, d, e.qs_prime, hn, H))
+            for sign, vals in signed
+        )
 
     if C_cal is None:
         C_cal = calibrate_C(run(1.0)[1])

@@ -152,14 +152,16 @@ def _edges_to_cells(e: np.ndarray, axis: int) -> np.ndarray:
     return e
 
 
-def gradient(u: GridFunction) -> np.ndarray:
-    """Discrete gradient on the cell lattice, shape (n, *cell_shape)."""
+def gradient(u: GridFunction, box=None) -> np.ndarray:
+    """Discrete gradient on a box of cells (one slice per axis, None for
+    every cell), shape (n, *box shape)."""
     g = u.grid
     if any(m < 2 for m in g.shape):
         raise ValueError("gradient needs at least 2 nodes per axis")
+    values = u.values if box is None else u.values[_node_box(box)]
     comps = []
     for i in range(g.n):
-        d = np.diff(u.values, axis=i)
+        d = np.diff(values, axis=i)
         d /= g.h
         comps.append(_edges_to_cells(d, i))
     return np.stack(comps, axis=0)
@@ -345,25 +347,36 @@ def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
     return int(np.count_nonzero(_ball_nodes(u, ball) > k)) * g.h ** g.n
 
 
-def _tensor_hat(grid: Grid, box) -> np.ndarray:
-    """Nodal values of the product over axes of the hats that peak at the
-    midpoint of [a_i, b_i] and vanish outside it; box = [(a_1, b_1), ...]
-    with a_i < b_i. The product is formed only on the box of nodes where
-    every axis hat is nonzero; the rest of the grid is zero."""
-    vals = np.zeros(grid.shape)
+def _hat_box(grid: Grid, box, interior: bool = False) -> tuple:
+    """The product over axes of the hats that peak at the midpoint of
+    [a_i, b_i] and vanish outside it, box = [(a_1, b_1), ...] with a_i < b_i,
+    formed only on the box of nodes where every axis hat is nonzero: that
+    box (one slice per axis) and the product on it. With interior=True the
+    hats are zeroed on the boundary nodes first. A hat that is zero on every
+    node gives empty slices."""
     support, prod = [], 1.0
     for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
+        if interior:
+            hat[[0, -1]] = 0.0
         nonzero = np.flatnonzero(hat)
         if nonzero.size == 0:
-            return vals
-        support.append(slice(nonzero[0], nonzero[-1] + 1))
+            return (slice(0, 0),) * grid.n, np.zeros((0,) * grid.n)
+        support.append(slice(int(nonzero[0]), int(nonzero[-1]) + 1))
         shape = [1] * grid.n
         shape[i] = -1
         prod = prod * hat[support[-1]].reshape(shape)
-    vals[tuple(support)] = prod
+    return tuple(support), prod
+
+
+def _tensor_hat(grid: Grid, box) -> np.ndarray:
+    """Nodal values of the tensor hat of `_hat_box` on the whole grid, zero
+    off its box."""
+    vals = np.zeros(grid.shape)
+    support, prod = _hat_box(grid, box)
+    vals[support] = prod
     return vals
 
 

@@ -112,11 +112,25 @@ class ModelIntegrand:
     def on_cells(self, grid: Grid, box=None) -> tuple:
         """lambda_i and mu at the centers of a box of cells (one slice per
         axis, None for every cell), sampled with the grid's h: arrays of shape
-        (n, *box shape) and (*box shape), mu None without a u term."""
+        (n, *box shape) and (*box shape), mu None without a u term. A constant
+        weight is filled in; the lattice of centers is built only for a power
+        weight, once."""
         shape = grid.cell_shape if box is None else tuple(s.stop - s.start for s in box)
-        centers = _lattice_points(grid.cell_axes(), box)
-        lam = np.stack([w(centers, grid.h).reshape(shape) for w in self.lambdas])
-        mu = self.mu(centers, grid.h).reshape(shape) if self.u_coeff > 0 else None
+        sampled = self.lambdas + ((self.mu,) if self.u_coeff > 0 else ())
+        power = any(w.kind == "power" for w in sampled)
+        centers = _lattice_points(grid.cell_axes(), box) if power else None
+
+        def sample(w, out):
+            if w.kind == "constant":
+                out.fill(w.amplitude)
+            else:
+                out[...] = w(centers, grid.h).reshape(shape)
+            return out
+
+        lam = np.empty((len(self.lambdas), *shape))
+        for out, w in zip(lam, self.lambdas):
+            sample(w, out)
+        mu = sample(self.mu, np.empty(shape)) if self.u_coeff > 0 else None
         return lam, mu
 
     def _mu_tilde(self, lam: np.ndarray, mu) -> np.ndarray:

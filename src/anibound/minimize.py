@@ -70,10 +70,10 @@ from .fields import (
     _average_to_cells,
     _average_to_cells_transpose,
     _cells_to_edges,
+    _hat_box,
     _node_box,
     _prolong,
     _restrict,
-    _tensor_hat,
 )
 from .integrand import ModelIntegrand, cell_energy
 
@@ -82,6 +82,7 @@ __all__ = [
     "SolveResult",
     "solve",
     "verify_quasiminimality",
+    "Bump",
     "random_perturbations",
 ]
 
@@ -530,18 +531,54 @@ class QuasiMinimalityReport:
     failures: int
 
 
-def _support(phi: GridFunction):
-    """The tight box of the cells touched by phi, those with a nonzero
-    corner, and their mask on it; None for phi = 0. On the whole grid only
-    phi's nonzero nodes are found (a boolean compare and its flat indices)."""
+@dataclass(frozen=True)
+class Bump:
+    """A perturbation stored only on the box of nodes that holds its nonzero
+    values: scale times a tensor hat there, zero elsewhere on the grid."""
+
+    grid: Grid
+    nodes: tuple  # one slice per axis
+    values: np.ndarray  # on the nodes of the box, scale applied
+    scale: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("grid function values must be finite")
+
+    def on_grid(self) -> GridFunction:
+        """The bump on every node of its grid. Off the box it holds 0 * scale,
+        a zero with the sign of the scale, as a full-grid hat scaled in
+        place does."""
+        vals = np.full(self.grid.shape, 0.0 * self.scale)
+        vals[self.nodes] = self.values
+        return GridFunction(self.grid, vals)
+
+
+def _nonzero_box(phi: GridFunction) -> tuple:
+    """A full-grid phi cut to the tight box of its nonzero nodes: that box and
+    phi's values on it (empty slices for phi = 0). Only phi's nonzero nodes
+    are found on the whole grid (a boolean compare and its flat indices)."""
     index = np.unravel_index(np.flatnonzero(phi.values != 0.0), phi.grid.shape)
     if index[0].size == 0:
-        return None
+        nodes = (slice(0, 0),) * phi.grid.n
+    else:
+        nodes = tuple(slice(int(a.min()), int(a.max()) + 1) for a in index)
+    return nodes, phi.values[nodes]
+
+
+def _support(grid: Grid, nodes: tuple, values: np.ndarray) -> tuple:
+    """For phi given by its values on a box of nodes (zero off it): the box of
+    the cells with a corner in that box, the mask of those with a nonzero
+    corner on it, and phi on the nodes of the cell box. Only the box is
+    visited; for the tight box of phi's nonzero nodes the cell box is the
+    tight box of the masked cells."""
     box = tuple(
-        slice(max(int(a.min()) - 1, 0), min(int(a.max()) + 1, cells))
-        for a, cells in zip(index, phi.grid.cell_shape)
+        slice(max(s.start - 1, 0), min(s.stop, cells)) for s, cells in zip(nodes, grid.cell_shape)
     )
-    return box, _average_to_cells((phi.values[_node_box(box)] != 0.0).astype(float)) > 0.0
+    outer = _node_box(box)
+    on_nodes = np.zeros([s.stop - s.start for s in outer])
+    on_nodes[tuple(slice(s.start - o.start, s.stop - o.start) for s, o in zip(nodes, outer))] = values
+    return box, _average_to_cells((on_nodes != 0.0).astype(float)) > 0.0, on_nodes
 
 
 def verify_quasiminimality(
@@ -551,9 +588,11 @@ def verify_quasiminimality(
     perturbations=(),
     tol: float = 1e-10,
 ) -> QuasiMinimalityReport:
-    """Check F(u; supp phi) <= Q * F(u + phi; supp phi) + tol for each phi,
-    with both densities formed on the box of phi's support (off it u + phi
-    = u) from one sample of the weights."""
+    """Check F(u; supp phi) <= Q * F(u + phi; supp phi) + tol for each phi, a
+    `Bump` or a full-grid GridFunction, with both densities formed on the box
+    of phi's support (off it u + phi = u) from one sample of the weights. A
+    bump is read only on its own box; a full-grid phi is first cut to the
+    box of its nonzero nodes (`_nonzero_box`)."""
     if Q < 1:
         raise ValueError("need Q >= 1")
     grid = u.grid
@@ -564,14 +603,11 @@ def verify_quasiminimality(
     for phi in perturbations:
         if phi.grid != grid:
             raise ValueError("perturbation lives on a different grid")
-        support = _support(phi)
-        if support is None:
-            margins.append(tol)
-            continue
-        box, mask = support
-        nodes = _node_box(box)
-        values = u.values[nodes]
-        perturbed = values + phi.values[nodes]
+        nodes, phi_values = (phi.nodes, phi.values) if isinstance(phi, Bump) else _nonzero_box(phi)
+        # phi = 0 has no support cells: both energies are 0 and the margin is tol
+        box, mask, phi_values = _support(grid, nodes, phi_values)
+        values = u.values[_node_box(box)]
+        perturbed = values + phi_values
         if not np.all(np.isfinite(perturbed)):
             raise ValueError("grid function values must be finite")
         weights = m.on_cells(grid, box)
@@ -587,15 +623,17 @@ def verify_quasiminimality(
 
 
 def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
-    """Seeded compactly supported tensor-hat bumps vanishing on the boundary,
-    yielded one at a time: each is drawn only when the caller asks for it."""
+    """Seeded tensor-hat `Bump`s vanishing on the boundary, yielded one at a
+    time: each is drawn only when the caller asks for it, and built only on
+    its box of nodes, where every 1-D hat is nonzero once the boundary nodes
+    are zeroed. The draws are a_0, b_0, a_1, b_1, ..., then the scale."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         box = []
         for lo, hi in zip(grid.lo, grid.hi):
             a = rng.uniform(lo, hi - 2 * grid.h)
             box.append((a, rng.uniform(a + 2 * grid.h, hi)))
-        vals = _tensor_hat(grid, box)
-        _zero_boundary(vals)  # exact zeros on boundary nodes
-        vals *= amplitude * rng.uniform(-1.0, 1.0)
-        yield GridFunction(grid, vals)
+        nodes, vals = _hat_box(grid, box, interior=True)
+        scale = amplitude * rng.uniform(-1.0, 1.0)
+        vals *= scale
+        yield Bump(grid, nodes, vals, scale)

@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anibound import degiorgi
 from anibound.degiorgi import (
@@ -16,7 +18,7 @@ from anibound.degiorgi import (
     sequences,
 )
 from anibound.exponents import INF, Exponents, derive, iteration_constants
-from anibound.fields import GridFunction
+from anibound.fields import GridFunction, make_grid
 from anibound.minimize import SolveConfig, solve
 from conftest import (
     coordinate_field,
@@ -47,6 +49,13 @@ class TestSequences:
             rho_next, k_next, _ = sequences(0.4, 3.0, h + 1)
             assert rho_next < rho_bar < rho
             assert k < k_next
+
+    @given(st.floats(1e-3, 1.0), st.floats(2.0, 1e12))
+    def test_monotone_in_floating_point(self, R, d):
+        # rho_h never rises and k_h never falls, also once 0.5^h is below an
+        # ulp: the super-level sets that j_sequence filters in one pass nest
+        steps = [sequences(R, d, h) for h in range(80)]
+        assert all(b[0] <= a[0] and b[1] >= a[1] for a, b in zip(steps, steps[1:]))
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -215,6 +224,27 @@ class TestCertify:
         assert len(cert.traces) == 2
         assert {t.sign for t in cert.traces} == {1, -1}
         assert all(len(t.js) == 13 for t in cert.traces)
+
+    @pytest.mark.parametrize("C_cal", [1e-6, None])
+    def test_traces_are_the_iteration_traces(self, C_cal):
+        # amplitude-6 radial data shifted by -4, on a ball away from its
+        # centre: at C_cal = 1e-6, d = 2 and both signs have J_h > 0; the
+        # calibrated run has every J_h = 0
+        g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
+        u = GridFunction(g, 6.0 * np.sum((g.node_points() - 0.5) ** 2, axis=1) - 4.0)
+        e = simple_model(3).exponents
+        c = iteration_constants(derive(e), e)
+        x0, R = (1.0, 0.9, 0.9), 0.45
+        cert = certify(u, x0, R, e, C_cal=C_cal, H=12)
+        assert [t.sign for t in cert.traces] == [1, -1]
+        for t in cert.traces:
+            ref = iteration_trace(u, x0, R, cert.d, e, c, cert.N, H=12, sign=t.sign)
+            for f in fields(IterationTrace):
+                got, want = getattr(t, f.name), getattr(ref, f.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+        if C_cal is not None:
+            assert cert.d == 2.0
+            assert all(np.count_nonzero(t.js) >= 2 for t in cert.traces)
 
     def test_radius_guard(self, harmonic_3d):
         m, u = harmonic_3d

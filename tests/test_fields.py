@@ -14,6 +14,7 @@ from anibound.fields import (
     _average_to_cells,
     _average_to_cells_transpose,
     _cells_to_edges,
+    _hat_box,
     _prolong,
     _restrict,
     _tensor_hat,
@@ -372,6 +373,21 @@ class TestTensorHat:
         grid = unit_grid(n, 1 / 8)
         self.check(grid, [(-0.3, 0.6)] + [(0.4, 1.7)] * (n - 1))
         self.check(grid, [(-2.0, 3.0)] * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_interior_drops_the_boundary_nodes(self, n):
+        # boxes reaching past the grid: with interior=True the box stops one
+        # node short of each face, and holds the full-grid hat with its
+        # boundary nodes zeroed
+        grid = unit_grid(n, 1 / 8)
+        for box in ([(-0.3, 0.6)] + [(0.4, 1.7)] * (n - 1), [(-2.0, 3.0)] * n):
+            nodes, prod = _hat_box(grid, box, interior=True)
+            full = self.full_grid_hat(grid, box)
+            assert all(0 < s.start and s.stop < m for s, m in zip(nodes, grid.shape))
+            inner = full[(slice(1, -1),) * n]
+            assert np.all(prod != 0.0)
+            assert prod.tobytes() == full[nodes].tobytes()
+            assert np.count_nonzero(inner) == prod.size
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_node_on_some_axis(self, n):

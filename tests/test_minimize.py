@@ -1,14 +1,16 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction, _average_to_cells, _cell_box, make_grid
+from anibound.fields import GridFunction, _average_to_cells, _cell_box, _node_box, make_grid
 from anibound import minimize
 from anibound.integrand import ModelIntegrand, WeightField, energy
 from anibound.minimize import (
+    Bump,
     SolveConfig,
     _DiscreteEnergy,
     random_perturbations,
@@ -447,10 +449,13 @@ class TestSolve:
 
 
 def two_energy_quasiminimality(m, u, Q, perturbations, tol=1e-10):
-    """verify_quasiminimality as it was: the support as a full-grid cell mask
-    and u + phi as a full-grid field, measured by two energy() calls."""
+    """verify_quasiminimality as it was: phi on the whole grid, the support as
+    a full-grid cell mask and u + phi as a full-grid field, measured by two
+    energy() calls."""
     margins, emp_q, failures = [], 0.0, 0
     for phi in perturbations:
+        if isinstance(phi, Bump):
+            phi = phi.on_grid()
         supp = phi.values != 0.0
         for axis in range(supp.ndim):
             lead = (slice(None),) * axis
@@ -528,7 +533,7 @@ class TestQuasiMinimality:
         g = unit_grid(2, 1 / 16)
         res = solve(m, g, coordinate_field(g), SolveConfig())
         bump = next(random_perturbations(g, 1, seed=2, amplitude=0.5))
-        bad = GridFunction(g, res.u.values + bump.values)
+        bad = GridFunction(g, res.u.values + bump.on_grid().values)
         correction = GridFunction(g, res.u.values - bad.values)
         rep = verify_quasiminimality(m, bad, 1.0, [correction])
         assert rep.failures > 0
@@ -538,7 +543,38 @@ class TestQuasiMinimality:
         a = random_perturbations(g, 5, seed=3)
         b = random_perturbations(g, 5, seed=3)
         for pa, pb in zip(a, b):
+            assert pa.nodes == pb.nodes
+            assert pa.scale == pb.scale
             assert np.array_equal(pa.values, pb.values)
+
+    @pytest.mark.parametrize("n,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
+    def test_bump_box_is_its_nonzero_box(self, n, h):
+        # each bump is stored on the tight box of its nonzero nodes, off the
+        # boundary, and reads the same there as on the whole grid
+        g = make_grid([(-0.5, 1.0)] * n, h)
+        for bump in random_perturbations(g, 32, seed=6):
+            full = bump.on_grid()
+            nodes, values = minimize._nonzero_box(full)
+            assert bump.nodes == nodes
+            assert values.tobytes() == bump.values.tobytes()
+            assert all(0 < s.start and s.stop < m for s, m in zip(nodes, g.shape))
+            assert np.count_nonzero(full.values) == bump.values.size
+
+    def test_bumps_are_stored_on_their_boxes(self):
+        # 32 bumps on 33^3 nodes cover about 0.7 of one grid together; stored
+        # on their boxes they peak below 4 full-grid arrays (on the whole grid
+        # they would take 32)
+        g = unit_grid(3, 1 / 32)
+        full = np.zeros(g.shape).nbytes
+        next(random_perturbations(g, 1, seed=1))  # the generator's first use imports modules
+        tracemalloc.start()
+        try:
+            bumps = list(random_perturbations(g, 32, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bumps) == 32
+        assert peak < 4 * full
 
     @pytest.mark.parametrize("n,h", [(1, 1 / 64), (2, 1 / 16), (3, 1 / 8)])
     def test_support_mask_matches_cell_average(self, n, h):
@@ -548,15 +584,15 @@ class TestQuasiMinimality:
             vals = np.where(rng.random(g.shape) < density, rng.standard_normal(g.shape), 0.0)
             phi = GridFunction(g, vals)
             ref = _average_to_cells((phi.values != 0).astype(float)) > 0
-            support = minimize._support(phi)
-            if support is None:
-                assert not ref.any()
-                continue
-            box, mask = support
+            box, mask, on_nodes = minimize._support(g, *minimize._nonzero_box(phi))
             assert mask.dtype == bool
             got = np.zeros(g.cell_shape, dtype=bool)
             got[box] = mask
             assert np.array_equal(got, ref)
+            assert np.array_equal(on_nodes, phi.values[_node_box(box)])
+            if not ref.any():
+                assert mask.size == 0
+                continue
             # the box is the tight box of the support cells
             assert box == _cell_box(g, ref)
 
@@ -568,10 +604,11 @@ class TestQuasiMinimality:
         ],
     )
     def test_perturbations_pinned(self, box, h, digest):
-        # the 32 bumps cmd_minimize draws: rng order a_0, b_0, a_1, b_1, ..., amp
+        # the 32 bumps cmd_minimize draws: rng order a_0, b_0, a_1, b_1, ..., amp;
+        # each hashed as placed on the whole grid
         sha = hashlib.sha1()
         for phi in random_perturbations(make_grid(box, h), 32, seed=0):
-            sha.update(phi.values.tobytes())
+            sha.update(phi.on_grid().values.tobytes())
         assert sha.hexdigest() == digest
 
 

@@ -7,6 +7,8 @@ The references below evaluate the whole grid and then mask, the way these
 functions did before; every result must agree bitwise.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from anibound.fields import (
     _node_box,
     cell_average,
     cell_mask,
+    gradient,
     lp_norm,
     make_grid,
     superlevel_measure,
@@ -251,19 +254,28 @@ def test_energy_is_bitwise_the_box_stencil(problem):
 
 
 def test_density_on_a_box_is_the_full_density_there(problem):
-    """Each cell's density is the same bits whatever box it is formed on,
-    which is what lets one density serve every region inside its box."""
+    """Each cell's density, weights and gradient are the same bits whatever
+    box they are formed on, which is what lets one density serve every
+    region inside its box."""
     m, u, rng = problem
     grid = u.grid
-    full = cell_energy(m, grid, u.values, m.on_cells(grid))
+    lam, mu = m.on_cells(grid)
+    full = cell_energy(m, grid, u.values, (lam, mu))
+    grads = gradient(u)
     for _ in range(10):
         box = []
         for count in grid.cell_shape:
             a, b = sorted(rng.choice(count + 1, size=2, replace=False))
             box.append(slice(int(a), int(b)))
         box = tuple(box)
-        got = cell_energy(m, grid, u.values[_node_box(box)], m.on_cells(grid, box))
+        lam_box, mu_box = m.on_cells(grid, box)
+        assert lam_box.tobytes() == lam[(slice(None),) + box].tobytes()
+        assert (mu_box is None) == (mu is None)
+        if mu is not None:
+            assert mu_box.tobytes() == mu[box].tobytes()
+        got = cell_energy(m, grid, u.values[_node_box(box)], (lam_box, mu_box))
         assert np.array_equal(got, full[box])
+        assert gradient(u, box).tobytes() == grads[(slice(None),) + box].tobytes()
 
 
 def test_superlevel_measure_matches_the_full_grid(problem):
@@ -335,6 +347,35 @@ def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
         half = Ball(ball.x0, ball.R / 2)
         inside = ball_contains(half, grid.node_points()).reshape(grid.shape)
         assert cert.sup_half_ball == float(np.max(np.abs(u.values[inside])))
+
+
+@pytest.mark.parametrize("n,h", [(2, 1 / 16), (3, 1 / 8)])
+def test_j_sequence_nested_pass_matches_the_full_grid(n, h):
+    """Amplitude-6 radial data centred at 1/2 and balls away from that
+    centre, so cells leave the super-level sets both through the rising
+    levels and through the shrinking radii; 2 <= d < 2 max|u| gives runs with
+    J_h > 0 for several steps and then 0. The shifted field covers -u. The
+    second ball is centred on a cell centre with R = 1/2: rho_1 = 3/8 and
+    rho_2 = 5/16 are multiples of h, so cell centres lie exactly on those
+    spheres."""
+    grid = make_grid([(-0.5, 1.5)] * n, h)
+    e = weighted_model(n).exponents
+    centre = 1.0 - h / 2  # a cell centre
+    balls = [((1.0,) + (0.9,) * (n - 1), 0.45), ((centre,) + (centre - h,) * (n - 1), 0.5)]
+    H = 12
+    radial = 6.0 * np.sum((grid.node_points() - 0.5) ** 2, axis=1).reshape(grid.shape)
+    some_then_zero = {1: 0, -1: 0}
+    for shift in (0.0, 4.0):
+        u = GridFunction(grid, radial - shift)
+        top = float(np.max(np.abs(u.values)))
+        for (x0, R), d in itertools.product(balls, np.geomspace(2.0, 2.0 * top, 12)[:-1]):
+            for sign, field in ((1, u), (-1, -u)):
+                got = j_sequence(field, x0, R, d, e, H)
+                assert got.tobytes() == ref_j_sequence(field, x0, R, d, e, H).tobytes()
+                positive = np.count_nonzero(got)
+                assert np.all(got[:positive] > 0)  # a run of masses, then zeros
+                some_then_zero[sign] += 2 <= positive <= H
+    assert min(some_then_zero.values()) >= 4
 
 
 def ref_ball_norm(u, beta, ball):
