@@ -15,7 +15,7 @@ from .exponents import (
     iteration_constants,
     choose_d,
 )
-from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm, superlevel_measure
+from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm
 from .integrand import WeightField, ModelIntegrand, energy
 from .minimize import SolveConfig, SolveResult, solve, verify_quasiminimality
 from .degiorgi import certify, fast_convergence, j_sequence, sequences

@@ -7,8 +7,9 @@ Commands
     verify      --config <path> --solution <file> [--out <dir>]
     sweep       --config <path> --axis "param=lo:hi:steps" [--out <dir>]
 
-Exit codes: 0 ok, 1 usage/config error, 2 inadmissible, 3 non-convergence,
-4 verification/certification failure.
+Exit codes: 0 ok, 1 usage/config error or a path the system cannot read or
+write, 2 inadmissible, 3 non-convergence, 4 verification/certification
+failure.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

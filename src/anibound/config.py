@@ -36,9 +36,9 @@ the comments::
     C_cal = calibrate            # or a number; default 1
     [verify]                     # optional; defaults shown
     x0 = 0.5,0.5                 # n coordinates; default the box centre
-    levels = 1,1.5,2             # each >= 1, checked when verify runs
-    rhos = 0.1,0.15,0.2
-    radii = 0.25,0.3,0.35        # balls must lie in the grid box
+    levels = 1,1.5,2             # not empty; each >= 1, checked when verify runs
+    rhos = 0.1,0.15,0.2          # not empty; some rho below some radius
+    radii = 0.25,0.3,0.35        # not empty; balls must lie in the grid box
     subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box;
                                  # default the box less a tenth of each side
     [output]                     # optional
@@ -326,13 +326,15 @@ def load_config(path) -> RunConfig:
         subbox = vsec.box("subbox", default=default_sub)
         if len(subbox) != n:
             raise ConfigError(f"[verify] field 'subbox': expected {n} sides")
-        verify = VerifySpec(
-            levels=tuple(vsec.nums("levels", default=[1.0, 1.5, 2.0])),
-            rhos=tuple(vsec.nums("rhos", default=[0.1, 0.15, 0.2])),
-            radii=tuple(vsec.nums("radii", default=[0.25, 0.3, 0.35])),
-            x0=x0,
-            subbox=subbox,
-        )
+        levels = tuple(vsec.nums("levels", default=[1.0, 1.5, 2.0]))
+        rhos = tuple(vsec.nums("rhos", default=[0.1, 0.15, 0.2]))
+        radii = tuple(vsec.nums("radii", default=[0.25, 0.3, 0.35]))
+        for key, values in (("levels", levels), ("rhos", rhos), ("radii", radii)):
+            if not values:
+                raise ConfigError(f"[verify] field {key!r}: needs at least one value")
+        if min(rhos) >= max(radii):
+            raise ConfigError("[verify] field 'rhos': no rho is below any of the radii")
+        verify = VerifySpec(levels=levels, rhos=rhos, radii=radii, x0=x0, subbox=subbox)
 
     out_dir = "."
     if parser.has_section("output"):

@@ -34,7 +34,6 @@ __all__ = [
     "j_sequence",
     "fast_convergence",
     "IterationTrace",
-    "iteration_trace",
     "calibrate_C",
     "Certificate",
     "certify",
@@ -170,22 +169,6 @@ class IterationTrace:
     C_emp: float  # minimal C making the recursion hold across steps
 
 
-def iteration_trace(
-    u: GridFunction,
-    x0,
-    R: float,
-    d: float,
-    e: Exponents,
-    c: IterationConstants,
-    N: float,
-    H: int = DEFAULT_STEPS,
-    sign: int = 1,
-) -> IterationTrace:
-    """Run the J-recursion diagnostics for u (sign=+1) or -u (sign=-1)."""
-    js = j_sequence(u if sign > 0 else -u, x0, R, d, e, H)
-    return _trace(x0, R, d, c, N, sign, js)
-
-
 def _trace(x0, R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
     """The diagnostics of one run from its masses J_0..J_H."""
     H = len(js) - 1
@@ -250,7 +233,8 @@ def certify(
 
     The cells of B_R are formed once; N, both signs and both runs read them.
     The cell averages of -u are those of u negated, bitwise, so no -u is
-    built, and each trace equals `iteration_trace` of u at that sign.
+    built, and each trace is `_trace` of the masses that `j_sequence` gives
+    for u or -u.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")

@@ -33,7 +33,6 @@ __all__ = [
     "gradient",
     "cell_average",
     "lp_norm",
-    "superlevel_measure",
     "write_gridfn",
     "read_gridfn",
 ]
@@ -284,7 +283,17 @@ def _ball_box(grid: Grid, ball: Ball) -> tuple:
 
 
 def _dist2(axes, box: tuple, x0) -> np.ndarray:
-    """Squared distances from x0 of the lattice points in `box`, in the box's shape."""
+    """Squared distances from x0 of the lattice points in `box`, in the box's shape.
+
+    Every ball mask, and so every certificate and report, depends on these
+    bits, so a per-axis sum of squares that skips the lattice is not a
+    drop-in: the einsum fixes its own order of the terms. With numpy 2.4.6
+    it sums 3-D points as (d0^2 + d2^2) + d1^2, and a sequential
+    (d0^2 + d1^2) + d2^2 differs from it in the last bit on 3762 to 4127 of
+    the 15625 points of a 25^3 lattice (random sorted axes and x0 in [0, 1),
+    five draws). That order is an internal of einsum, which other numpy
+    versions need not share.
+    """
     diff = _lattice_points(axes, box) - np.asarray(x0)
     return np.einsum("ij,ij->i", diff, diff).reshape([s.stop - s.start for s in box])
 
@@ -306,10 +315,8 @@ def _ball_nodes(u: GridFunction, ball: Ball) -> np.ndarray:
 
 
 def cell_mask(grid: Grid, region) -> np.ndarray:
-    """Boolean mask over cells; region is None, a Ball, a mask, or a predicate on centers.
-
-    A Ball is tested only on the cells of its box.
-    """
+    """Boolean mask over cells; region is None (every cell), a Ball or a
+    cell mask. A Ball is tested only on the cells of its box."""
     shape = grid.cell_shape
     if region is None:
         return np.ones(shape, dtype=bool)
@@ -320,7 +327,7 @@ def cell_mask(grid: Grid, region) -> np.ndarray:
         mask = np.zeros(shape, dtype=bool)
         mask[box] = _dist2(grid.cell_axes(), box, region.x0) < region.R * region.R
         return mask
-    return np.asarray(region(grid.cell_centers()), dtype=bool).reshape(shape)
+    raise TypeError(f"region must be None, a Ball or a cell mask, got {type(region).__name__}")
 
 
 def lp_norm(f, beta: float, grid: Grid) -> float:
@@ -335,16 +342,6 @@ def lp_norm(f, beta: float, grid: Grid) -> float:
     if math.isinf(beta):
         return float(vals.max())
     return float((np.sum(vals ** beta) * grid.h ** grid.n) ** (1.0 / beta))
-
-
-def superlevel_measure(u: GridFunction, k: float, ball: Ball) -> float:
-    """h^n times the number of nodes with |x - x0| < R and u(x) > k.
-
-    Only the nodes of the ball's box are visited, so the cost scales with
-    that box, not with the grid.
-    """
-    g = u.grid
-    return int(np.count_nonzero(_ball_nodes(u, ball) > k)) * g.h ** g.n
 
 
 def _hat_box(grid: Grid, box, interior: bool = False) -> tuple:

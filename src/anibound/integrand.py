@@ -67,7 +67,7 @@ class WeightField:
         """Evaluate at an (N, n) array of points.
 
         A sample landing exactly on the power-law center is shifted by h/2
-        along axis 1 so negative powers stay finite; the shift preserves the
+        along axis 0 so negative powers stay finite; the shift preserves the
         integrability class of 1/weight.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -162,7 +162,8 @@ def cell_energy(m: ModelIntegrand, grid: Grid, values: np.ndarray, weights) -> n
 
 
 def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
-    """Edge-stencil energy of f(x, u, Du) over the cells of the region: h^n
+    """Edge-stencil energy of f(x, u, Du) over the cells of the region (None
+    for every cell, a Ball or a cell mask; see `fields.cell_mask`): h^n
     times the sum of `cell_energy` over them, in row-major order.
 
     The density is formed only on the bounding box of the region's cells,

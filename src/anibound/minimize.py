@@ -554,18 +554,6 @@ class Bump:
         return GridFunction(self.grid, vals)
 
 
-def _nonzero_box(phi: GridFunction) -> tuple:
-    """A full-grid phi cut to the tight box of its nonzero nodes: that box and
-    phi's values on it (empty slices for phi = 0). Only phi's nonzero nodes
-    are found on the whole grid (a boolean compare and its flat indices)."""
-    index = np.unravel_index(np.flatnonzero(phi.values != 0.0), phi.grid.shape)
-    if index[0].size == 0:
-        nodes = (slice(0, 0),) * phi.grid.n
-    else:
-        nodes = tuple(slice(int(a.min()), int(a.max()) + 1) for a in index)
-    return nodes, phi.values[nodes]
-
-
 def _support(grid: Grid, nodes: tuple, values: np.ndarray) -> tuple:
     """For phi given by its values on a box of nodes (zero off it): the box of
     the cells with a corner in that box, the mask of those with a nonzero
@@ -588,11 +576,10 @@ def verify_quasiminimality(
     perturbations=(),
     tol: float = 1e-10,
 ) -> QuasiMinimalityReport:
-    """Check F(u; supp phi) <= Q * F(u + phi; supp phi) + tol for each phi, a
-    `Bump` or a full-grid GridFunction, with both densities formed on the box
-    of phi's support (off it u + phi = u) from one sample of the weights. A
-    bump is read only on its own box; a full-grid phi is first cut to the
-    box of its nonzero nodes (`_nonzero_box`)."""
+    """Check F(u; supp phi) <= Q * F(u + phi; supp phi) + tol for each `Bump`
+    phi, with both densities formed on the box of phi's support (off it
+    u + phi = u) from one sample of the weights; a bump is read only on its
+    own box of nodes."""
     if Q < 1:
         raise ValueError("need Q >= 1")
     grid = u.grid
@@ -603,9 +590,8 @@ def verify_quasiminimality(
     for phi in perturbations:
         if phi.grid != grid:
             raise ValueError("perturbation lives on a different grid")
-        nodes, phi_values = (phi.nodes, phi.values) if isinstance(phi, Bump) else _nonzero_box(phi)
         # phi = 0 has no support cells: both energies are 0 and the margin is tol
-        box, mask, phi_values = _support(grid, nodes, phi_values)
+        box, mask, phi_values = _support(grid, phi.nodes, phi.values)
         values = u.values[_node_box(box)]
         perturbed = values + phi_values
         if not np.all(np.isfinite(perturbed)):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from anibound.exponents import INF, Exponents, check_admissibility, derive
-from anibound.fields import GridFunction, _tensor_hat, make_grid
+from anibound.degiorgi import sequences
+from anibound.fields import GridFunction, _tensor_hat, cell_average, make_grid
 from anibound.integrand import ModelIntegrand, WeightField
 
 
@@ -41,6 +42,22 @@ def ball_contains(ball, points):
     """Strict membership |x - x0| < R of an (N, n) array of points."""
     diff = points - np.asarray(ball.x0)
     return np.einsum("ij,ij->i", diff, diff) < ball.R * ball.R
+
+
+def ref_j_sequence(u, x0, R, d, e, H):
+    """J_0..J_H over the whole grid: every cell average, masked per step."""
+    grid = u.grid
+    centers = grid.cell_centers()
+    uc = cell_average(u).ravel()
+    diff = centers - np.asarray(x0, dtype=float)
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    hn = grid.h ** grid.n
+    out = np.empty(H + 1)
+    for h in range(H + 1):
+        rho, k, _ = sequences(R, d, h)
+        sel = (dist2 < rho * rho) & (uc > k)
+        out[h] = float(np.sum((uc[sel] - k) ** e.qs_prime) * hn) if sel.any() else 0.0
+    return out
 
 
 def lambda_values(m, points, h=0.0):

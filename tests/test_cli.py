@@ -77,6 +77,10 @@ R = 0.4
 """
 
 
+SMOKE = str(Path(__file__).parent / "data" / "smoke.cfg")
+SMOKE3D = str(Path(__file__).parent / "data" / "smoke3d.cfg")
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -243,6 +247,25 @@ class TestMalformedSolution:
         assert not os.path.exists(out)
 
 
+class TestPathErrors:
+    """A path the system refuses is a usage error (exit 1), not a traceback."""
+
+    def test_solution_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ISO3D)
+        out = tmp_path / "v"
+        argv = ["verify", "--config", cfg, "--solution", str(tmp_path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["minimize", "--config", SMOKE, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+
+
 PIN3D = """\
 [problem]
 name = pin3d
@@ -390,6 +413,27 @@ class TestConfigErrors:
         return main(["verify", "--config", cfg, "--solution", str(sol),
                      "--out", str(tmp_path / "v")])
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("levels =", "levels"),
+            ("rhos = 0.5", "rhos"),
+            ("rhos = 0.2\nradii = 0.2", "rhos"),
+            ("radii =", "radii"),
+        ],
+        ids=["empty-levels", "no-rho-below-a-radius", "rho-equals-radius", "empty-radii"],
+    )
+    def test_verify_lists(self, tmp_path, capsys, lines, key):
+        # each once ran verify to exit 0 without a Caccioppoli row, or to a
+        # max() of an empty sequence
+        sol = tmp_path / "smoke.gridfn"
+        write_gridfn(sol, load_config(SMOKE).initial_field())
+        cfg = write_config(tmp_path, Path(SMOKE).read_text() + lines + "\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [verify] field '{key}'")
+        assert not out.exists()
+
     def test_verify_x0_length(self, tmp_path, capsys):
         assert self._verify(tmp_path, ISO3D + "x0 = 0.5\n") == 1
         assert "error: [verify] field 'x0'" in capsys.readouterr().err
@@ -421,7 +465,7 @@ class TestConfigErrors:
         ids=["lambda1", "boundary"],
     )
     def test_center_length_must_match_n(self, tmp_path, capsys, old, new, message, center):
-        smoke = (Path(__file__).parent / "data" / "smoke.cfg").read_text()
+        smoke = Path(SMOKE).read_text()
         cfg = write_config(tmp_path, patch(smoke, old, new.format(center)))
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
@@ -506,7 +550,7 @@ class TestCertifyOverflow:
 
 def test_ci_smoke_config_runs_every_command(tmp_path):
     # the problem both CI jobs run through the installed console script
-    cfg = str(Path(__file__).parent / "data" / "smoke.cfg")
+    cfg = SMOKE
     out = str(tmp_path / "smoke")
     solution = str(tmp_path / "smoke" / "smoke_solution.gridfn")
     assert main(["admissible", "--config", cfg]) == 0
@@ -514,3 +558,15 @@ def test_ci_smoke_config_runs_every_command(tmp_path):
     assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0
     assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", out]) == 0
+
+
+def test_ci_smoke3d_config_runs_minimize_certify_verify(tmp_path):
+    # the 3-D problem CI also runs through the console script: a calibrated
+    # C_cal, the |u|^gamma term and 3-D bumps
+    spec = load_config(SMOKE3D)
+    assert spec.certify.C_cal is None and spec.model.u_coeff > 0 and spec.grid.n == 3
+    out = str(tmp_path / "out")
+    solution = os.path.join(out, f"{spec.name}_solution.gridfn")
+    assert main(["minimize", "--config", SMOKE3D, "--out", out]) == 0
+    assert main(["certify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0
+    assert main(["verify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0

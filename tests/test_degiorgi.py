@@ -13,7 +13,6 @@ from anibound.degiorgi import (
     calibrate_C,
     certify,
     fast_convergence,
-    iteration_trace,
     j_sequence,
     sequences,
 )
@@ -23,6 +22,7 @@ from anibound.minimize import SolveConfig, solve
 from conftest import (
     coordinate_field,
     random_admissible_exponents,
+    ref_j_sequence,
     scaled,
     simple_model,
     unit_grid,
@@ -146,14 +146,15 @@ class TestCalibration:
         e = simple_model(3).exponents
         c = iteration_constants(derive(e), e)
         u = GridFunction(g, np.zeros(g.shape))
-        t = iteration_trace(u, X0, 0.4, 4.0, e, c, 0.0, H=10)
+        t = degiorgi._trace(X0, 0.4, 4.0, c, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
         assert calibrate_C([t]) == 1.0
 
     def test_safety_factor(self, harmonic_3d):
         m, u = harmonic_3d
         e = m.exponents
         c = iteration_constants(derive(e), e)
-        t = iteration_trace(scaled(u, 8.0), X0, 0.4, 2.0, e, c, 1.0, H=10)
+        js = j_sequence(scaled(u, 8.0), X0, 0.4, 2.0, e, H=10)
+        t = degiorgi._trace(X0, 0.4, 2.0, c, 1.0, 1, js)
         if t.C_emp > 0.0:
             assert calibrate_C([t]) == pytest.approx(2.0 * t.C_emp)
             assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)
@@ -229,7 +230,8 @@ class TestCertify:
     def test_traces_are_the_iteration_traces(self, C_cal):
         # amplitude-6 radial data shifted by -4, on a ball away from its
         # centre: at C_cal = 1e-6, d = 2 and both signs have J_h > 0; the
-        # calibrated run has every J_h = 0
+        # calibrated run has every J_h = 0. The J_h are bitwise the full-grid
+        # masses of u and of -u, and every other field is `_trace` of them
         g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
         u = GridFunction(g, 6.0 * np.sum((g.node_points() - 0.5) ** 2, axis=1) - 4.0)
         e = simple_model(3).exponents
@@ -237,8 +239,10 @@ class TestCertify:
         x0, R = (1.0, 0.9, 0.9), 0.45
         cert = certify(u, x0, R, e, C_cal=C_cal, H=12)
         assert [t.sign for t in cert.traces] == [1, -1]
-        for t in cert.traces:
-            ref = iteration_trace(u, x0, R, cert.d, e, c, cert.N, H=12, sign=t.sign)
+        for t, field in zip(cert.traces, (u, -u)):
+            js = ref_j_sequence(field, x0, R, cert.d, e, 12)
+            assert t.js.tobytes() == js.tobytes()
+            ref = degiorgi._trace(x0, R, cert.d, c, cert.N, t.sign, js)
             for f in fields(IterationTrace):
                 got, want = getattr(t, f.name), getattr(ref, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anibound.fields import (
-    Ball,
     GridFunction,
     _add_adjoint_diff,
     _adjoint_pair_average,
@@ -22,7 +21,6 @@ from anibound.fields import (
     lp_norm,
     make_grid,
     read_gridfn,
-    superlevel_measure,
     write_gridfn,
 )
 from conftest import GRIDFN_REJECTS, coordinate_field, gridfn_reject, hat_bump, unit_grid
@@ -197,38 +195,6 @@ class TestLpNorm:
             assert lp_norm(t * f, beta, g) == pytest.approx(
                 abs(t) * lp_norm(f, beta, g), rel=1e-10, abs=1e-12
             )
-
-
-class TestSuperlevel:
-    def test_empty_above_max(self):
-        g = unit_grid(2, 0.25)
-        u = hat_bump(g)
-        ball = Ball((0.5, 0.5), 0.4)
-        assert superlevel_measure(u, 2.0, ball) == 0.0
-
-    def test_1d_count(self):
-        g = make_grid([(0, 1)], 0.25)
-        u = coordinate_field(g)
-        ball = Ball((0.5,), 10.0)  # whole domain
-        # nodes 0.75 and 1.0 exceed 0.5
-        assert superlevel_measure(u, 0.5, ball) == pytest.approx(0.5)
-
-    def test_monotone_in_level(self):
-        g = unit_grid(2, 0.125)
-        rng = np.random.default_rng(3)
-        u = GridFunction(g, rng.standard_normal(g.shape))
-        ball = Ball((0.5, 0.5), 0.45)
-        meas = [superlevel_measure(u, k, ball) for k in np.linspace(-2, 2, 9)]
-        assert all(a >= b for a, b in zip(meas, meas[1:]))
-
-    def test_monotone_in_radius(self):
-        g = unit_grid(2, 0.125)
-        rng = np.random.default_rng(4)
-        u = GridFunction(g, rng.standard_normal(g.shape))
-        meas = [
-            superlevel_measure(u, 0.0, Ball((0.5, 0.5), R)) for R in (0.1, 0.2, 0.3, 0.4)
-        ]
-        assert all(a <= b for a, b in zip(meas, meas[1:]))
 
 
 class TestGridFnFormat:

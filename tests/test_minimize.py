@@ -46,6 +46,15 @@ def radial_data(grid, amplitude=3.0):
     return GridFunction(grid, bnd(grid.node_points()).reshape(grid.shape))
 
 
+def weighted_u_term_3d_model():
+    """p = (1.6, 2, 1.8), a power-law lambda_1 and the u_coeff * mu * |u|^2.5
+    term with a power-law mu."""
+    e = Exponents(3, (1.6, 2.0, 1.8), 2.0, 2.5, (INF,) * 3, INF)
+    lam1 = WeightField("power", amplitude=1.5, center=(0.3,) * 3, exponent=0.4)
+    mu = WeightField("power", amplitude=2.0, center=(0.7, 0.4, 0.4), exponent=1.5)
+    return ModelIntegrand(e, (lam1, constant(0.5), constant(0.5)), mu, 0.8)
+
+
 def p_gt_2_model():
     """p = (2.5, 3), q = gamma = 3, a power-law lambda_1, no u term."""
     e = Exponents(2, (2.5, 3.0), 3.0, 3.0, (INF, INF), INF)
@@ -448,14 +457,42 @@ class TestSolve:
         assert r1.final_energy == r2.final_energy
 
 
+def whole_grid_bump(phi):
+    """A full-grid phi as a `Bump` on every node of its grid."""
+    return Bump(phi.grid, tuple(slice(0, m) for m in phi.grid.shape), phi.values, 1.0)
+
+
+def nonzero_box(phi):
+    """The tight box of a full-grid phi's nonzero nodes (empty slices for
+    phi = 0) and phi's values on it."""
+    index = np.nonzero(phi.values)
+    if index[0].size == 0:
+        nodes = (slice(0, 0),) * phi.grid.n
+    else:
+        nodes = tuple(slice(int(a.min()), int(a.max()) + 1) for a in index)
+    return nodes, phi.values[nodes]
+
+
+def loosened(bump, rng):
+    """The same bump on its box widened by 0 to 3 nodes on each side, clamped
+    to the grid, with zeros on the added nodes."""
+    nodes = tuple(
+        slice(max(s.start - int(rng.integers(4)), 0), min(s.stop + int(rng.integers(4)), m))
+        for s, m in zip(bump.nodes, bump.grid.shape)
+    )
+    values = np.zeros([s.stop - s.start for s in nodes])
+    inner = tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(nodes, bump.nodes))
+    values[inner] = bump.values
+    return Bump(bump.grid, nodes, values, bump.scale)
+
+
 def two_energy_quasiminimality(m, u, Q, perturbations, tol=1e-10):
     """verify_quasiminimality as it was: phi on the whole grid, the support as
     a full-grid cell mask and u + phi as a full-grid field, measured by two
     energy() calls."""
     margins, emp_q, failures = [], 0.0, 0
-    for phi in perturbations:
-        if isinstance(phi, Bump):
-            phi = phi.on_grid()
+    for bump in perturbations:
+        phi = bump.on_grid()
         supp = phi.values != 0.0
         for axis in range(supp.ndim):
             lead = (slice(None),) * axis
@@ -489,8 +526,10 @@ class TestQuasiMinimality:
         smooth = radial_data(g).values
         fields = [smooth, smooth + 0.05 * rng.standard_normal(g.shape)]
         phis = list(random_perturbations(g, 32, seed=4, amplitude=0.3))
-        phis.append(GridFunction(g, np.zeros(g.shape)))
-        phis.append(GridFunction(g, np.where(rng.random(g.shape) < 0.05, 1.0, 0.0)))
+        sparse = GridFunction(g, np.where(rng.random(g.shape) < 0.05, 1.0, 0.0))
+        phis.append(whole_grid_bump(GridFunction(g, np.zeros(g.shape))))
+        phis.append(whole_grid_bump(sparse))
+        phis.append(Bump(g, *nonzero_box(sparse), 1.0))
         failures = 0
         for values in fields:
             u = GridFunction(g, values)
@@ -507,7 +546,7 @@ class TestQuasiMinimality:
         m = simple_model(2)
         g = unit_grid(2, 1 / 8)
         u = GridFunction(g, np.full(g.shape, 1.5e308))
-        phi = hat_bump(g, 1.5e308)  # u + phi is inf near the centre only
+        phi = whole_grid_bump(hat_bump(g, 1.5e308))  # u + phi is inf near the centre only
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             verify_quasiminimality(m, u, 1.0, [phi])
 
@@ -524,7 +563,7 @@ class TestQuasiMinimality:
         m = simple_model(2)
         g = unit_grid(2, 1 / 8)
         u = coordinate_field(g)
-        phi = GridFunction(g, np.zeros(g.shape))
+        phi = whole_grid_bump(GridFunction(g, np.zeros(g.shape)))
         rep = verify_quasiminimality(m, u, 1.0, [phi])
         assert rep.failures == 0
 
@@ -534,7 +573,7 @@ class TestQuasiMinimality:
         res = solve(m, g, coordinate_field(g), SolveConfig())
         bump = next(random_perturbations(g, 1, seed=2, amplitude=0.5))
         bad = GridFunction(g, res.u.values + bump.on_grid().values)
-        correction = GridFunction(g, res.u.values - bad.values)
+        correction = whole_grid_bump(GridFunction(g, res.u.values - bad.values))
         rep = verify_quasiminimality(m, bad, 1.0, [correction])
         assert rep.failures > 0
 
@@ -554,7 +593,7 @@ class TestQuasiMinimality:
         g = make_grid([(-0.5, 1.0)] * n, h)
         for bump in random_perturbations(g, 32, seed=6):
             full = bump.on_grid()
-            nodes, values = minimize._nonzero_box(full)
+            nodes, values = nonzero_box(full)
             assert bump.nodes == nodes
             assert values.tobytes() == bump.values.tobytes()
             assert all(0 < s.start and s.stop < m for s, m in zip(nodes, g.shape))
@@ -584,7 +623,11 @@ class TestQuasiMinimality:
             vals = np.where(rng.random(g.shape) < density, rng.standard_normal(g.shape), 0.0)
             phi = GridFunction(g, vals)
             ref = _average_to_cells((phi.values != 0).astype(float)) > 0
-            box, mask, on_nodes = minimize._support(g, *minimize._nonzero_box(phi))
+            # on the whole grid's nodes: every cell, the same mask
+            box, mask, _ = minimize._support(g, tuple(slice(0, m) for m in g.shape), phi.values)
+            assert box == tuple(slice(0, c) for c in g.cell_shape)
+            assert np.array_equal(mask, ref)
+            box, mask, on_nodes = minimize._support(g, *nonzero_box(phi))
             assert mask.dtype == bool
             got = np.zeros(g.cell_shape, dtype=bool)
             got[box] = mask
@@ -595,6 +638,31 @@ class TestQuasiMinimality:
                 continue
             # the box is the tight box of the support cells
             assert box == _cell_box(g, ref)
+
+    @pytest.mark.parametrize(
+        "model,n,h",
+        [(weighted_u_term_model(), 2, 1 / 16), (weighted_u_term_3d_model(), 3, 1 / 8)],
+        ids=["2d", "3d"],
+    )
+    def test_margins_do_not_depend_on_the_bump_box(self, model, n, h):
+        # the same phi stored on a looser box of nodes, up to the whole grid,
+        # gives the bits it gives on its tight box: the support cells and
+        # their order are those of phi, not of the box
+        g = unit_grid(n, h)
+        rng = np.random.default_rng(23)
+        u = GridFunction(g, radial_data(g).values + 0.05 * rng.standard_normal(g.shape))
+        tight = list(random_perturbations(g, 32, seed=8, amplitude=0.3))
+        boxes = [
+            [loosened(phi, rng) for phi in tight],
+            [whole_grid_bump(phi.on_grid()) for phi in tight],
+        ]
+        for Q in (1.0, 1.3):
+            want = verify_quasiminimality(model, u, Q, tight)
+            for phis in boxes:
+                got = verify_quasiminimality(model, u, Q, phis)
+                assert np.array(got.margins).tobytes() == np.array(want.margins).tobytes()
+                assert got.empirical_Q == want.empirical_Q
+                assert got.failures == want.failures
 
     @pytest.mark.parametrize(
         "box,h,digest",

@@ -1,8 +1,8 @@
 """Region-restricted computations against full-grid reference implementations.
 
-energy, cell_mask, superlevel_measure, caccioppoli_sweep, j_sequence,
-higher_integrability_norm and certify's N and half-ball sup work only on the
-index bounding box of their region.
+energy, cell_mask, the nodes of a ball (`_ball_nodes`), caccioppoli_sweep,
+j_sequence, higher_integrability_norm and certify's N and half-ball sup work
+only on the index bounding box of their region.
 The references below evaluate the whole grid and then mask, the way these
 functions did before; every result must agree bitwise.
 """
@@ -12,12 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from anibound.degiorgi import certify, j_sequence, sequences
+from anibound.degiorgi import certify, j_sequence
 from anibound.exponents import INF, Exponents, check_admissibility, conjugate_exponent, derive
 from anibound.fields import (
     Ball,
     GridFunction,
     _average_to_cells,
+    _ball_nodes,
     _cell_box,
     _edges_to_cells,
     _node_box,
@@ -26,7 +27,6 @@ from anibound.fields import (
     gradient,
     lp_norm,
     make_grid,
-    superlevel_measure,
 )
 from anibound.inequalities import (
     caccioppoli_sweep,
@@ -34,7 +34,7 @@ from anibound.inequalities import (
     verify_caccioppoli,
 )
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
-from conftest import ball_contains, constant, lambda_values, mu_tilde
+from conftest import ball_contains, constant, lambda_values, mu_tilde, ref_j_sequence
 
 # ------------------------------------------------------------- references
 
@@ -45,9 +45,7 @@ def ref_cell_mask(grid, region):
         return np.ones(grid.cell_shape, dtype=bool)
     if isinstance(region, Ball):
         return ball_contains(region, centers).reshape(grid.cell_shape)
-    if isinstance(region, np.ndarray):
-        return region.reshape(grid.cell_shape)
-    return np.asarray(region(centers), dtype=bool).reshape(grid.cell_shape)
+    return region.reshape(grid.cell_shape)
 
 
 def ref_energy(m, u, region=None):
@@ -118,21 +116,6 @@ def ref_caccioppoli_sides(m, u, k, rho, R, x0):
     return lhs, term1 + term2
 
 
-def ref_j_sequence(u, x0, R, d, e, H):
-    grid = u.grid
-    centers = grid.cell_centers()
-    uc = cell_average(u).ravel()
-    diff = centers - np.asarray(x0, dtype=float)
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    hn = grid.h ** grid.n
-    out = np.empty(H + 1)
-    for h in range(H + 1):
-        rho, k, _ = sequences(R, d, h)
-        sel = (dist2 < rho * rho) & (uc > k)
-        out[h] = float(np.sum((uc[sel] - k) ** e.qs_prime) * hn) if sel.any() else 0.0
-    return out
-
-
 # --------------------------------------------------------------- problems
 
 
@@ -190,7 +173,7 @@ def face_masks(grid, rng):
 
 
 def regions(grid, rng):
-    """Masks, balls and predicates covering the cases the bounding box must get right."""
+    """Masks and balls covering the cases the bounding box must get right."""
     shape = grid.cell_shape
     single = np.zeros(shape, dtype=bool)
     single[tuple(rng.integers(0, m) for m in shape)] = True
@@ -213,8 +196,6 @@ def regions(grid, rng):
         Ball(tuple(grid.lo), 0.4),
         Ball(tuple(v + 5.0 for v in grid.hi), 0.3),  # misses the grid
         Ball(tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)), 10.0),  # covers it
-        lambda pts: pts[:, 0] + 0.5 * pts[:, -1] < 0.6,
-        lambda pts: np.abs(pts[:, 0] - 0.4) < 0.1,
     ]
     return out
 
@@ -239,6 +220,8 @@ def test_cell_mask_and_energy_match_the_full_grid(problem):
     for region in regions(grid, rng):
         assert np.array_equal(cell_mask(grid, region), ref_cell_mask(grid, region))
         assert energy(m, u, region) == ref_energy(m, u, region)
+    with pytest.raises(TypeError, match="region"):
+        energy(m, u, lambda pts: pts[:, 0] < 0.5)  # predicates are not regions
 
 
 def test_energy_is_bitwise_the_box_stencil(problem):
@@ -279,14 +262,21 @@ def test_density_on_a_box_is_the_full_density_there(problem):
 
 
 def test_superlevel_measure_matches_the_full_grid(problem):
+    """The nodes of a ball gathered on its box (`_ball_nodes`, which the
+    certificate's half-ball sup reads) are the full grid's in row-major
+    order, and so is the level measure h^n #{u > k} they give."""
     _, u, rng = problem
     grid = u.grid
     balls = [r for r in regions(grid, rng) if isinstance(r, Ball)]
     balls.append(tangent_ball(grid, 0.3))
     balls.append(Ball(tuple(grid.lo), grid.h / 3))  # holds a node but no cell center
     for ball in balls:
+        nodes = _ball_nodes(u, ball)
+        inside = ball_contains(ball, grid.node_points()).reshape(grid.shape)
+        assert nodes.tobytes() == u.values[inside].tobytes()
         for k in (-1.0, 0.5, 1.0, 2.2, 5.0):
-            assert superlevel_measure(u, k, ball) == ref_superlevel_measure(u, k, ball)
+            measure = int(np.count_nonzero(nodes > k)) * grid.h ** grid.n
+            assert measure == ref_superlevel_measure(u, k, ball)
 
 
 def test_caccioppoli_matches_the_full_grid(problem):
