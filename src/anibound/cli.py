@@ -83,12 +83,12 @@ def _out_path(args, cfg: RunConfig, filename: str) -> str:
 def cmd_minimize(args) -> int:
     cfg = load_config(args.config)
     init = cfg.initial_field()
-    result = solve(cfg.model, cfg.grid, init, cfg.solver)
     sol_path = _out_path(args, cfg, f"{cfg.name}_solution.gridfn")
+    csv_path = _out_path(args, cfg, f"{cfg.name}_minimize.csv")
+    result = solve(cfg.model, cfg.grid, init, cfg.solver)
     write_gridfn(sol_path, result.u)
     phis = random_perturbations(cfg.grid, 32, seed=0)
     qrep = verify_quasiminimality(cfg.model, result.u, 1.0, phis)
-    csv_path = _out_path(args, cfg, f"{cfg.name}_minimize.csv")
     with open(csv_path, "w") as fh:
         fh.write("energy,iterations,residual,converged,empirical_Q\n")
         fh.write(
@@ -150,9 +150,8 @@ def cmd_verify(args) -> int:
     reports.append(inequalities.verify_lower_bound(cfg.model, u, spec.subbox))
     reports.append(inequalities.verify_weight_domination(cfg.model, cfg.grid))
     if d.sigma_star is not None:
-        bump = GridFunction(cfg.grid, _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi)))
-        reports.append(inequalities.verify_embedding(bump, d))
-        reports.append(inequalities.verify_poincare_sobolev(cfg.model, bump, d))
+        hat = _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi))
+        reports += inequalities.verify_sobolev(cfg.model, GridFunction(cfg.grid, hat), d)
     reports += inequalities.caccioppoli_sweep(
         cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
     )

@@ -31,7 +31,6 @@ __all__ = [
     "Ball",
     "make_grid",
     "gradient",
-    "cell_average",
     "lp_norm",
     "write_gridfn",
     "read_gridfn",
@@ -68,10 +67,6 @@ class Grid:
     def node_points(self) -> np.ndarray:
         """All node coordinates, shape (num_nodes, n), row-major order."""
         return _lattice_points(self.node_axes())
-
-    def cell_centers(self) -> np.ndarray:
-        """All cell-center coordinates, shape (num_cells, n), row-major order."""
-        return _lattice_points(self.cell_axes())
 
     def contains_ball(self, ball: "Ball") -> bool:
         return all(
@@ -142,15 +137,6 @@ def _pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _edges_to_cells(e: np.ndarray, axis: int) -> np.ndarray:
-    """An array on the edges along `axis` averaged to cells: the pair average
-    over every other axis, so a cell gets the mean of its 2^(n-1) edges."""
-    for j in range(e.ndim):
-        if j != axis:
-            e = _pair_average(e, axis=j)
-    return e
-
-
 def gradient(u: GridFunction, box=None) -> np.ndarray:
     """Discrete gradient on a box of cells (one slice per axis, None for
     every cell), shape (n, *box shape)."""
@@ -162,14 +148,17 @@ def gradient(u: GridFunction, box=None) -> np.ndarray:
     for i in range(g.n):
         d = np.diff(values, axis=i)
         d /= g.h
-        comps.append(_edges_to_cells(d, i))
+        comps.append(_average_to_cells(d, skip=i))
     return np.stack(comps, axis=0)
 
 
-def _average_to_cells(values: np.ndarray) -> np.ndarray:
-    """A nodal array averaged to cell centers."""
+def _average_to_cells(values: np.ndarray, skip=None) -> np.ndarray:
+    """A nodal array averaged to cell centers: the pair average along every
+    axis but `skip`. With skip = i, `values` lives on the edges along axis i,
+    and a cell gets the mean of its 2^(n-1) edges."""
     for axis in range(values.ndim):
-        values = _pair_average(values, axis=axis)
+        if axis != skip:
+            values = _pair_average(values, axis=axis)
     return values
 
 
@@ -215,32 +204,14 @@ def _add_adjoint_diff(out: np.ndarray, a: np.ndarray, axis: int) -> None:
     out[lead + (slice(1, None),)] += a
 
 
-def _cells_to_edges(w: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of `_edges_to_cells`: a cell array mapped to the edges along
-    `axis`, each edge getting 2^(1-n) times the sum over the cells that share it."""
-    for j in range(w.ndim):
-        if j != axis:
-            w = _adjoint_pair_average(w, axis=j)
-    return w
-
-
-def _average_to_cells_transpose(w: np.ndarray) -> np.ndarray:
-    """Transpose of `_average_to_cells`: a cell array mapped to a nodal array."""
+def _average_to_cells_transpose(w: np.ndarray, skip=None) -> np.ndarray:
+    """Transpose of `_average_to_cells`: a cell array mapped to a nodal array,
+    or with skip = i to the edges along axis i, each edge getting 2^(1-n)
+    times the sum over the cells that share it."""
     for axis in range(w.ndim):
-        w = _adjoint_pair_average(w, axis=axis)
+        if axis != skip:
+            w = _adjoint_pair_average(w, axis=axis)
     return w
-
-
-def _interior_mask(grid: Grid) -> np.ndarray:
-    """Nodes off the boundary of the grid box."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[(slice(1, -1),) * grid.n] = True
-    return mask
-
-
-def cell_average(u: GridFunction) -> np.ndarray:
-    """Nodal values averaged to cell centers, shape cell_shape."""
-    return _average_to_cells(u.values)
 
 
 def _lattice_points(axes, box=None) -> np.ndarray:
@@ -344,20 +315,21 @@ def lp_norm(f, beta: float, grid: Grid) -> float:
     return float((np.sum(vals ** beta) * grid.h ** grid.n) ** (1.0 / beta))
 
 
-def _hat_box(grid: Grid, box, interior: bool = False) -> tuple:
+def _hat_box(grid: Grid, box) -> tuple:
     """The product over axes of the hats that peak at the midpoint of
     [a_i, b_i] and vanish outside it, box = [(a_1, b_1), ...] with a_i < b_i,
     formed only on the box of nodes where every axis hat is nonzero: that
-    box (one slice per axis) and the product on it. With interior=True the
-    hats are zeroed on the boundary nodes first. A hat that is zero on every
-    node gives empty slices."""
+    box (one slice per axis) and the product on it. The hats are zeroed on
+    the boundary nodes first, so the product vanishes on the grid boundary
+    even where a node meant to lie on b_i misses it by rounding
+    (0.1 + 12 * 0.05 > 0.7). A hat that is zero on every node gives empty
+    slices."""
     support, prod = [], 1.0
     for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
-        if interior:
-            hat[[0, -1]] = 0.0
+        hat[[0, -1]] = 0.0
         nonzero = np.flatnonzero(hat)
         if nonzero.size == 0:
             return (slice(0, 0),) * grid.n, np.zeros((0,) * grid.n)

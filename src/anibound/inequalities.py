@@ -1,11 +1,14 @@
 """Empirical verification of the supporting inequalities on discrete data.
 
-Each verifier computes the two sides of one inequality and reports the
-minimal empirical constant c_emp = lhs / rhs_structure, where rhs_structure
-is the bracketed quantity multiplying the unknown constant.  The constants
-in the continuum statements are existential, so the falsifiable desk-scale
-claims are finiteness, homogeneity invariance, and stability under
-refinement; those are asserted by the test suite, not here.
+Each report gives the two sides of one inequality and the minimal empirical
+constant c_emp = lhs / rhs_structure, where rhs_structure is the bracketed
+quantity multiplying the unknown constant. The anisotropic Sobolev embedding
+and its weighted Poincare-Sobolev form share their lhs, gradient and weights,
+so `verify_sobolev` reports both from one pass over the field; the
+Caccioppoli sweep reports every (k, rho, R) from one pass over the largest
+ball. The constants in the continuum statements are existential, so the
+falsifiable desk-scale claims are finiteness, homogeneity invariance, and
+stability under refinement; those are asserted by the test suite, not here.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from .exponents import DerivedExponents, conjugate_exponent, derive
 from .fields import (
     Ball,
     GridFunction,
+    _average_to_cells,
     _ball_cells,
     _dist2,
-    _interior_mask,
     _node_box,
-    cell_average,
     gradient,
     lp_norm,
 )
@@ -32,8 +34,7 @@ from .integrand import ModelIntegrand, cell_energy
 __all__ = [
     "InequalityReport",
     "verify_lower_bound",
-    "verify_embedding",
-    "verify_poincare_sobolev",
+    "verify_sobolev",
     "verify_weight_domination",
     "verify_caccioppoli",
     "caccioppoli_sweep",
@@ -108,46 +109,33 @@ def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> Inequality
     )
 
 
-def _check_vanishes_near_boundary(u: GridFunction) -> None:
-    if np.any(u.values[~_interior_mask(u.grid)] != 0.0):
-        raise ValueError("field must vanish on the grid boundary")
-
-
-def verify_embedding(u: GridFunction, d: DerivedExponents) -> InequalityReport:
-    """Anisotropic Sobolev embedding: ||u||_{sigma_bar*} vs geometric mean of
-    the directional gradient norms."""
+def verify_sobolev(m: ModelIntegrand, v: GridFunction, d: DerivedExponents) -> tuple:
+    """The (embedding, poincare_sobolev) reports of a field v that vanishes
+    on the grid boundary, from one cell average, one gradient and one sample
+    of the weights. Both share the lhs ||v||_{sigma_bar*}; the embedding's
+    rhs is the geometric mean of the directional gradient norms
+    ||D_i v||_{sigma_i}, the weighted Poincare-Sobolev rhs that of
+    (||1/lambda_i||_{r_i} * int lambda_i |D_i v|^{p_i})^{1/p_i}."""
     if d.sigma_star is None:
         raise ValueError("embedding needs sigma_bar < n")
-    _check_vanishes_near_boundary(u)
-    grid = u.grid
-    lhs = lp_norm(cell_average(u), d.sigma_star, grid)
-    grads = gradient(u)
-    prod = 1.0
-    for i in range(grid.n):
-        prod *= lp_norm(grads[i], d.sigma[i], grid)
-    rhs = prod ** (1.0 / grid.n)
-    return _make_report("embedding", lhs, rhs, {})
-
-
-def verify_poincare_sobolev(
-    m: ModelIntegrand, v: GridFunction, d: DerivedExponents
-) -> InequalityReport:
-    """Weighted Poincare-Sobolev bound on the grid, weight norms on the right."""
-    if d.sigma_star is None:
-        raise ValueError("needs sigma_bar < n")
-    _check_vanishes_near_boundary(v)
     grid = v.grid
-    lhs = lp_norm(cell_average(v), d.sigma_star, grid)
+    if any(np.any(np.take(v.values, (0, -1), axis=i) != 0.0) for i in range(grid.n)):
+        raise ValueError("field must vanish on the grid boundary")
+    lhs = lp_norm(_average_to_cells(v.values), d.sigma_star, grid)
     grads = gradient(v)
     lam, _ = m.on_cells(grid)
+    e = m.exponents
     hn = grid.h ** grid.n
-    prod = 1.0
+    prod_em = prod_ps = 1.0
     for i in range(grid.n):
-        wnorm = lp_norm(1.0 / lam[i], m.exponents.r[i], grid)
-        integral = float(np.sum(lam[i] * np.abs(grads[i]) ** m.exponents.p[i]) * hn)
-        prod *= (wnorm * integral) ** (1.0 / m.exponents.p[i])
-    rhs = prod ** (1.0 / grid.n)
-    return _make_report("poincare_sobolev", lhs, rhs, {"subbox": None})
+        prod_em *= lp_norm(grads[i], d.sigma[i], grid)
+        wnorm = lp_norm(1.0 / lam[i], e.r[i], grid)
+        integral = float(np.sum(lam[i] * np.abs(grads[i]) ** e.p[i]) * hn)
+        prod_ps *= (wnorm * integral) ** (1.0 / e.p[i])
+    return (
+        _make_report("embedding", lhs, prod_em ** (1.0 / grid.n), {}),
+        _make_report("poincare_sobolev", lhs, prod_ps ** (1.0 / grid.n), {"subbox": None}),
+    )
 
 
 def verify_weight_domination(m: ModelIntegrand, grid) -> InequalityReport:

@@ -33,7 +33,6 @@ from .fields import (
     GridFunction,
     _average_to_cells,
     _cell_box,
-    _edges_to_cells,
     _lattice_points,
     _node_box,
     cell_mask,
@@ -155,7 +154,7 @@ def cell_energy(m: ModelIntegrand, grid: Grid, values: np.ndarray, weights) -> n
     for i, p in enumerate(m.exponents.p):
         t = np.diff(values, axis=i)
         t /= grid.h
-        f = f + lam[i] * _edges_to_cells(np.abs(t) ** p, i)
+        f = f + lam[i] * _average_to_cells(np.abs(t) ** p, skip=i)
     if m.u_coeff > 0:
         f = f + m.u_coeff * mu * _average_to_cells(np.abs(values) ** m.exponents.gamma)
     return f

@@ -69,7 +69,6 @@ from .fields import (
     _add_adjoint_diff,
     _average_to_cells,
     _average_to_cells_transpose,
-    _cells_to_edges,
     _hat_box,
     _node_box,
     _prolong,
@@ -151,7 +150,7 @@ class _DiscreteEnergy:
         self.eps = eps
         hn = grid.h ** grid.n
         lam, mu = m.on_cells(grid)
-        self.w = [hn * _cells_to_edges(lam_i, i) for i, lam_i in enumerate(lam)]
+        self.w = [hn * _average_to_cells_transpose(lam_i, skip=i) for i, lam_i in enumerate(lam)]
         self.wu = None if mu is None else (m.u_coeff * hn) * _average_to_cells_transpose(mu)
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
@@ -619,7 +618,7 @@ def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float
         for lo, hi in zip(grid.lo, grid.hi):
             a = rng.uniform(lo, hi - 2 * grid.h)
             box.append((a, rng.uniform(a + 2 * grid.h, hi)))
-        nodes, vals = _hat_box(grid, box, interior=True)
+        nodes, vals = _hat_box(grid, box)
         scale = amplitude * rng.uniform(-1.0, 1.0)
         vals *= scale
         yield Bump(grid, nodes, vals, scale)

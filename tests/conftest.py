@@ -3,7 +3,13 @@ import pytest
 
 from anibound.exponents import INF, Exponents, check_admissibility, derive
 from anibound.degiorgi import sequences
-from anibound.fields import GridFunction, _tensor_hat, cell_average, make_grid
+from anibound.fields import (
+    GridFunction,
+    _average_to_cells,
+    _lattice_points,
+    _tensor_hat,
+    make_grid,
+)
 from anibound.integrand import ModelIntegrand, WeightField
 
 
@@ -21,6 +27,11 @@ def simple_model(n, p=2.0, q=None, gamma=None, r=INF, s=INF, u_coeff=0.0):
 
 def unit_grid(n, h):
     return make_grid([(0.0, 1.0)] * n, h)
+
+
+def cell_centers(grid):
+    """All cell-center coordinates, shape (num_cells, n), row-major order."""
+    return _lattice_points(grid.cell_axes())
 
 
 def coordinate_field(grid, axis=0):
@@ -47,8 +58,8 @@ def ball_contains(ball, points):
 def ref_j_sequence(u, x0, R, d, e, H):
     """J_0..J_H over the whole grid: every cell average, masked per step."""
     grid = u.grid
-    centers = grid.cell_centers()
-    uc = cell_average(u).ravel()
+    centers = cell_centers(grid)
+    uc = _average_to_cells(u.values).ravel()
     diff = centers - np.asarray(x0, dtype=float)
     dist2 = np.einsum("ij,ij->i", diff, diff)
     hn = grid.h ** grid.n

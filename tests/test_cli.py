@@ -79,6 +79,7 @@ R = 0.4
 
 SMOKE = str(Path(__file__).parent / "data" / "smoke.cfg")
 SMOKE3D = str(Path(__file__).parent / "data" / "smoke3d.cfg")
+OFFBOX = str(Path(__file__).parent / "data" / "offbox.cfg")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -232,6 +233,25 @@ class TestVerify:
         assert {"lower_bound", "weight_domination", "embedding",
                 "poincare_sobolev", "caccioppoli", "higher_integrability"} <= names
 
+    @pytest.mark.parametrize(
+        "box, h", [("0.1:0.7", "0.05"), ("0.3:0.9", "0.1"), ("0.2:1.4", "0.1")]
+    )
+    def test_box_whose_far_nodes_miss_its_sides(self, tmp_path, box, h):
+        # the last node lands past hi by rounding (0.1 + 12 * 0.05 > 0.7), where
+        # a hat over the whole box is 2.2e-16 instead of 0; verify once refused
+        # its own bump there with "field must vanish on the grid boundary"
+        text = patch(Path(SMOKE).read_text(), "box = 0:1,0:1", f"box = {box},{box}")
+        text = patch(text, "h = 0.125", f"h = {h}")
+        text = patch(text, "[verify]\nx0 = 0.5,0.5", "[verify]\nrhos = 0.1,0.15\nradii = 0.2,0.25")
+        cfg = write_config(tmp_path, text)
+        sol = tmp_path / "smoke.gridfn"
+        write_gridfn(sol, load_config(cfg).initial_field())
+        out = tmp_path / "v"
+        assert main(["verify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 0
+        rows = (out / "smoke_inequalities.csv").read_text().splitlines()
+        passed = {row.split(",")[0]: row.endswith(",1") for row in rows[1:]}
+        assert passed["embedding"] and passed["poincare_sobolev"]
+
 
 class TestMalformedSolution:
     @pytest.mark.parametrize("command", ["certify", "verify"])
@@ -258,11 +278,16 @@ class TestPathErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_out_is_an_existing_file(self, tmp_path, capsys):
+    def test_out_is_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the solve, so the solve never runs
+        def no_solve(*args):
+            raise AssertionError("solve ran before the output path was checked")
+
+        monkeypatch.setattr("anibound.cli.solve", no_solve)
         out = tmp_path / "taken"
         out.write_text("kept\n")
         assert main(["minimize", "--config", SMOKE, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
         assert out.read_text() == "kept\n"
 
 
@@ -558,6 +583,20 @@ def test_ci_smoke_config_runs_every_command(tmp_path):
     assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
     assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0
     assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", out]) == 0
+
+
+def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):
+    # the 2-D problem CI runs on a box whose far nodes miss its sides by
+    # rounding (0.1 + 12 * 0.05 > 0.7), with a calibrated C_cal and balls
+    # inside the box
+    spec = load_config(OFFBOX)
+    assert spec.grid.lo == (0.1, 0.1) and spec.grid.hi == (0.7, 0.7) and spec.grid.h == 0.05
+    assert spec.certify.C_cal is None and max(spec.exponents.p) < 2
+    out = str(tmp_path / "out")
+    solution = os.path.join(out, f"{spec.name}_solution.gridfn")
+    assert main(["minimize", "--config", OFFBOX, "--out", out]) == 0
+    assert main(["certify", "--config", OFFBOX, "--solution", solution, "--out", out]) == 0
+    assert main(["verify", "--config", OFFBOX, "--solution", solution, "--out", out]) == 0
 
 
 def test_ci_smoke3d_config_runs_minimize_certify_verify(tmp_path):

@@ -12,7 +12,6 @@ from anibound.fields import (
     _adjoint_pair_average,
     _average_to_cells,
     _average_to_cells_transpose,
-    _cells_to_edges,
     _hat_box,
     _prolong,
     _restrict,
@@ -93,7 +92,8 @@ class TestTransposes:
     @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
     def test_cell_gradient(self, grid):
         # the cell gradient is the edge difference averaged to cells, so its
-        # transpose is the edge-difference transpose after `_cells_to_edges`
+        # transpose is the edge-difference transpose after the skip-axis
+        # `_average_to_cells_transpose`
         rng = np.random.default_rng(grid.n)
         u = rng.standard_normal(grid.shape)
         grads = gradient(GridFunction(grid, u))
@@ -101,18 +101,24 @@ class TestTransposes:
             w = rng.standard_normal(grid.cell_shape)
             lhs = np.sum(grads[axis] * w)
             transpose = np.zeros(grid.shape)
-            _add_adjoint_diff(transpose, _cells_to_edges(w, axis), axis)
+            _add_adjoint_diff(transpose, _average_to_cells_transpose(w, skip=axis), axis)
             rhs = np.sum(u * transpose) / grid.h
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("grid", ADJOINT_GRIDS, ids=lambda g: f"n{g.n}")
     def test_cell_average(self, grid):
+        # the nodal form (every axis averaged) and, per axis i, the edge form
+        # (every axis but i averaged)
         rng = np.random.default_rng(10 + grid.n)
-        u = rng.standard_normal(grid.shape)
         w = rng.standard_normal(grid.cell_shape)
-        lhs = np.sum(_average_to_cells(u) * w)
-        rhs = np.sum(u * _average_to_cells_transpose(w))
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        for skip in (None, *range(grid.n)):
+            shape = tuple(c + (i != skip) for i, c in enumerate(grid.cell_shape))
+            u = rng.standard_normal(shape)
+            transpose = _average_to_cells_transpose(w, skip=skip)
+            assert transpose.shape == shape
+            lhs = np.sum(_average_to_cells(u, skip=skip) * w)
+            rhs = np.sum(u * transpose)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("shape", [(9,), (5, 7), (3, 5, 9)], ids=len)
     def test_restriction_is_the_transpose_of_prolongation(self, shape):
@@ -305,7 +311,7 @@ class TestGridFnFormat:
 
 class TestTensorHat:
     """The hat is formed on the box of nodes where every axis hat is nonzero;
-    the oracle is the full-grid product."""
+    the oracle is the full-grid product with its boundary nodes zeroed."""
 
     @staticmethod
     def full_grid_hat(grid, box):
@@ -314,6 +320,7 @@ class TestTensorHat:
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
             hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
+            hat[[0, -1]] = 0.0
             shape = [1] * grid.n
             shape[i] = len(x)
             vals = vals * hat.reshape(shape)
@@ -329,10 +336,13 @@ class TestTensorHat:
     def test_random_boxes(self, n, h):
         rng = np.random.default_rng(11 + n)
         grid = make_grid([(-0.5, 1.0)] * n, h)
+        nonzero = 0
         for _ in range(20):
             a = rng.uniform(-0.5, 0.9, size=n)
             b = a + rng.uniform(2 * h, 1.0, size=n)
-            assert self.check(grid, list(zip(a, b))).any()
+            # a box whose only node on some axis is a boundary node is zero
+            nonzero += self.check(grid, list(zip(a, b))).any()
+        assert nonzero >= 15
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_box_past_the_grid(self, n):
@@ -342,18 +352,24 @@ class TestTensorHat:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_interior_drops_the_boundary_nodes(self, n):
-        # boxes reaching past the grid: with interior=True the box stops one
-        # node short of each face, and holds the full-grid hat with its
-        # boundary nodes zeroed
+        # boxes reaching past the grid: the box of nodes stops one node short
+        # of each face, and holds every nonzero of the hat
         grid = unit_grid(n, 1 / 8)
         for box in ([(-0.3, 0.6)] + [(0.4, 1.7)] * (n - 1), [(-2.0, 3.0)] * n):
-            nodes, prod = _hat_box(grid, box, interior=True)
+            nodes, prod = _hat_box(grid, box)
             full = self.full_grid_hat(grid, box)
             assert all(0 < s.start and s.stop < m for s, m in zip(nodes, grid.shape))
-            inner = full[(slice(1, -1),) * n]
             assert np.all(prod != 0.0)
             assert prod.tobytes() == full[nodes].tobytes()
-            assert np.count_nonzero(inner) == prod.size
+            assert np.count_nonzero(full) == prod.size
+
+    def test_vanishes_on_a_boundary_missed_by_rounding(self):
+        # 0.1 + 12 * 0.05 > 0.7: the last node misses b, where the unzeroed
+        # hat is 2.2e-16
+        grid = make_grid([(0.1, 0.7)] * 2, 0.05)
+        hat = _tensor_hat(grid, zip(grid.lo, grid.hi))
+        assert not hat[[0, -1], :].any() and not hat[:, [0, -1]].any()
+        assert hat.any()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_node_on_some_axis(self, n):

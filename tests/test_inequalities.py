@@ -1,21 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from anibound.exponents import INF, Exponents, derive
-from anibound.fields import GridFunction
+from anibound.fields import GridFunction, _average_to_cells, gradient, lp_norm, make_grid
 from anibound.inequalities import (
+    _make_report,
     caccioppoli_sweep,
     verify_caccioppoli,
-    verify_embedding,
     verify_lower_bound,
-    verify_poincare_sobolev,
+    verify_sobolev,
     verify_weight_domination,
 )
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import SolveConfig, solve
-from conftest import coordinate_field, hat_bump, scaled, simple_model, unit_grid
+from conftest import constant, coordinate_field, hat_bump, scaled, simple_model, unit_grid
 
 SUBBOX_2D = ((0.25, 0.75), (0.25, 0.75))
 
@@ -55,18 +56,50 @@ class TestLowerBound:
             verify_lower_bound(m, u, ((0.0, 2.0), (0.0, 1.0)))
 
 
+def embedding(u, d):
+    """The embedding report of `verify_sobolev`; the model only enters the
+    other row, so constant unit weights do."""
+    return verify_sobolev(simple_model(u.grid.n), u, d)[0]
+
+
+def ref_embedding(u, d):
+    """The embedding row's formulas as a verifier of its own."""
+    grid = u.grid
+    lhs = lp_norm(_average_to_cells(u.values), d.sigma_star, grid)
+    grads = gradient(u)
+    prod = 1.0
+    for i in range(grid.n):
+        prod *= lp_norm(grads[i], d.sigma[i], grid)
+    return _make_report("embedding", lhs, prod ** (1.0 / grid.n), {})
+
+
+def ref_poincare_sobolev(m, v, d):
+    """The Poincare-Sobolev row's formulas as a verifier of its own."""
+    grid = v.grid
+    lhs = lp_norm(_average_to_cells(v.values), d.sigma_star, grid)
+    grads = gradient(v)
+    lam, _ = m.on_cells(grid)
+    hn = grid.h ** grid.n
+    prod = 1.0
+    for i in range(grid.n):
+        wnorm = lp_norm(1.0 / lam[i], m.exponents.r[i], grid)
+        integral = float(np.sum(lam[i] * np.abs(grads[i]) ** m.exponents.p[i]) * hn)
+        prod *= (wnorm * integral) ** (1.0 / m.exponents.p[i])
+    return _make_report("poincare_sobolev", lhs, prod ** (1.0 / grid.n), {"subbox": None})
+
+
 class TestEmbedding:
     def test_zero_field(self):
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
         u = GridFunction(g, np.zeros(g.shape))
-        rep = verify_embedding(u, derive(e))
+        rep = embedding(u, derive(e))
         assert rep.lhs == 0.0 and rep.c_emp == 0.0
 
     def test_hat_bump_finite(self):
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        rep = verify_embedding(hat_bump(g), derive(e))
+        rep = embedding(hat_bump(g), derive(e))
         assert rep.lhs > 0.0
         assert math.isfinite(rep.c_emp)
 
@@ -74,22 +107,39 @@ class TestEmbedding:
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
         d = derive(e)
-        base = verify_embedding(hat_bump(g), d)
+        base = embedding(hat_bump(g), d)
         for t in (0.5, 3.0, 10.0):
-            rep = verify_embedding(hat_bump(g, amplitude=t), d)
+            rep = embedding(hat_bump(g, amplitude=t), d)
             assert rep.c_emp == pytest.approx(base.c_emp, rel=1e-10)
 
     def test_requires_sigma_below_n(self):
         g = unit_grid(2, 1 / 8)
         e = Exponents(2, (2, 2), 2, 2, (INF,) * 2, INF)
         with pytest.raises(ValueError):
-            verify_embedding(hat_bump(g), derive(e))
+            embedding(hat_bump(g), derive(e))
 
     def test_requires_vanishing_boundary(self):
         g = unit_grid(3, 1 / 4)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
         with pytest.raises(ValueError):
-            verify_embedding(coordinate_field(g), derive(e))
+            embedding(coordinate_field(g), derive(e))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_boundary_node_is_checked(self, n):
+        # one nonzero node on a face (low or high end of each axis) is
+        # refused; the same value one node inside is not
+        g = make_grid([(0.1, 0.7)] * n, 0.1)
+        d = derive(simple_model(n, p=1.5).exponents)
+        middle = [m // 2 for m in g.shape]
+        for axis, end in itertools.product(range(n), (0, -1)):
+            for index, refused in ((end, True), (1 if end == 0 else -2, False)):
+                values = np.zeros(g.shape)
+                values[tuple(middle[:axis] + [index] + middle[axis + 1:])] = 1.0
+                if refused:
+                    with pytest.raises(ValueError, match="vanish on the grid boundary"):
+                        embedding(GridFunction(g, values), d)
+                else:
+                    assert embedding(GridFunction(g, values), d).lhs > 0.0
 
 
 class TestPoincareSobolev:
@@ -97,27 +147,57 @@ class TestPoincareSobolev:
         g = unit_grid(3, 1 / 8)
         m = simple_model(3)
         u = GridFunction(g, np.zeros(g.shape))
-        rep = verify_poincare_sobolev(m, u, derive(m.exponents))
+        _, rep = verify_sobolev(m, u, derive(m.exponents))
         assert rep.lhs == 0.0
 
     def test_collapse_to_embedding(self):
         # lambda_i = 1, r_i = inf: the weighted bound coincides with the embedding
         g = unit_grid(3, 1 / 8)
         m = simple_model(3)
-        d = derive(m.exponents)
-        v = hat_bump(g)
-        rep_p = verify_poincare_sobolev(m, v, d)
-        rep_e = verify_embedding(v, d)
+        rep_e, rep_p = verify_sobolev(m, hat_bump(g), derive(m.exponents))
         assert rep_p.c_emp == pytest.approx(rep_e.c_emp, rel=1e-10)
 
     def test_scaling_invariance(self):
         g = unit_grid(3, 1 / 8)
         m = simple_model(3, p=2.0, q=2.5, gamma=2.5, r=6.0, s=6.0)
         d = derive(m.exponents)
-        base = verify_poincare_sobolev(m, hat_bump(g), d)
+        _, base = verify_sobolev(m, hat_bump(g), d)
         for t in (0.5, 3.0, 10.0):
-            rep = verify_poincare_sobolev(m, hat_bump(g, amplitude=t), d)
+            _, rep = verify_sobolev(m, hat_bump(g, amplitude=t), d)
             assert rep.c_emp == pytest.approx(base.c_emp, rel=1e-10)
+
+
+def power_weight(center, exponent):
+    return WeightField("power", amplitude=1.0, center=center, exponent=exponent)
+
+
+@pytest.mark.parametrize(
+    "m, box, h",
+    [
+        # p_i < 2, a singular power weight on a box whose far nodes miss
+        # 0.7 by rounding
+        (ModelIntegrand(
+            Exponents(2, (1.5, 1.8), 1.8, 1.8, (4.0, INF), INF),
+            (power_weight((0.3, 0.45), 0.4), constant(2.0)), constant(1.0), 0.0,
+        ), [(0.1, 0.7)] * 2, 0.05),
+        (ModelIntegrand(
+            Exponents(3, (2.0, 2.0, 2.0), 2.0, 3.0, (4.0, 4.0, 4.0), INF),
+            (power_weight((0.25, 0.25, 0.25), 0.4), constant(1.0), constant(3.0)),
+            power_weight((0.75, 0.5, 0.5), 1.5), 1.0,
+        ), [(0.0, 1.0)] * 3, 1 / 8),
+    ],
+    ids=["weighted2d", "weighted3d"],
+)
+def test_sobolev_rows_match_the_separate_formulas_bitwise(m, box, h):
+    grid = make_grid(box, h)
+    d = derive(m.exponents)
+    rng = np.random.default_rng(grid.n)
+    noisy = rng.uniform(0.5, 1.5, size=grid.shape) * hat_bump(grid, 3.0).values
+    for v in (hat_bump(grid), GridFunction(grid, noisy)):
+        rep_e, rep_p = verify_sobolev(m, v, d)
+        assert rep_e == ref_embedding(v, d)
+        assert rep_p == ref_poincare_sobolev(m, v, d)
+        assert rep_e.lhs > 0.0 and rep_p.rhs_structure > 0.0
 
 
 class TestWeightDomination:

@@ -6,6 +6,7 @@ from anibound.fields import GridFunction
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from anibound.minimize import _DiscreteEnergy
 from conftest import (
+    cell_centers,
     constant,
     coordinate_field,
     eval_integrand,
@@ -157,7 +158,7 @@ class TestEnergy:
         m = simple_model(2, u_coeff=1.0, gamma=2.0)
         g = unit_grid(2, 0.125)
         u = GridFunction(g, rng.standard_normal(g.shape))
-        centers = g.cell_centers()
+        centers = cell_centers(g)
         left = (centers[:, 0] < 0.5).reshape(g.cell_shape)
         total = energy(m, u)
         assert energy(m, u, left) + energy(m, u, ~left) == pytest.approx(total, rel=1e-12)
