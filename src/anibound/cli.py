@@ -15,9 +15,10 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+
+import numpy as np
 
 from . import degiorgi, inequalities
 from .config import ConfigError, RunConfig, load_config
@@ -27,7 +28,7 @@ from .exponents import (
     derive,
     iteration_constants,
 )
-from .fields import Ball, GridFunction, _tensor_hat, read_gridfn, write_gridfn
+from .fields import GridFunction, _tensor_hat, read_gridfn, write_gridfn
 from .minimize import random_perturbations, solve, verify_quasiminimality
 
 EXIT_OK = 0
@@ -39,6 +40,28 @@ EXIT_FAILED = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cell(v) -> str:
+    """One CSV cell: a flag as 0/1, a float with `_fmt`, a coordinate tuple
+    joined by `;`, anything else with `str`."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return _fmt(v)
+    if isinstance(v, tuple):
+        return ";".join(map(_cell, v))
+    return str(v)
+
+
+def _csv_text(header, rows) -> str:
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one writer of every CSV file the commands produce."""
+    with open(path, "w") as fh:
+        fh.write(_csv_text(header, rows))
 
 
 def _admissibility_lines(e: Exponents):
@@ -89,12 +112,12 @@ def cmd_minimize(args) -> int:
     write_gridfn(sol_path, result.u)
     phis = random_perturbations(cfg.grid, 32, seed=0)
     qrep = verify_quasiminimality(cfg.model, result.u, 1.0, phis)
-    with open(csv_path, "w") as fh:
-        fh.write("energy,iterations,residual,converged,empirical_Q\n")
-        fh.write(
-            f"{_fmt(result.final_energy)},{result.iterations},"
-            f"{_fmt(result.residual)},{int(result.converged)},{_fmt(qrep.empirical_Q)}\n"
-        )
+    _write_csv(
+        csv_path,
+        ("energy", "iterations", "residual", "converged", "empirical_Q"),
+        [(result.final_energy, result.iterations, result.residual, result.converged,
+          qrep.empirical_Q)],
+    )
     print(f"solution: {sol_path}")
     print(f"summary: {csv_path}")
     if not result.converged:
@@ -125,14 +148,19 @@ def cmd_certify(args) -> int:
     spec = cfg.certify
     cert = degiorgi.certify(u, spec.x0, spec.R, cfg.exponents, C_cal=spec.C_cal, H=spec.H)
     cert_path = _out_path(args, cfg, f"{cfg.name}_certificate.csv")
-    with open(cert_path, "w") as fh:
-        fh.write(degiorgi.certificate_csv_header() + "\n")
-        fh.write(degiorgi.certificate_csv_row(cert) + "\n")
+    _write_csv(
+        cert_path,
+        ("x0", "R", "d", "sup_half_ball", "slack", "theta1", "theta2", "rhs_bound", "valid"),
+        [(cert.x0, cert.R, cert.d, cert.sup_half_ball, cert.slack, cert.theta1, cert.theta2,
+          cert.rhs_bound, cert.valid)],
+    )
     trace_path = _out_path(args, cfg, f"{cfg.name}_trace.csv")
-    with open(trace_path, "w") as fh:
-        fh.write(degiorgi.trace_csv_header() + "\n")
-        for row in degiorgi.trace_csv_rows(cert):
-            fh.write(row + "\n")
+    _write_csv(
+        trace_path,
+        ("sign", "h", "rho_h", "k_h", "J_h", "rhs_h"),
+        [(t.sign, h, t.rhos[h], t.ks[h], t.js[h], t.rhs[h])
+         for t in cert.traces for h in range(len(t.js) - 1)],
+    )
     print(f"certificate: {cert_path}")
     print(f"trace: {trace_path}")
     print(f"d={_fmt(cert.d)} sup_half_ball={_fmt(cert.sup_half_ball)} valid={cert.valid}")
@@ -155,20 +183,17 @@ def cmd_verify(args) -> int:
     reports += inequalities.caccioppoli_sweep(
         cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
     )
-    # higher integrability: finiteness of ||u||_{qs'} on the largest ball
-    ball = Ball(spec.x0, max(spec.radii))
-    hi_norm = inequalities.higher_integrability_norm(u, cfg.exponents, ball)
-    hi_rep = inequalities.InequalityReport(
-        "higher_integrability", hi_norm, 1.0, hi_norm, math.isfinite(hi_norm),
-        {"R": max(spec.radii)},
+    reports.append(
+        inequalities.verify_higher_integrability(u, cfg.exponents, spec.x0, max(spec.radii))
     )
-    reports.append(hi_rep)
 
     csv_path = _out_path(args, cfg, f"{cfg.name}_inequalities.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(inequalities.report_csv_header() + "\n")
-        for rep in reports:
-            fh.write(inequalities.report_csv_row(rep) + "\n")
+    _write_csv(
+        csv_path,
+        ("check", "context", "lhs", "rhs_structure", "c_emp", "passed"),
+        [(rep.name, ";".join(f"{k}={v}" for k, v in sorted(rep.context.items())),
+          rep.lhs, rep.rhs_structure, rep.c_emp, rep.passed) for rep in reports],
+    )
     print(f"report: {csv_path}")
     all_ok = all(rep.passed for rep in reports)
     return EXIT_OK if all_ok else EXIT_FAILED
@@ -213,32 +238,23 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     values = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
-    rows = ["axis,value,cond_i,cond_ii,cond_iii,theta1,theta2,delta1,alpha"]
+    header = ("axis", "value", "cond_i", "cond_ii", "cond_iii", "theta1", "theta2", "delta1", "alpha")
+    rows = []
     for v in values:
         exps = _sweep_exponents(cfg.exponents, axis, v)
-        if exps is None:
-            rows.append(f"{axis},{_fmt(v)},0,0,0,nan,nan,nan,nan")
-            continue
-        d = derive(exps)
-        rep = check_admissibility(d, exps)
-        if rep.admissible:
-            c = iteration_constants(d, exps)
-            rows.append(
-                f"{axis},{_fmt(v)},1,1,1,{_fmt(c.theta1)},{_fmt(c.theta2)},"
-                f"{_fmt(c.delta1)},{_fmt(c.alpha)}"
-            )
-        else:
-            rows.append(
-                f"{axis},{_fmt(v)},{int(rep.cond_i)},{int(rep.cond_ii)},"
-                f"{int(rep.cond_iii)},nan,nan,nan,nan"
-            )
-    text = "\n".join(rows)
-    print(text)
+        conds, consts = (False,) * 3, (np.nan,) * 4
+        if exps is not None:
+            d = derive(exps)
+            rep = check_admissibility(d, exps)
+            conds = (rep.cond_i, rep.cond_ii, rep.cond_iii)
+            if rep.admissible:
+                c = iteration_constants(d, exps)
+                consts = (c.theta1, c.theta2, c.delta1, c.alpha)
+        rows.append((axis, v, *conds, *consts))
+    print(_csv_text(header, rows), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{cfg.name}_sweep.csv")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_csv(os.path.join(args.out, f"{cfg.name}_sweep.csv"), header, rows)
     return EXIT_OK
 
 

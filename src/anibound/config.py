@@ -244,7 +244,10 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # the parser's message spans lines
+        raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

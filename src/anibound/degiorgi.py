@@ -10,6 +10,9 @@ slack the computed minimizer leaves under the resulting bound.
 The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
 are one pass over the ball's cells (`_masses`), and `certify` forms those
 cells once for N, both signs and both of its runs.
+
+Results are data: a `Certificate` holding one `IterationTrace` per sign.
+The command line writes them as the certificate and trace CSV files.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ __all__ = [
     "calibrate_C",
     "Certificate",
     "certify",
-    "certificate_csv_header",
-    "certificate_csv_row",
-    "trace_csv_header",
-    "trace_csv_rows",
 ]
 
 DECAY_FLOOR = 1e-30
@@ -65,11 +64,9 @@ def sequences(R: float, d: float, h: int):
 def _ball_data(u: GridFunction, x0, R: float) -> tuple:
     """u averaged to the cells whose centres lie in B_R(x0) and those centres'
     squared distances from x0, flat in row-major order; only the cells of
-    the ball's box are visited (`fields._ball_cells`)."""
-    ball = Ball(x0, R)
-    if not u.grid.contains_ball(ball):
-        raise ValueError("ball leaves the grid box")
-    _, uc, dist2 = _ball_cells(u, ball)
+    the ball's box are visited (`fields._ball_cells`, which refuses a ball
+    that leaves the grid box)."""
+    _, uc, dist2 = _ball_cells(u, Ball(x0, R))
     inside = dist2 < R * R
     return uc[inside], dist2[inside]
 
@@ -287,30 +284,3 @@ def certify(
         traces=traces,
     )
 
-
-def certificate_csv_header() -> str:
-    return "x0,R,d,sup_half_ball,slack,theta1,theta2,rhs_bound,valid"
-
-
-def certificate_csv_row(cert: Certificate) -> str:
-    x0 = ";".join(f"{v:.17g}" for v in cert.x0)
-    return (
-        f"{x0},{cert.R:.17g},{cert.d:.17g},{cert.sup_half_ball:.17g},"
-        f"{cert.slack:.17g},{cert.theta1:.17g},{cert.theta2:.17g},"
-        f"{cert.rhs_bound:.17g},{int(cert.valid)}"
-    )
-
-
-def trace_csv_header() -> str:
-    return "sign,h,rho_h,k_h,J_h,rhs_h"
-
-
-def trace_csv_rows(cert: Certificate):
-    rows = []
-    for t in cert.traces:
-        for h in range(len(t.js) - 1):
-            rows.append(
-                f"{t.sign},{h},{t.rhos[h]:.17g},{t.ks[h]:.17g},"
-                f"{t.js[h]:.17g},{t.rhs[h]:.17g}"
-            )
-    return rows

@@ -272,7 +272,10 @@ def _dist2(axes, box: tuple, x0) -> np.ndarray:
 def _ball_cells(u: GridFunction, ball: Ball) -> tuple:
     """The ball's box of cells (`_ball_box`), u averaged to those cells and
     their centers' squared distances from x0, both in the box's shape; the
-    cells inside the ball are those with distance below R^2."""
+    cells inside the ball are those with distance below R^2. A ball that
+    leaves the grid box is an error: the cells it would need are not there."""
+    if not u.grid.contains_ball(ball):
+        raise ValueError("ball leaves the grid box")
     box = _ball_box(u.grid, ball)
     uc = _average_to_cells(u.values[_node_box(box)])
     return box, uc, _dist2(u.grid.cell_axes(), box, ball.x0)

@@ -8,7 +8,7 @@ import pytest
 from anibound import degiorgi
 from anibound.cli import main
 from anibound.config import load_config
-from anibound.fields import read_gridfn, write_gridfn
+from anibound.fields import GridFunction, read_gridfn, write_gridfn
 from conftest import GRIDFN_REJECTS, gridfn_reject
 
 ISO3D = """\
@@ -343,6 +343,63 @@ class TestVerifyPin:
         assert hashlib.sha1(data).hexdigest() == "57fc7ac7c296d385560b7365d5e344d15a2b9bc3"
 
 
+def sha1_of(path) -> str:
+    return hashlib.sha1(Path(path).read_bytes()).hexdigest()
+
+
+class TestCsvPins:
+    """The bytes of every other CSV the commands write, on inputs that need
+    no solve, so a change to how a file is formatted shows here."""
+
+    @pytest.mark.parametrize(
+        "c_cal, code, certificate, trace",
+        [
+            # every J_h of both signs is nonzero, and the half-ball sup is above d
+            ("1e-5", 4, "f96875072b8817df6e064a8e378aa493154b9fff",
+             "3646fa01f08281d99392b6a789f718a43ac144ac"),
+            # every J_h is 0 at C = 1, so the calibrated constant is 1
+            ("calibrate", 0, "f94b7c5635358c5bf8c75decdf3289e8a155cb5d",
+             "ed0fd69a90db893f2193a5878f56bdfd405c3a0d"),
+        ],
+    )
+    def test_certify_bytes(self, tmp_path, c_cal, code, certificate, trace):
+        # a closed-form polynomial field on the grid of tests/data/smoke.cfg,
+        # written as GRIDFN; no transcendental function enters the values
+        text = patch(Path(SMOKE).read_text(), "R = 0.4", f"R = 0.4\nC_cal = {c_cal}")
+        cfg = write_config(tmp_path, text)
+        grid = load_config(cfg).grid
+        x, y = np.meshgrid(*grid.node_axes(), indexing="ij")
+        sol = tmp_path / "field.gridfn"
+        write_gridfn(sol, GridFunction(grid, 32.0 * (x - 0.5) * (1.0 + y) * x + 0.25))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == code
+        assert sha1_of(out / "smoke_certificate.csv") == certificate
+        assert sha1_of(out / "smoke_trace.csv") == trace
+
+    @pytest.mark.parametrize(
+        "axis, digest",
+        [
+            ("gamma=1.8:3:4", "28498a38dfafdc9a2a601f9a942739f813661af4"),
+            # gamma = 0.5 < q is no Exponents, 9.125 and 12 fail condition (iii)
+            ("gamma=0.5:12:5", "db20a3b52d6085dfd9122023714bb13a2d0dad35"),
+        ],
+    )
+    def test_sweep_bytes(self, tmp_path, capsys, axis, digest):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", SMOKE, "--axis", axis, "--out", str(out)]) == 0
+        assert sha1_of(out / "smoke_sweep.csv") == digest
+        assert capsys.readouterr().out == (out / "smoke_sweep.csv").read_text()
+
+    def test_minimize_bytes(self, tmp_path):
+        # affine data with constant weights at p = 2 is the exact discrete
+        # minimizer, so the solver takes no Newton step
+        cfg = write_config(tmp_path, ISO3D)
+        out = tmp_path / "out"
+        assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "iso3d_minimize.csv").read_text().splitlines()[1].split(",")[1] == "0"
+        assert sha1_of(out / "iso3d_minimize.csv") == "9ddd765e530c8fa78d6d5d5ab38ba3714bbd5495"
+
+
 class TestSweep:
     def test_gamma_sweep(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ISO3D)
@@ -382,6 +439,23 @@ class TestSweep:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ISO3D.replace("[problem]\n", ""),  # no section header
+            ISO3D + "\n[grid]\nh = 0.25\n",  # a duplicate section
+            patch(ISO3D, "q = 2\n", "q = 2\nq = 3\n"),  # a duplicate key
+            patch(ISO3D, "u_coeff = 0\n", "u_coeff = 0\nu_coeff\n"),  # a line without '='
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-key", "no-equals"],
+    )
+    def test_unparsable_file(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["admissible", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config file {cfg}: ")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch(self, tmp_path):
         text = patch(ISO3D, "n = 3", "n = 2")
         cfg = write_config(tmp_path, text)
@@ -574,15 +648,22 @@ class TestCertifyOverflow:
 
 
 def test_ci_smoke_config_runs_every_command(tmp_path):
-    # the problem both CI jobs run through the installed console script
+    # the problem both CI jobs run through the installed console script:
+    # every command, twice, into two directories that must hold the same bytes
     cfg = SMOKE
-    out = str(tmp_path / "smoke")
-    solution = str(tmp_path / "smoke" / "smoke_solution.gridfn")
     assert main(["admissible", "--config", cfg]) == 0
-    assert main(["minimize", "--config", cfg, "--out", out]) == 0
-    assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
-    assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0
-    assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", out]) == 0
+    outs = [tmp_path / "smoke", tmp_path / "smoke-again"]
+    for out in outs:
+        solution = str(out / "smoke_solution.gridfn")
+        assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["certify", "--config", cfg, "--solution", solution, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--solution", solution, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", str(out)]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    assert "smoke_sweep.csv" in names and len(names) == 6
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):

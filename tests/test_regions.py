@@ -1,7 +1,7 @@
 """Region-restricted computations against full-grid reference implementations.
 
 energy, cell_mask, the nodes of a ball (`_ball_nodes`), caccioppoli_sweep,
-j_sequence, higher_integrability_norm and certify's N and half-ball sup work
+j_sequence, verify_higher_integrability and certify's N and half-ball sup work
 only on the index bounding box of their region.
 The references below evaluate the whole grid and then mask, the way these
 functions did before; every result must agree bitwise.
@@ -18,6 +18,7 @@ from anibound.fields import (
     Ball,
     GridFunction,
     _average_to_cells,
+    _ball_cells,
     _ball_nodes,
     _cell_box,
     _node_box,
@@ -28,8 +29,8 @@ from anibound.fields import (
 )
 from anibound.inequalities import (
     caccioppoli_sweep,
-    higher_integrability_norm,
     verify_caccioppoli,
+    verify_higher_integrability,
 )
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from conftest import (
@@ -384,10 +385,34 @@ def test_ball_norms_match_the_full_grid(problem):
     e = m.exponents
     balls = [tangent_ball(grid, 0.4), random_ball(grid, rng, 0.3)]
     qs = e.q * conjugate_exponent(e.s)
-    # the higher-integrability norm also takes a ball that leaves the grid box
-    for ball in balls + [random_ball(grid, rng, 0.31, inside=False)]:
-        assert higher_integrability_norm(u, e, ball) == ref_ball_norm(u, qs, ball)
+    for ball in balls:
+        rep = verify_higher_integrability(u, e, ball.x0, ball.R)
+        assert rep.lhs == rep.c_emp == ref_ball_norm(u, qs, ball)
     if check_admissibility(derive(e), e).admissible:
         for ball in balls:
             cert = certify(u, ball.x0, ball.R, e, H=12)
             assert cert.N == ref_ball_norm(u, derive(e).sigma_star, ball)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_ball_gather_rejects_a_ball_that_leaves_the_grid(n):
+    """j_sequence, certify, the Caccioppoli sweep and the higher-integrability
+    row gather their ball's cells through `fields._ball_cells`, which refuses
+    a ball that leaves the grid box, whichever side it leaves by."""
+    grid = make_grid([(0.0, 1.0)] * n, 1 / 8)
+    m = plain_model(n)
+    e = m.exponents
+    u = GridFunction(grid, 2.0 + np.arange(grid.num_nodes, dtype=float).reshape(grid.shape) / 100)
+    for x0 in ((0.1,) * n, (0.5,) * (n - 1) + (0.75,)):
+        ball = Ball(x0, 0.3)
+        assert not grid.contains_ball(ball)
+        calls = [
+            lambda: _ball_cells(u, ball),
+            lambda: j_sequence(u, ball.x0, ball.R, 4.0, e, 5),
+            lambda: certify(u, ball.x0, ball.R, e, H=5),
+            lambda: caccioppoli_sweep(m, u, (1.0,), (0.1,), (ball.R,), ball.x0),
+            lambda: verify_higher_integrability(u, e, ball.x0, ball.R),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="ball leaves the grid box"):
+                call()
