@@ -191,7 +191,8 @@ def cmd_verify(args) -> int:
     _write_csv(
         csv_path,
         ("check", "context", "lhs", "rhs_structure", "c_emp", "passed"),
-        [(rep.name, ";".join(f"{k}={v}" for k, v in sorted(rep.context.items())),
+        [(rep.name, ";".join(f"{k}={_cell(v) if isinstance(v, tuple) else v}"
+                             for k, v in sorted(rep.context.items())),
           rep.lhs, rep.rhs_structure, rep.c_emp, rep.passed) for rep in reports],
     )
     print(f"report: {csv_path}")

@@ -243,7 +243,7 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:  # the parser's message spans lines

@@ -25,14 +25,13 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
   are restricted with the same weights, and every level applies the same
   edge stencil. At constant lambda and p = 2 a coarse level holds the
   weights of the grid at twice the spacing. Damped Jacobi (0.6) smooths,
-  twice before and twice after the coarse correction. The coarsest level
-  is solved densely if it has at most 64 interior nodes, and scaled by its
-  inverse diagonal otherwise. On a p < 2 problem CG takes 2.0, 1.9, 2.9
-  and 3.4 iterations per step at h = 1/16 ... 1/128, where Jacobi-PCG took
-  14 to 120. A grid with an odd cell count on some axis cannot be
-  coarsened, and its cycle is the Jacobi preconditioner, the diagonal of H
-  in closed form: at each node the weights of the edges that end there,
-  plus the node's u-term weight.
+  twice before and twice after the coarse correction. Coarsening stops at
+  the first level with at most 64 interior nodes (9^2 or 5^3 nodes on a
+  power-of-two grid). It is solved densely if Cholesky finds it positive
+  definite, and scaled by its inverse diagonal if it is singular (p > 2
+  on flat data) or larger: a large grid that cannot be coarsened gets
+  Jacobi. On a p < 2 problem CG takes 1.9, 2.1, 2.6 and 3.2 iterations
+  per step at h = 1/16 ... 1/128, where Jacobi-PCG took 14 to 120.
 * The line search tries t = 1 first and halves a rejected step. A trial
   costs one stencil evaluation and one transpose pass over its kept edge
   state (its gradient). It is accepted on Armijo sufficient decrease
@@ -59,6 +58,7 @@ for gamma < 2, where eps = h^2 > 0 because gamma >= p_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +127,9 @@ class SolveResult:
 _FORCING, _ARMIJO_C, _MIN_STEP, _FLAT_STEPS = 0.1, 1e-4, 1e-10, 5
 
 # The V-cycle's damped-Jacobi weight, its sweeps before and after the coarse
-# correction, and the most interior nodes of a coarsest level solved densely.
-# The dense solve costs one eigendecomposition per Newton step: about 0.3 ms
-# at 49 nodes but 5 ms at 225, more than the rest of a 2-D step.
+# correction, and the most interior nodes of its coarsest level, solved
+# densely. A Cholesky test and an inverse per Newton step take about 0.12 ms
+# at 49 nodes but 2.9 ms at 225, more than the rest of a 2-D step.
 _OMEGA, _SWEEPS, _DENSE_MAX = 0.6, 2, 64
 
 
@@ -285,9 +285,10 @@ def _coarse_edges(c, axis):
 
 
 def _dense_inverse(cs, diag):
-    """The pseudo-inverse of a level's operator on its interior nodes, formed
-    densely from its edge weights and its diagonal; it is symmetric and
-    positive semi-definite."""
+    """The inverse of a level's operator on its interior nodes, formed densely
+    from its edge weights and its diagonal, or None if the operator is
+    singular: its Cholesky factorization fails, or a pivot falls to the
+    round-off of its largest entry, which is on the diagonal."""
     inner = (slice(1, -1),) * diag.ndim
     size = diag[inner].size
     # interior nodes are numbered 0..size-1 and every boundary node maps to
@@ -303,10 +304,12 @@ def _dense_inverse(cs, diag):
         a[lo, hi] = a[hi, lo] = -c.ravel()
     a = a[:size, :size]
     a[np.diag_indices(size)] = diag[inner].ravel()
-    lam, q = np.linalg.eigh(a)
-    keep = lam > size * np.finfo(float).eps * lam.max(initial=0.0)
-    q = q[:, keep]
-    return (q / lam[keep]) @ q.T
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    # a singular operator may also pass, with a pivot of round-off size
+    return np.linalg.inv(a) if pivots.min() > size * np.finfo(float).eps * a.max() else None
 
 
 class _Level:
@@ -317,6 +320,7 @@ class _Level:
     def __init__(self, shape):
         self.x = np.zeros(shape)
         self.b = np.zeros(shape)
+        self.interior = math.prod(m - 2 for m in shape)
         self.ax = np.empty(shape)
         self.diffs = [np.empty(shape[:i] + (m - 1,) + shape[i + 1:]) for i, m in enumerate(shape)]
         self.cs = self.cu = self.dinv = self.inverse = None
@@ -326,28 +330,29 @@ class _VCycle:
     """The preconditioner of the Newton-CG solve: one symmetric V-cycle.
 
     Level 0 is the grid; each further level halves every axis, as long as
-    every axis of the one before has an even cell count above 2. Its edge
-    weights are the fine ones coarsened by `_coarse_edges`, its nodal weights
-    the fine ones restricted with the transpose of linear prolongation along
-    every axis, and its operator is the same edge stencil (`_edge_product`).
-    A level above the coarsest takes _SWEEPS damped-Jacobi sweeps (weight
-    _OMEGA), the coarse correction, and _SWEEPS sweeps again, so the cycle
-    is a symmetric operator. The coarsest level is solved densely when it is
-    not the grid itself and has at most _DENSE_MAX interior nodes, and
-    scaled by its inverse diagonal otherwise: a grid that cannot be
-    coarsened gets plain Jacobi."""
+    the one before has more than _DENSE_MAX interior nodes and every axis an
+    even cell count above 2. Its edge weights are the fine ones coarsened by
+    `_coarse_edges`, its nodal weights the fine ones restricted with the
+    transpose of linear prolongation along every axis, and its operator is
+    the same edge stencil (`_edge_product`). A level above the coarsest
+    takes _SWEEPS damped-Jacobi sweeps (weight _OMEGA), the coarse
+    correction, and _SWEEPS sweeps again, so the cycle is a symmetric
+    operator. The coarsest level, which may be the grid itself, is solved
+    densely if it is small and positive definite (`_dense_inverse`), and
+    scaled by its inverse diagonal otherwise."""
 
     def __init__(self, shape):
         shape = tuple(shape)
         self.levels = [_Level(shape)]
-        while all(m % 2 == 1 and m > 3 for m in shape):
+        while self.levels[-1].interior > _DENSE_MAX and all(m % 2 == 1 and m > 3 for m in shape):
             shape = tuple((m + 1) // 2 for m in shape)
             self.levels.append(_Level(shape))
         self.inner = (slice(1, -1),) * len(shape)
-        self.dense = len(self.levels) > 1 and np.prod([m - 2 for m in shape]) <= _DENSE_MAX
+        self.dense = self.levels[-1].interior <= _DENSE_MAX
 
     def update(self, curv):
-        """Form every level's weights from the Newton model's (cs, cu)."""
+        """Form every level's weights from the Newton model's (cs, cu), and
+        the coarsest level's inverse (None if it is scaled)."""
         fine, last = self.levels[0], self.levels[-1]
         fine.cs, fine.cu = curv
         for lv, coarse in zip(self.levels, self.levels[1:]):
@@ -543,14 +548,6 @@ class Bump:
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function values must be finite")
-
-    def on_grid(self) -> GridFunction:
-        """The bump on every node of its grid. Off the box it holds 0 * scale,
-        a zero with the sign of the scale, as a full-grid hat scaled in
-        place does."""
-        vals = np.full(self.grid.shape, 0.0 * self.scale)
-        vals[self.nodes] = self.values
-        return GridFunction(self.grid, vals)
 
 
 def _support(grid: Grid, nodes: tuple, values: np.ndarray) -> tuple:

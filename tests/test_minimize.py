@@ -206,18 +206,59 @@ def box(n, h):
     return make_grid([(0.0, 1.0)] + [(0.0, 0.5)] * (n - 1), h)
 
 
+def dense_matrix(prob, curv):
+    """The Newton model on the interior nodes as a dense matrix, column by
+    column from the Hessian-vector product."""
+    inner = (slice(1, -1),) * prob.grid.n
+    size = np.zeros(prob.grid.shape)[inner].size
+    cols = []
+    for k in range(size):
+        e_k = np.zeros(prob.grid.shape)
+        e_k[inner].flat[k] = 1.0
+        cols.append(prob.hessian_product(curv, e_k)[inner].flatten())
+    return np.array(cols).T
+
+
+def inverse_diagonal(cs, cu):
+    """r / diag(H) on the interior nodes, with 1 in place of a zero diagonal."""
+    diag = minimize._edge_diagonal(cs, cu)[(slice(1, -1),) * cs[0].ndim]
+    minv = np.ones_like(diag)
+    np.divide(1.0, diag, out=minv, where=diag > 0)
+    return minv
+
+
 class TestVCycle:
+    @pytest.mark.parametrize(
+        "shape,levels",
+        [
+            ((17, 17), [17, 9]),
+            ((33, 33), [33, 17, 9]),
+            ((65, 65), [65, 33, 17, 9]),
+            ((33, 33, 33), [33, 17, 9, 5]),
+            ((65, 65, 65), [65, 33, 17, 9, 5]),
+        ],
+    )
+    def test_coarsening_stops_at_the_dense_cap(self, shape, levels):
+        # 9^2 and 5^3 nodes are the first levels with at most _DENSE_MAX
+        # (64) interior nodes: 49 and 27
+        mg = minimize._VCycle(shape)
+        assert [lv.x.shape for lv in mg.levels] == [(m,) * len(shape) for m in levels]
+        interior = [lv.x[mg.inner].size for lv in mg.levels]
+        assert interior[-1] <= minimize._DENSE_MAX < min(interior[:-1])
+        assert mg.dense
+
     @pytest.mark.parametrize("u_coeff", [0.0, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_coarse_weights_are_the_weights_at_2h(self, n, u_coeff):
         # constant lambda at p = 2 (and gamma = 2): level k holds the weights
         # that _DiscreteEnergy builds at spacing 2^k h, boundary nodes included
         m = simple_model(n, gamma=2.0, u_coeff=u_coeff)
-        h = 1 / 16
+        h = {1: 1 / 256, 2: 1 / 32, 3: 1 / 32}[n]
         g = box(n, h)
         u = np.random.default_rng(n).uniform(-1.0, 1.0, g.shape)
         mg = vcycle(_DiscreteEnergy(m, g, 0.0), u)
-        assert len(mg.levels) == (4 if n == 1 else 3)  # down to 2 cells on some axis
+        # down to 63, 7 x 3 and 7 x 3 x 3 interior nodes, at most _DENSE_MAX
+        assert len(mg.levels) == 3
         for k, lv in enumerate(mg.levels[1:], start=1):
             coarse = _DiscreteEnergy(m, box(n, h * 2 ** k), 0.0)
             cs, cu = coarse.curvature(coarse.evaluate(np.zeros(coarse.grid.shape))[1])
@@ -231,17 +272,17 @@ class TestVCycle:
 
     @pytest.mark.parametrize(
         "case",
-        ["smoothed_u_term", "p_gt_2_flat", "dense_3_cells", "coarsest_scaled"],
+        ["smoothed_u_term", "dense_12_cells", "p_gt_2_flat", "coarsest_scaled"],
     )
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetric_and_positive(self, n, case):
         rng = np.random.default_rng(30 + n)
         if case == "p_gt_2_flat":
             # data flat on most of the box: the p > 2 curvature |t|^(p-2) is 0
-            # on every edge there, so whole coarse rows vanish and the
-            # coarsest operator (1 node) is 0
+            # on every edge there, so whole coarse rows vanish, the coarsest
+            # operator (63, 49 and 27 interior nodes) is singular and scaled
             m = simple_model(n, p=3.0)
-            g = unit_grid(n, 1 / 8)
+            g = unit_grid(n, 1 / {1: 128, 2: 16, 3: 8}[n])
             u = np.zeros(g.shape)
             u[(slice(0, 3),) * n] = rng.uniform(0.0, 1.0, (3,) * n)
         else:
@@ -249,16 +290,21 @@ class TestVCycle:
             e = Exponents(n, p, 2.5, 3.0, (INF,) * n, INF)
             lam1 = WeightField("power", amplitude=1.0, center=(0.3,) * n, exponent=0.5)
             m = ModelIntegrand(e, (lam1,) + (constant(1.0),) * (n - 1), constant(1.0), 1.0)
-            # 8 cells coarsen to 1 interior node and 12 to a 3-cell level,
-            # both solved densely; 134, 22 and 14 cells to a 67-, 11- and
-            # 7-cell level with more than _DENSE_MAX interior nodes, only scaled
-            scaled = {1: 134, 2: 22, 3: 14}[n]
-            cells = {"smoothed_u_term": 8, "dense_3_cells": 12, "coarsest_scaled": scaled}[case]
+            # 128, 16 and 8 cells coarsen to 63, 49 and 27 interior nodes and
+            # 12 cells to 6 and 3 cells (the 1-D grid itself), all solved
+            # densely; 134, 22 and 14 cells to a 67-, 11- and 7-cell level
+            # with more than _DENSE_MAX interior nodes, only scaled
+            cells = {
+                "smoothed_u_term": {1: 128, 2: 16, 3: 8},
+                "dense_12_cells": {1: 12, 2: 12, 3: 12},
+                "coarsest_scaled": {1: 134, 2: 22, 3: 14},
+            }[case][n]
             g = unit_grid(n, 1 / cells)
             u = rng.uniform(-1.0, 1.0, g.shape)
         mg = vcycle(_DiscreteEnergy(m, g, g.h ** 2), u)
-        assert len(mg.levels) > 1
+        assert len(mg.levels) > 1 or (case, n) == ("dense_12_cells", 1)
         assert mg.dense == (case != "coarsest_scaled")
+        assert (mg.levels[-1].inverse is not None) == (case in ("smoothed_u_term", "dense_12_cells"))
         inner = (slice(1, -1),) * n
         vecs = [rng.standard_normal(u[inner].shape) for _ in range(6)]
         images = [mg.apply(v) for v in vecs]
@@ -268,11 +314,58 @@ class TestVCycle:
                 lhs, rhs = float(np.vdot(b, ba)), float(np.vdot(a, bb))
                 assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(bb)
 
+    @pytest.mark.parametrize(
+        "n,model,h",
+        [(1, weighted_1d_model, 1 / 64), (2, weighted_u_term_model, 1 / 9), (3, aniso3d_model, 1 / 4)],
+    )
+    def test_small_grid_is_solved_exactly(self, n, model, h):
+        # 63, 64 (= _DENSE_MAX) and 27 interior nodes: the grid is the
+        # coarsest level, and a positive-definite model is inverted
+        g = unit_grid(n, h)
+        prob = _DiscreteEnergy(model(), g, h ** 2)
+        u = radial_data(g).values
+        curv = prob.curvature(prob.evaluate(u)[1])
+        mg = minimize._VCycle(g.shape)
+        mg.update(curv)
+        assert len(mg.levels) == 1 and mg.levels[0].inverse is not None
+        r = np.random.default_rng(n).standard_normal(u[(slice(1, -1),) * n].shape)
+        want = np.linalg.solve(dense_matrix(prob, curv), r.ravel()).reshape(r.shape)
+        np.testing.assert_allclose(mg.apply(r), want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("case", ["zero_rows", "floating_path"])
+    def test_singular_coarsest_level_is_scaled(self, case):
+        # at most _DENSE_MAX interior nodes but a singular operator: the cycle
+        # is r / diag(H), with 1 in place of a zero diagonal, bit for bit
+        if case == "zero_rows":
+            # p > 2 on data flat off one corner: 49 interior nodes, most rows 0
+            g = unit_grid(2, 1 / 8)
+            u = np.zeros(g.shape)
+            u[:3, :3] = 1.0
+            prob = _DiscreteEnergy(simple_model(2, p=3.0), g, 0.0)
+            cs, cu = prob.curvature(prob.evaluate(u)[1])
+            shape = g.shape
+        else:
+            # 8 interior nodes joined to each other but not to the boundary:
+            # a singular path whose Cholesky factorization passes with a
+            # last pivot of round-off size
+            c = np.random.default_rng(0).uniform(0.5, 2.0, 9)
+            c[0] = c[-1] = 0.0
+            cs, cu, shape = [c], None, (10,)
+            a = np.diag(c[:-1] + c[1:]) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
+            assert np.linalg.cholesky(a)[-1, -1] ** 2 < 1e-14
+        mg = minimize._VCycle(shape)
+        mg.update((cs, cu))
+        assert len(mg.levels) == 1 and mg.dense and mg.levels[0].inverse is None
+        minv = inverse_diagonal(cs, cu)
+        r = np.random.default_rng(1).standard_normal(minv.shape)
+        assert mg.apply(r).tobytes() == (minv * r).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_level_is_jacobi(self, n):
-        # an odd cell count cannot be coarsened: the cycle is r / diag(H), with
-        # 1 in place of a zero diagonal, bit for bit
-        g = unit_grid(n, 1 / 9)
+        # an odd cell count cannot be coarsened: with more than _DENSE_MAX
+        # interior nodes (66, 100, 512) the cycle is r / diag(H), with 1 in
+        # place of a zero diagonal, bit for bit
+        g = unit_grid(n, 1 / {1: 67, 2: 11, 3: 9}[n])
         m = simple_model(n, p=3.0, u_coeff=1.0, gamma=3.0)
         u = np.zeros(g.shape)
         u[(slice(0, 3),) * n] = 1.0
@@ -280,12 +373,9 @@ class TestVCycle:
         curv = prob.curvature(prob.evaluate(u)[1])
         mg = minimize._VCycle(g.shape)
         mg.update(curv)
-        inner = (slice(1, -1),) * n
-        diag = minimize._edge_diagonal(*curv)[inner]
-        assert len(mg.levels) == 1 and np.any(diag == 0)
-        minv = np.ones_like(diag)
-        np.divide(1.0, diag, out=minv, where=diag > 0)
-        r = np.random.default_rng(n).standard_normal(diag.shape)
+        minv = inverse_diagonal(*curv)
+        assert len(mg.levels) == 1 and not mg.dense and np.any(minv == 1.0)
+        r = np.random.default_rng(n).standard_normal(minv.shape)
         assert mg.apply(r).tobytes() == (minv * r).tobytes()
 
 
@@ -330,7 +420,7 @@ class TestMultigridSolve:
         ids=["24_cells", "box_2x1"],
     )
     def test_converges_on_other_hierarchies(self, products, grid):
-        # 24 cells stop at a 3-cell level; 32 x 16 cells at 4 x 2
+        # 24 cells stop at a 6-cell level; 32 x 16 cells at 8 x 4
         res = solve(aniso2d_model(), grid, radial_data(grid), SolveConfig(grad_tol=1e-6))
         assert res.converged and res.stop_reason == "converged"
         assert products[0] <= 4 * res.iterations
@@ -457,6 +547,14 @@ class TestSolve:
         assert r1.final_energy == r2.final_energy
 
 
+def on_grid(bump):
+    """A `Bump` on every node of its grid. Off the box it holds 0 * scale, a
+    zero with the sign of the scale, as a full-grid hat scaled in place does."""
+    vals = np.full(bump.grid.shape, 0.0 * bump.scale)
+    vals[bump.nodes] = bump.values
+    return GridFunction(bump.grid, vals)
+
+
 def whole_grid_bump(phi):
     """A full-grid phi as a `Bump` on every node of its grid."""
     return Bump(phi.grid, tuple(slice(0, m) for m in phi.grid.shape), phi.values, 1.0)
@@ -492,7 +590,7 @@ def two_energy_quasiminimality(m, u, Q, perturbations, tol=1e-10):
     energy() calls."""
     margins, emp_q, failures = [], 0.0, 0
     for bump in perturbations:
-        phi = bump.on_grid()
+        phi = on_grid(bump)
         supp = phi.values != 0.0
         for axis in range(supp.ndim):
             lead = (slice(None),) * axis
@@ -572,7 +670,7 @@ class TestQuasiMinimality:
         g = unit_grid(2, 1 / 16)
         res = solve(m, g, coordinate_field(g), SolveConfig())
         bump = next(random_perturbations(g, 1, seed=2, amplitude=0.5))
-        bad = GridFunction(g, res.u.values + bump.on_grid().values)
+        bad = GridFunction(g, res.u.values + on_grid(bump).values)
         correction = whole_grid_bump(GridFunction(g, res.u.values - bad.values))
         rep = verify_quasiminimality(m, bad, 1.0, [correction])
         assert rep.failures > 0
@@ -592,7 +690,7 @@ class TestQuasiMinimality:
         # boundary, and reads the same there as on the whole grid
         g = make_grid([(-0.5, 1.0)] * n, h)
         for bump in random_perturbations(g, 32, seed=6):
-            full = bump.on_grid()
+            full = on_grid(bump)
             nodes, values = nonzero_box(full)
             assert bump.nodes == nodes
             assert values.tobytes() == bump.values.tobytes()
@@ -654,7 +752,7 @@ class TestQuasiMinimality:
         tight = list(random_perturbations(g, 32, seed=8, amplitude=0.3))
         boxes = [
             [loosened(phi, rng) for phi in tight],
-            [whole_grid_bump(phi.on_grid()) for phi in tight],
+            [whole_grid_bump(on_grid(phi)) for phi in tight],
         ]
         for Q in (1.0, 1.3):
             want = verify_quasiminimality(model, u, Q, tight)
@@ -676,7 +774,7 @@ class TestQuasiMinimality:
         # each hashed as placed on the whole grid
         sha = hashlib.sha1()
         for phi in random_perturbations(make_grid(box, h), 32, seed=0):
-            sha.update(phi.on_grid().values.tobytes())
+            sha.update(on_grid(phi).values.tobytes())
         assert sha.hexdigest() == digest
 
 
@@ -702,9 +800,9 @@ class TestTrajectoryPins:
         res = solve(aniso2d_model(), g, radial_data(g), self.CFG)
         assert res.converged
         assert res.iterations == 23
-        assert res.final_energy == 0.904824007847629
-        assert res.residual == 7.404802175869918e-07
-        assert self.sha1(res) == "b0c633e4a958860d0552e1448b11a5706fa1f858"
+        assert res.final_energy == 0.9048240078476288
+        assert res.residual == 7.3332173489149e-07
+        assert self.sha1(res) == "55d24dda77b031a4127a187f0287274e6057dc71"
         # the Jacobi-PCG solver's pinned energy
         assert res.final_energy == pytest.approx(0.9048240078476288, rel=1e-13, abs=0)
         floor = solve(aniso2d_model(), g, radial_data(g), self.FLOOR)
@@ -718,8 +816,8 @@ class TestTrajectoryPins:
         assert res.converged
         assert res.iterations == 5
         assert res.final_energy == 4.349210703939757
-        assert res.residual == 2.388189557223086e-08
-        assert self.sha1(res) == "45dba490345d9c0b5165da4c350be25ac6d1d4ed"
+        assert res.residual == 1.0734768940423578e-07
+        assert self.sha1(res) == "b412512db846e522332a759cf143e0c641af6515"
         # the Jacobi-PCG solver's pinned energy
         assert res.final_energy == pytest.approx(4.349210703939757, rel=1e-13, abs=0)
         floor = solve(m, g, radial_data(g), self.FLOOR)
