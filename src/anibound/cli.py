@@ -150,9 +150,9 @@ def cmd_certify(args) -> int:
     cert_path = _out_path(args, cfg, f"{cfg.name}_certificate.csv")
     _write_csv(
         cert_path,
-        ("x0", "R", "d", "sup_half_ball", "slack", "theta1", "theta2", "rhs_bound", "valid"),
+        ("x0", "R", "d", "sup_half_ball", "slack", "theta1", "theta2", "valid"),
         [(cert.x0, cert.R, cert.d, cert.sup_half_ball, cert.slack, cert.theta1, cert.theta2,
-          cert.rhs_bound, cert.valid)],
+          cert.valid)],
     )
     trace_path = _out_path(args, cfg, f"{cfg.name}_trace.csv")
     _write_csv(
@@ -174,17 +174,12 @@ def cmd_verify(args) -> int:
     u = _load_solution(cfg, args.solution)
     spec = cfg.verify
     d = derive(cfg.exponents)
-    reports = []
-    reports.append(inequalities.verify_lower_bound(cfg.model, u, spec.subbox))
-    reports.append(inequalities.verify_weight_domination(cfg.model, cfg.grid))
+    reports = [inequalities.verify_lower_bound(cfg.model, u, spec.subbox)]
     if d.sigma_star is not None:
         hat = _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi))
         reports += inequalities.verify_sobolev(cfg.model, GridFunction(cfg.grid, hat), d)
     reports += inequalities.caccioppoli_sweep(
         cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
-    )
-    reports.append(
-        inequalities.verify_higher_integrability(u, cfg.exponents, spec.x0, max(spec.radii))
     )
 
     csv_path = _out_path(args, cfg, f"{cfg.name}_inequalities.csv")

@@ -222,7 +222,7 @@ class VerifySpec:
     rhos: tuple
     radii: tuple
     x0: tuple
-    subbox: tuple  # ((lo, hi), ...) for the lower-bound / Poincare region
+    subbox: tuple  # ((lo, hi), ...): the cells of the lower-bound row
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,6 @@ class Certificate:
     slack: float
     theta1: float
     theta2: float
-    rhs_bound: float
     valid: bool
     N: float
     traces: tuple
@@ -261,13 +260,6 @@ def certify(
     half = _ball_nodes(u, Ball(x0, R / 2.0))
     sup_half = float(np.max(np.abs(half))) if half.size else 0.0
 
-    try:
-        composite = (C_cal * c0 ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
-            1.0 / c.delta1
-        )
-        rhs_bound = max(2.0, composite * R ** (-c.theta2) * (1.0 + N) ** c.theta1)
-    except OverflowError:
-        rhs_bound = math.inf
     slack = d - sup_half
     valid = decayed and sup_half <= d and math.isfinite(d)
     return Certificate(
@@ -278,7 +270,6 @@ def certify(
         slack=slack,
         theta1=c.theta1,
         theta2=c.theta2,
-        rhs_bound=rhs_bound,
         valid=valid,
         N=N,
         traces=traces,

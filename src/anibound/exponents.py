@@ -155,14 +155,12 @@ class AdmissibilityReport:
     cond_ii   q < sigma_star / s'
     cond_iii  gamma < (sigma_star/s') * (p_bar/q) + q - p_bar
     gamma_bound  the right-hand side of cond_iii (None when cond_i fails)
-    range_nonempty  gamma_bound > q whenever cond_ii holds
     """
 
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
     gamma_bound: float | None
-    range_nonempty: bool
 
     @property
     def admissible(self) -> bool:
@@ -172,13 +170,12 @@ class AdmissibilityReport:
 def check_admissibility(d: DerivedExponents, e: Exponents) -> AdmissibilityReport:
     cond_i = d.sigma_bar < e.n
     if not cond_i or d.sigma_star is None:
-        return AdmissibilityReport(False, False, False, None, False)
+        return AdmissibilityReport(False, False, False, None)
     ratio = d.sigma_star / d.s_prime
     cond_ii = e.q < ratio
     gamma_bound = ratio * d.p_bar / e.q + e.q - d.p_bar
     cond_iii = e.gamma < gamma_bound
-    range_nonempty = (gamma_bound > e.q) if cond_ii else False
-    return AdmissibilityReport(cond_i, cond_ii, cond_iii, gamma_bound, range_nonempty)
+    return AdmissibilityReport(cond_i, cond_ii, cond_iii, gamma_bound)
 
 
 def _require_admissible(d: DerivedExponents, e: Exponents) -> None:

@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anibound import degiorgi
+from anibound import degiorgi, inequalities
 from anibound.cli import main
 from anibound.config import load_config
 from anibound.fields import GridFunction, read_gridfn, write_gridfn
@@ -240,8 +242,24 @@ class TestVerify:
         with open(tmp_path / "v" / "iso3d_inequalities.csv", newline="") as fh:
             # tuples in the context cell are joined by ';', not ','
             assert {len(row) for row in csv.reader(fh)} == {6}
-        assert {"lower_bound", "weight_domination", "embedding",
-                "poincare_sobolev", "caccioppoli", "higher_integrability"} <= names
+        assert names == {"lower_bound", "embedding", "poincare_sobolev", "caccioppoli"}
+
+    def test_failing_row_exits_four(self, solved, tmp_path, monkeypatch):
+        lower_bound = inequalities.verify_lower_bound
+
+        def failing(*args):
+            return replace(lower_bound(*args), c_emp=2.0, passed=False)
+
+        monkeypatch.setattr(inequalities, "verify_lower_bound", failing)
+        cfg, out = solved
+        sol = os.path.join(out, "iso3d_solution.gridfn")
+        code = main(["verify", "--config", cfg, "--solution", sol,
+                     "--out", str(tmp_path / "v")])
+        assert code == 4
+        with open(tmp_path / "v" / "iso3d_inequalities.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[-1] for row in rows if row[0] == "lower_bound"] == ["0"]
+        assert all(row[-1] == "1" for row in rows if row[0] != "lower_bound")
 
     @pytest.mark.parametrize(
         "box, h", [("0.1:0.7", "0.05"), ("0.3:0.9", "0.1"), ("0.2:1.4", "0.1")]
@@ -350,7 +368,7 @@ class TestVerifyPin:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 0
         data = (out / "pin3d_inequalities.csv").read_bytes()
-        assert hashlib.sha1(data).hexdigest() == "0c236a5d917ece4ab3c9ab93f6036d92f9cdf2d7"
+        assert hashlib.sha1(data).hexdigest() == "45a4739032c7e1e2e7b3f9b0cffc034d6dcbe1e8"
 
 
 def sha1_of(path) -> str:
@@ -365,12 +383,13 @@ class TestCsvPins:
         "c_cal, code, certificate, trace",
         [
             # every J_h of both signs is nonzero, and the half-ball sup is above d
-            ("1e-5", 4, "f96875072b8817df6e064a8e378aa493154b9fff",
+            ("1e-5", 4, "61ea01289149fbc9bac569d37779dddd305c27af",
              "3646fa01f08281d99392b6a789f718a43ac144ac"),
             # every J_h is 0 at C = 1, so the calibrated constant is 1
-            ("calibrate", 0, "f94b7c5635358c5bf8c75decdf3289e8a155cb5d",
+            ("calibrate", 0, "faccdcae14f4ebfc932c21372c25edc07c12815c",
              "ed0fd69a90db893f2193a5878f56bdfd405c3a0d"),
         ],
+        ids=["1e-5", "calibrate"],  # a re-pin keeps the test's name
     )
     def test_certify_bytes(self, tmp_path, c_cal, code, certificate, trace):
         # a closed-form polynomial field on the grid of tests/data/smoke.cfg,
@@ -674,6 +693,34 @@ def test_ci_smoke_config_runs_every_command(tmp_path):
     assert "smoke_sweep.csv" in names and len(names) == 6
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_output_table_matches_the_written_headers(tmp_path):
+    # README's table of CSV outputs: each file's documented header is the
+    # first line its command writes on smoke.cfg, and each command writes
+    # exactly the CSV files the table lists for it
+    table = re.findall(r"^\| `<name>(_\w+\.csv)` \| `([\w -]+)` \| `([\w,]+)` \|$",
+                       README.read_text(), flags=re.MULTILINE)
+    assert len(table) == 5
+    solution = str(tmp_path / "minimize" / "smoke_solution.gridfn")
+    runs = {
+        "minimize": [],
+        "certify": ["--solution", solution],
+        "verify": ["--solution", solution],
+        "sweep --out": ["--axis", "gamma=1.8:3:4"],
+    }
+    for command, extra in runs.items():
+        name = command.split()[0]
+        argv = [name, "--config", SMOKE, *extra, "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        written = sorted(path.name for path in (tmp_path / name).glob("*.csv"))
+        assert written == sorted("smoke" + suffix for suffix, cmd, _ in table if cmd == command)
+    for suffix, command, header in table:
+        lines = (tmp_path / command.split()[0] / ("smoke" + suffix)).read_text().splitlines()
+        assert lines[0] == header
 
 
 def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):

@@ -16,7 +16,7 @@ from anibound.degiorgi import (
     j_sequence,
     sequences,
 )
-from anibound.exponents import INF, Exponents, derive, iteration_constants
+from anibound.exponents import INF, Exponents, default_c0, derive, iteration_constants
 from anibound.fields import GridFunction, make_grid
 from anibound.minimize import SolveConfig, solve
 from conftest import (
@@ -209,7 +209,6 @@ class TestCertify:
         assert cert.valid
         assert cert.sup_half_ball <= 0.7 + 1e-9
         assert cert.sup_half_ball < cert.d
-        assert cert.d <= cert.rhs_bound * (1.0 + 1e-6)
 
     def test_sign_symmetry(self, harmonic_3d):
         m, u = harmonic_3d
@@ -264,8 +263,9 @@ class TestCertify:
             certify(u, X0, 0.4, bad)
 
     def test_d_equals_closed_form_bound(self):
-        # choose_d and rhs_bound are the same closed form, so validity does not
-        # test d against rhs_bound; this pins the identity instead
+        # d is choose_d's closed form in delta1, delta2 and the norm exponent;
+        # iteration_constants' theta1 = E / delta1 and theta2 = delta2 / delta1
+        # must give the same d when it is written through them
         rng = np.random.default_rng(7)
         finite = 0
         for e in random_admissible_exponents(rng, 40):
@@ -279,5 +279,11 @@ class TestCertify:
                 assert not cert.valid
                 continue
             finite += 1
-            assert abs(cert.d - cert.rhs_bound) <= 1e-9 * cert.d
+            d_exp = derive(e)
+            c = iteration_constants(d_exp, e)
+            core = (C_cal * default_c0(d_exp, e) ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
+                1.0 / c.delta1
+            )
+            closed = max(2.0, core * R ** (-c.theta2) * (1.0 + cert.N) ** c.theta1)
+            assert abs(cert.d - closed) <= 1e-9 * cert.d
         assert finite >= 20

@@ -136,12 +136,12 @@ class TestAdmissibility:
         assert rep.cond_i and rep.cond_ii and not rep.cond_iii
         assert not rep.admissible
 
-    def test_range_nonempty_whenever_cond_ii(self, rng):
+    def test_gamma_bound_above_q_whenever_cond_ii(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
             rep = check_admissibility(derive(e), e)
             if rep.cond_ii:
-                assert rep.range_nonempty
+                assert rep.gamma_bound > e.q
 
 
 class TestThetaExponents:

@@ -12,7 +12,6 @@ from anibound.inequalities import (
     verify_caccioppoli,
     verify_lower_bound,
     verify_sobolev,
-    verify_weight_domination,
 )
 from anibound.integrand import ModelIntegrand, WeightField
 from anibound.minimize import SolveConfig, solve
@@ -85,7 +84,7 @@ def ref_poincare_sobolev(m, v, d):
         wnorm = lp_norm(1.0 / lam[i], m.exponents.r[i], grid)
         integral = float(np.sum(lam[i] * np.abs(grads[i]) ** m.exponents.p[i]) * hn)
         prod *= (wnorm * integral) ** (1.0 / m.exponents.p[i])
-    return _make_report("poincare_sobolev", lhs, prod ** (1.0 / grid.n), {"subbox": None})
+    return _make_report("poincare_sobolev", lhs, prod ** (1.0 / grid.n), {})
 
 
 class TestEmbedding:
@@ -198,35 +197,6 @@ def test_sobolev_rows_match_the_separate_formulas_bitwise(m, box, h):
         assert rep_e == ref_embedding(v, d)
         assert rep_p == ref_poincare_sobolev(m, v, d)
         assert rep_e.lhs > 0.0 and rep_p.rhs_structure > 0.0
-
-
-class TestWeightDomination:
-    def test_constant_weights(self):
-        m = simple_model(2)
-        g = unit_grid(2, 1 / 8)
-        assert verify_weight_domination(m, g).passed
-
-    def test_power_weights(self):
-        e = Exponents(2, (2, 2), 2, 2, (4, 4), 4)
-        lam1 = WeightField("power", amplitude=1.0, center=(0.25, 0.25), exponent=0.4)
-        m = ModelIntegrand(e, (lam1, WeightField("constant")), WeightField("constant"), 0.5)
-        g = unit_grid(2, 1 / 16)
-        assert verify_weight_domination(m, g).passed
-
-    def test_adversarial_override(self, monkeypatch):
-        # an upper weight of 1 under lambda_1 = 4 breaks the domination
-        e = Exponents(2, (2, 2), 2, 2, (INF, INF), INF)
-        m = ModelIntegrand(
-            e,
-            (WeightField("constant", amplitude=4.0), WeightField("constant")),
-            WeightField("constant"),
-            0.0,
-        )
-        monkeypatch.setattr(
-            ModelIntegrand, "_mu_tilde", lambda self, lam, mu: np.ones(lam.shape[1:])
-        )
-        g = unit_grid(2, 1 / 8)
-        assert not verify_weight_domination(m, g).passed
 
 
 @pytest.fixture(scope="module")

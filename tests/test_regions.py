@@ -1,8 +1,8 @@
 """Region-restricted computations against full-grid reference implementations.
 
-energy, cell_mask, the nodes of a ball (`_ball_nodes`), caccioppoli_sweep,
-j_sequence, verify_higher_integrability and certify's N and half-ball sup work
-only on the index bounding box of their region.
+energy, cell_mask, the cells and nodes of a ball (`_ball_cells`,
+`_ball_nodes`), caccioppoli_sweep, j_sequence and certify's N and half-ball
+sup work only on the index bounding box of their region.
 The references below evaluate the whole grid and then mask, the way these
 functions did before; every result must agree bitwise.
 """
@@ -27,11 +27,7 @@ from anibound.fields import (
     lp_norm,
     make_grid,
 )
-from anibound.inequalities import (
-    caccioppoli_sweep,
-    verify_caccioppoli,
-    verify_higher_integrability,
-)
+from anibound.inequalities import caccioppoli_sweep, verify_caccioppoli
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from conftest import (
     ball_contains,
@@ -386,8 +382,8 @@ def test_ball_norms_match_the_full_grid(problem):
     balls = [tangent_ball(grid, 0.4), random_ball(grid, rng, 0.3)]
     qs = e.q * conjugate_exponent(e.s)
     for ball in balls:
-        rep = verify_higher_integrability(u, e, ball.x0, ball.R)
-        assert rep.lhs == rep.c_emp == ref_ball_norm(u, qs, ball)
+        _, uc, dist2 = _ball_cells(u, ball)
+        assert lp_norm(uc[dist2 < ball.R * ball.R], qs, grid) == ref_ball_norm(u, qs, ball)
     if check_admissibility(derive(e), e).admissible:
         for ball in balls:
             cert = certify(u, ball.x0, ball.R, e, H=12)
@@ -396,9 +392,9 @@ def test_ball_norms_match_the_full_grid(problem):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_ball_gather_rejects_a_ball_that_leaves_the_grid(n):
-    """j_sequence, certify, the Caccioppoli sweep and the higher-integrability
-    row gather their ball's cells through `fields._ball_cells`, which refuses
-    a ball that leaves the grid box, whichever side it leaves by."""
+    """j_sequence, certify and the Caccioppoli sweep gather their ball's
+    cells through `fields._ball_cells`, which refuses a ball that leaves the
+    grid box, whichever side it leaves by."""
     grid = make_grid([(0.0, 1.0)] * n, 1 / 8)
     m = plain_model(n)
     e = m.exponents
@@ -411,7 +407,6 @@ def test_every_ball_gather_rejects_a_ball_that_leaves_the_grid(n):
             lambda: j_sequence(u, ball.x0, ball.R, 4.0, e, 5),
             lambda: certify(u, ball.x0, ball.R, e, H=5),
             lambda: caccioppoli_sweep(m, u, (1.0,), (0.1,), (ball.R,), ball.x0),
-            lambda: verify_higher_integrability(u, e, ball.x0, ball.R),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="ball leaves the grid box"):
