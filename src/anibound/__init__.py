@@ -5,12 +5,10 @@ iteration."""
 from .exponents import (
     INF,
     Exponents,
-    DerivedExponents,
     IterationConstants,
     conjugate_exponent,
     harmonic_mean,
     sobolev_star,
-    derive,
     check_admissibility,
     iteration_constants,
     choose_d,

@@ -17,17 +17,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import degiorgi, inequalities
 from .config import ConfigError, RunConfig, load_config
-from .exponents import (
-    Exponents,
-    check_admissibility,
-    derive,
-    iteration_constants,
-)
+from .exponents import Exponents, check_admissibility, iteration_constants
 from .fields import GridFunction, _tensor_hat, read_gridfn, write_gridfn
 from .minimize import random_perturbations, solve, verify_quasiminimality
 
@@ -65,20 +61,19 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _admissibility_lines(e: Exponents):
-    d = derive(e)
-    rep = check_admissibility(d, e)
+    rep = check_admissibility(e)
     lines = [
-        f"sigma_bar={_fmt(d.sigma_bar)}",
-        f"sigma_star={_fmt(d.sigma_star) if d.sigma_star is not None else 'undefined'}",
-        f"p_bar={_fmt(d.p_bar)}",
-        f"s_prime={_fmt(d.s_prime)}",
+        f"sigma_bar={_fmt(e.sigma_bar)}",
+        f"sigma_star={_fmt(e.sigma_star) if e.sigma_star is not None else 'undefined'}",
+        f"p_bar={_fmt(e.p_bar)}",
+        f"s_prime={_fmt(e.s_prime)}",
         f"cond_i={rep.cond_i}",
         f"cond_ii={rep.cond_ii}",
         f"cond_iii={rep.cond_iii}",
         f"gamma_bound={_fmt(rep.gamma_bound) if rep.gamma_bound is not None else 'undefined'}",
     ]
     if rep.admissible:
-        c = iteration_constants(d, e)
+        c = iteration_constants(e)
         lines += [
             f"theta1={_fmt(c.theta1)}",
             f"theta2={_fmt(c.theta2)}",
@@ -92,7 +87,7 @@ def _admissibility_lines(e: Exponents):
 
 def cmd_admissible(args) -> int:
     cfg = load_config(args.config)
-    lines, admissible = _admissibility_lines(cfg.exponents)
+    lines, admissible = _admissibility_lines(cfg.model.exponents)
     print("\n".join(lines))
     return EXIT_OK if admissible else EXIT_INADMISSIBLE
 
@@ -141,12 +136,13 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     if cfg.certify is None:
         raise ConfigError("missing section [certify]")
-    if not check_admissibility(derive(cfg.exponents), cfg.exponents).admissible:
+    e = cfg.model.exponents
+    if not check_admissibility(e).admissible:
         print("exponents are not admissible; nothing to certify", file=sys.stderr)
         return EXIT_INADMISSIBLE
     u = _load_solution(cfg, args.solution)
     spec = cfg.certify
-    cert = degiorgi.certify(u, spec.x0, spec.R, cfg.exponents, C_cal=spec.C_cal, H=spec.H)
+    cert = degiorgi.certify(u, spec.x0, spec.R, e, C_cal=spec.C_cal, H=spec.H)
     cert_path = _out_path(args, cfg, f"{cfg.name}_certificate.csv")
     _write_csv(
         cert_path,
@@ -173,11 +169,10 @@ def cmd_verify(args) -> int:
         raise ConfigError("missing section [verify]")
     u = _load_solution(cfg, args.solution)
     spec = cfg.verify
-    d = derive(cfg.exponents)
     reports = [inequalities.verify_lower_bound(cfg.model, u, spec.subbox)]
-    if d.sigma_star is not None:
+    if cfg.model.exponents.sigma_star is not None:
         hat = _tensor_hat(cfg.grid, zip(cfg.grid.lo, cfg.grid.hi))
-        reports += inequalities.verify_sobolev(cfg.model, GridFunction(cfg.grid, hat), d)
+        reports += inequalities.verify_sobolev(cfg.model, GridFunction(cfg.grid, hat))
     reports += inequalities.caccioppoli_sweep(
         cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
     )
@@ -195,25 +190,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
-_SWEEP_AXES = ("gamma", "q", "s", "r", "p")
-
-
-def _sweep_exponents(e: Exponents, axis: str, value: float) -> Exponents | None:
-    try:
-        if axis == "gamma":
-            return Exponents(e.n, e.p, e.q, value, e.r, e.s)
-        if axis == "q":
-            return Exponents(e.n, e.p, value, max(e.gamma, value), e.r, e.s)
-        if axis == "s":
-            return Exponents(e.n, e.p, e.q, e.gamma, e.r, value)
-        if axis == "r":
-            return Exponents(e.n, e.p, e.q, e.gamma, (value,) * e.n, e.s)
-        if axis == "p":
-            q = max(e.q, value)
-            return Exponents(e.n, (value,) * e.n, q, max(e.gamma, q), e.r, e.s)
-    except ValueError:
-        return None
-    return None
+# The fields of Exponents that one swept value v sets, per axis; q raises
+# gamma, and p raises q and gamma, so that p_i <= q <= gamma keeps holding.
+_SWEEP_AXES = {
+    "gamma": lambda e, v: {"gamma": v},
+    "q": lambda e, v: {"q": v, "gamma": max(e.gamma, v)},
+    "s": lambda e, v: {"s": v},
+    "r": lambda e, v: {"r": (v,) * e.n},
+    "p": lambda e, v: {"p": (v,) * e.n, "q": max(e.q, v), "gamma": max(e.gamma, e.q, v)},
+}
 
 
 def cmd_sweep(args) -> int:
@@ -236,15 +221,18 @@ def cmd_sweep(args) -> int:
 
     header = ("axis", "value", "cond_i", "cond_ii", "cond_iii", "theta1", "theta2", "delta1", "alpha")
     rows = []
+    e = cfg.model.exponents
     for v in values:
-        exps = _sweep_exponents(cfg.exponents, axis, v)
         conds, consts = (False,) * 3, (np.nan,) * 4
-        if exps is not None:
-            d = derive(exps)
-            rep = check_admissibility(d, exps)
+        try:
+            exps = replace(e, **_SWEEP_AXES[axis](e, v))
+        except ValueError:  # v gives no valid exponents
+            pass
+        else:
+            rep = check_admissibility(exps)
             conds = (rep.cond_i, rep.cond_ii, rep.cond_iii)
             if rep.admissible:
-                c = iteration_constants(d, exps)
+                c = iteration_constants(exps)
                 consts = (c.theta1, c.theta2, c.delta1, c.alpha)
         rows.append((axis, v, *conds, *consts))
     print(_csv_text(header, rows), end="")

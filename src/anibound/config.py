@@ -229,7 +229,6 @@ class VerifySpec:
 class RunConfig:
     name: str
     grid: Grid
-    exponents: Exponents
     model: ModelIntegrand
     boundary: BoundarySpec
     solver: SolveConfig
@@ -346,7 +345,6 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         name=name,
         grid=grid,
-        exponents=exps,
         model=model,
         boundary=boundary,
         solver=solver,

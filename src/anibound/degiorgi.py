@@ -27,7 +27,6 @@ from .exponents import (
     IterationConstants,
     choose_d,
     default_c0,
-    derive,
     iteration_constants,
 )
 from .fields import Ball, GridFunction, _ball_cells, _ball_nodes, lp_norm
@@ -167,16 +166,22 @@ class IterationTrace:
 
 
 def _trace(x0, R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
-    """The diagnostics of one run from its masses J_0..J_H."""
+    """The diagnostics of one run from its masses J_0..J_H.
+
+    A factor of the recursion's right side too large for binary64 is inf, as
+    in `choose_d`; a step with J_h = 0 has right side 0 whatever the factor."""
     H = len(js) - 1
     rhos = np.empty(H + 1)
     ks = np.empty(H + 1)
     for h in range(H + 1):
         rhos[h], ks[h], _ = sequences(R, d, h)
-    norm_factor = (1.0 + N) ** c.norm_exponent
-    scale = norm_factor * d ** (-c.delta1) * R ** (-c.delta2)
-    hs = np.arange(H)
-    rhs = scale * c.lambda_base ** hs * js[:-1] ** (1.0 + c.alpha)
+    try:
+        scale = (1.0 + N) ** c.norm_exponent * d ** (-c.delta1) * R ** (-c.delta2)
+    except OverflowError:
+        scale = math.inf
+    live = js[:-1] > 0
+    rhs = np.zeros(H)
+    rhs[live] = scale * c.lambda_base ** np.arange(H)[live] * js[:-1][live] ** (1.0 + c.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, js[1:] / rhs, 0.0)
     C_emp = float(np.max(ratios)) if ratios.size else 0.0
@@ -236,10 +241,9 @@ def certify(
         raise ValueError(f"radius must lie in (0, 1], got {R}")
     grid = u.grid
     uc, dist2 = _ball_data(u, x0, R)
-    d_exp = derive(e)
-    c = iteration_constants(d_exp, e)  # raises on inadmissible exponents
-    c0 = default_c0(d_exp, e)
-    N = lp_norm(uc, d_exp.sigma_star, grid)
+    c = iteration_constants(e)  # raises on inadmissible exponents
+    c0 = default_c0(e)
+    N = lp_norm(uc, e.sigma_star, grid)
     hn = grid.h ** grid.n
     signed = ((+1, uc), (-1, -uc))
 

@@ -1,10 +1,13 @@
 """Exponent calculus for anisotropic p_i,q-growth energies.
 
 Everything here is closed-form arithmetic on the raw exponent tuple
-(p_1..p_n, q, gamma, r_1..r_n, s): harmonic averages, Sobolev and Hoelder
-conjugates, the three admissibility conditions, the L-infinity bound
-exponents theta1/theta2, and the iteration constants delta1, delta2,
-alpha, lambda that drive the level-set recursion.
+(p_1..p_n, q, gamma, r_1..r_n, s), held by one object, `Exponents`. The
+exponents the proof derives from the tuple are its read-only properties:
+sigma_i = p_i r_i/(r_i+1), their harmonic average sigma_bar, its Sobolev
+exponent sigma_star, the harmonic average p_bar, the Hoelder conjugate s'
+and q*s'. On top of them sit the three admissibility conditions, the
+L-infinity bound exponents theta1/theta2, and the iteration constants
+delta1, delta2, alpha, lambda that drive the level-set recursion.
 
 Infinite exponents are represented by math.inf, but every convention
 (1/inf = 0, r/(r+1) = 1 at r = inf, conjugate of inf is 1) is implemented
@@ -21,13 +24,11 @@ INF = math.inf
 __all__ = [
     "INF",
     "Exponents",
-    "DerivedExponents",
     "AdmissibilityReport",
     "IterationConstants",
     "conjugate_exponent",
     "harmonic_mean",
     "sobolev_star",
-    "derive",
     "check_admissibility",
     "iteration_constants",
     "unit_ball_volume",
@@ -79,6 +80,16 @@ class Exponents:
     gamma  zero-order exponent, gamma >= q
     r   n integrability exponents of 1/lambda_i, each in [1, inf]
     s   integrability exponent of mu, in (1, inf]
+
+    Derived, read-only properties:
+
+    sigma       sigma_i = p_i r_i/(r_i+1), with r/(r+1) = 1 at r = inf
+    sigma_bar   harmonic average of the sigma_i
+    sigma_star  Sobolev exponent of sigma_bar; None when sigma_bar >= n (the
+                exponent is undefined and admissibility condition (i) fails)
+    p_bar       harmonic average of the p_i
+    s_prime     Hoelder conjugate s' of s
+    qs_prime    q * s'
     """
 
     n: int
@@ -111,40 +122,31 @@ class Exponents:
             raise ValueError(f"need s > 1, got {self.s}")
 
     @property
+    def sigma(self) -> tuple:
+        return tuple(
+            pi if math.isinf(ri) else pi * ri / (ri + 1.0) for pi, ri in zip(self.p, self.r)
+        )
+
+    @property
+    def sigma_bar(self) -> float:
+        return harmonic_mean(self.sigma)
+
+    @property
+    def sigma_star(self) -> float | None:
+        sigma_bar = self.sigma_bar
+        return sobolev_star(sigma_bar, self.n) if sigma_bar < self.n else None
+
+    @property
+    def p_bar(self) -> float:
+        return harmonic_mean(self.p)
+
+    @property
+    def s_prime(self) -> float:
+        return conjugate_exponent(self.s)
+
+    @property
     def qs_prime(self) -> float:
-        return self.q * conjugate_exponent(self.s)
-
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Quantities derived from an Exponents tuple.
-
-    sigma_star is None when sigma_bar >= n (the Sobolev exponent is undefined
-    and admissibility condition (i) fails).
-    """
-
-    sigma: tuple
-    sigma_bar: float
-    sigma_star: float | None
-    p_bar: float
-    s_prime: float
-
-
-def _sigma_i(p_i: float, r_i: float) -> float:
-    # convention r/(r+1) = 1 when r = inf
-    if math.isinf(r_i):
-        return p_i
-    return p_i * r_i / (r_i + 1.0)
-
-
-def derive(e: Exponents) -> DerivedExponents:
-    """Derive sigma_i, their harmonic average, its Sobolev exponent, p_bar, s'."""
-    sigma = tuple(_sigma_i(pi, ri) for pi, ri in zip(e.p, e.r))
-    sigma_bar = harmonic_mean(sigma)
-    sigma_star = sobolev_star(sigma_bar, e.n) if sigma_bar < e.n else None
-    p_bar = harmonic_mean(e.p)
-    s_prime = conjugate_exponent(e.s)
-    return DerivedExponents(sigma, sigma_bar, sigma_star, p_bar, s_prime)
+        return self.q * self.s_prime
 
 
 @dataclass(frozen=True)
@@ -167,19 +169,18 @@ class AdmissibilityReport:
         return self.cond_i and self.cond_ii and self.cond_iii
 
 
-def check_admissibility(d: DerivedExponents, e: Exponents) -> AdmissibilityReport:
-    cond_i = d.sigma_bar < e.n
-    if not cond_i or d.sigma_star is None:
+def check_admissibility(e: Exponents) -> AdmissibilityReport:
+    if e.sigma_star is None:  # sigma_bar >= n: condition (i) fails
         return AdmissibilityReport(False, False, False, None)
-    ratio = d.sigma_star / d.s_prime
+    ratio = e.sigma_star / e.s_prime
     cond_ii = e.q < ratio
-    gamma_bound = ratio * d.p_bar / e.q + e.q - d.p_bar
+    gamma_bound = ratio * e.p_bar / e.q + e.q - e.p_bar
     cond_iii = e.gamma < gamma_bound
-    return AdmissibilityReport(cond_i, cond_ii, cond_iii, gamma_bound)
+    return AdmissibilityReport(True, cond_ii, cond_iii, gamma_bound)
 
 
-def _require_admissible(d: DerivedExponents, e: Exponents) -> None:
-    rep = check_admissibility(d, e)
+def _require_admissible(e: Exponents) -> None:
+    rep = check_admissibility(e)
     if not rep.admissible:
         raise ValueError(
             "inadmissible exponents: "
@@ -187,12 +188,12 @@ def _require_admissible(d: DerivedExponents, e: Exponents) -> None:
         )
 
 
-def _denominator(d: DerivedExponents, e: Exponents) -> float:
+def _denominator(e: Exponents) -> float:
     """Common factor p_bar*sigma_star - qs'(gamma - q + p_bar) shared by
     delta1 and the thetas; factoring it out keeps the ratio identities
     theta2 = delta2/delta1 and theta1 = norm_exponent/delta1 accurate even
     when the factor is tiny near the admissibility boundary."""
-    return d.p_bar * d.sigma_star - e.q * d.s_prime * (e.gamma - e.q + d.p_bar)
+    return e.p_bar * e.sigma_star - e.qs_prime * (e.gamma - e.q + e.p_bar)
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,7 @@ class IterationConstants:
     norm_exponent: float
 
 
-def iteration_constants(
-    d: DerivedExponents, e: Exponents, check: bool = True
-) -> IterationConstants:
+def iteration_constants(e: Exponents, check: bool = True) -> IterationConstants:
     """Constants of the recursion.
 
     With check=False the closed forms are evaluated even for inadmissible
@@ -222,15 +221,17 @@ def iteration_constants(
     are not); callers on the certification path must keep the gate on.
     """
     if check:
-        _require_admissible(d, e)
-    sp, ss, pb = d.s_prime, d.sigma_star, d.p_bar
-    q, g = e.q, e.gamma
-    qs = q * sp
+        _require_admissible(e)
+    sp, ss, pb = e.s_prime, e.sigma_star, e.p_bar
+    q, g, qs = e.q, e.gamma, e.qs_prime
     delta2 = q * qs / pb
-    D = _denominator(d, e)
+    D = _denominator(e)
     delta1 = qs * D / (pb * ss)
     alpha = (q / pb) * (1.0 + (q - pb) * sp / ss - g * sp / ss)
-    lambda_base = 8.0 ** delta2
+    try:
+        lambda_base = 8.0 ** delta2
+    except OverflowError:  # too large for binary64, as in choose_d
+        lambda_base = math.inf
     M = ss * g - qs * pb
     norm_exponent = qs * M / (pb * ss)
     theta1 = M / D
@@ -251,11 +252,11 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def default_c0(d: DerivedExponents, e: Exponents) -> float:
+def default_c0(e: Exponents) -> float:
     """Default embedding constant |B_1|^(1 - qs'/sigma_star) from the Hoelder step."""
-    if d.sigma_star is None:
+    if e.sigma_star is None:
         raise ValueError("sigma_star undefined")
-    return unit_ball_volume(e.n) ** (1.0 - e.q * d.s_prime / d.sigma_star)
+    return unit_ball_volume(e.n) ** (1.0 - e.qs_prime / e.sigma_star)
 
 
 def choose_d(

@@ -256,17 +256,12 @@ def _ball_box(grid: Grid, ball: Ball) -> tuple:
 def _dist2(axes, box: tuple, x0) -> np.ndarray:
     """Squared distances from x0 of the lattice points in `box`, in the box's shape.
 
-    Every ball mask, and so every certificate and report, depends on these
-    bits, so a per-axis sum of squares that skips the lattice is not a
-    drop-in: the einsum fixes its own order of the terms. With numpy 2.4.6
-    it sums 3-D points as (d0^2 + d2^2) + d1^2, and a sequential
-    (d0^2 + d1^2) + d2^2 differs from it in the last bit on 3762 to 4127 of
-    the 15625 points of a 25^3 lattice (random sorted axes and x0 in [0, 1),
-    five draws). That order is an internal of einsum, which other numpy
-    versions need not share.
+    The per-axis squares are broadcast and summed in axis order,
+    (d0^2 + d1^2) + d2^2, so no lattice of points is built. Every ball mask,
+    and so every certificate and report, depends on these bits.
     """
-    diff = _lattice_points(axes, box) - np.asarray(x0)
-    return np.einsum("ij,ij->i", diff, diff).reshape([s.stop - s.start for s in box])
+    squares = [(a[s] - c) ** 2 for a, s, c in zip(axes, box, x0)]
+    return sum(np.meshgrid(*squares, indexing="ij", sparse=True))
 
 
 def _ball_cells(u: GridFunction, ball: Ball) -> tuple:

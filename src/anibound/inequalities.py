@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import DerivedExponents, conjugate_exponent, derive
 from .fields import (
     Ball,
     GridFunction,
@@ -95,15 +94,15 @@ def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> Inequality
     box = _sub_box(grid, subbox)
     weights = m.on_cells(grid, box)
     lam, _ = weights
-    d = derive(m.exponents)
+    e = m.exponents
     grads = gradient(u, box)
     lhs = 0.0
     for i in range(grid.n):
-        wnorm = lp_norm(1.0 / lam[i], m.exponents.r[i], grid)
+        wnorm = lp_norm(1.0 / lam[i], e.r[i], grid)
         if wnorm == 0.0:
             continue
-        gnorm = lp_norm(grads[i], d.sigma[i], grid)
-        lhs += (1.0 / wnorm) * gnorm ** m.exponents.p[i]
+        gnorm = lp_norm(grads[i], e.sigma[i], grid)
+        lhs += (1.0 / wnorm) * gnorm ** e.p[i]
     lhs /= grid.n
     density = cell_energy(m, grid, u.values[_node_box(box)], weights)
     rhs = float(np.sum(density.ravel()) * grid.h ** grid.n)
@@ -112,26 +111,27 @@ def verify_lower_bound(m: ModelIntegrand, u: GridFunction, subbox) -> Inequality
     )
 
 
-def verify_sobolev(m: ModelIntegrand, v: GridFunction, d: DerivedExponents) -> tuple:
+def verify_sobolev(m: ModelIntegrand, v: GridFunction) -> tuple:
     """The (embedding, poincare_sobolev) reports of a field v that vanishes
     on the grid boundary, from one cell average, one gradient and one sample
     of the weights. Both share the lhs ||v||_{sigma_bar*}; the embedding's
     rhs is the geometric mean of the directional gradient norms
     ||D_i v||_{sigma_i}, the weighted Poincare-Sobolev rhs that of
-    (||1/lambda_i||_{r_i} * int lambda_i |D_i v|^{p_i})^{1/p_i}."""
-    if d.sigma_star is None:
+    (||1/lambda_i||_{r_i} * int lambda_i |D_i v|^{p_i})^{1/p_i}. The
+    exponents are the model's."""
+    e = m.exponents
+    if e.sigma_star is None:
         raise ValueError("embedding needs sigma_bar < n")
     grid = v.grid
     if any(np.any(np.take(v.values, (0, -1), axis=i) != 0.0) for i in range(grid.n)):
         raise ValueError("field must vanish on the grid boundary")
-    lhs = lp_norm(_average_to_cells(v.values), d.sigma_star, grid)
+    lhs = lp_norm(_average_to_cells(v.values), e.sigma_star, grid)
     grads = gradient(v)
     lam, _ = m.on_cells(grid)
-    e = m.exponents
     hn = grid.h ** grid.n
     prod_em = prod_ps = 1.0
     for i in range(grid.n):
-        prod_em *= lp_norm(grads[i], d.sigma[i], grid)
+        prod_em *= lp_norm(grads[i], e.sigma[i], grid)
         wnorm = lp_norm(1.0 / lam[i], e.r[i], grid)
         integral = float(np.sum(lam[i] * np.abs(grads[i]) ** e.p[i]) * hn)
         prod_ps *= (wnorm * integral) ** (1.0 / e.p[i])
@@ -166,7 +166,7 @@ def caccioppoli_sweep(m: ModelIntegrand, u: GridFunction, levels, rhos, radii, x
     big = Ball(x0, max(R for _, R in pairs))
     e = m.exponents
     hn = grid.h ** grid.n
-    inv_s_prime = 1.0 / conjugate_exponent(e.s)
+    inv_s_prime = 1.0 / e.s_prime
     box, uc, dist2 = _ball_cells(u, big)
     nodes = _node_box(box)
     node_values = u.values[nodes]

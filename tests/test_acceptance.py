@@ -25,7 +25,6 @@ from anibound.exponents import (
     INF,
     Exponents,
     check_admissibility,
-    derive,
     iteration_constants,
 )
 from anibound.fields import GridFunction, make_grid, read_gridfn, write_gridfn
@@ -160,8 +159,7 @@ def test_criterion_1_exponent_closed_forms(rng):
     t0 = time.perf_counter()
     ok = True
     for e in random_admissible_exponents(rng, 10_000):
-        d = derive(e)
-        c = iteration_constants(d, e)
+        c = iteration_constants(e)
         ok &= abs(c.theta2 - c.delta2 / c.delta1) <= 1e-12 * abs(c.theta2)
         ok &= abs(c.theta1 - c.norm_exponent / c.delta1) <= 1e-12 * max(abs(c.theta1), 1.0)
     for n in (3, 4, 5):
@@ -172,10 +170,9 @@ def test_criterion_1_exponent_closed_forms(rng):
             for gamma_fac in (1.0, 1.2):
                 gamma = p * gamma_fac
                 e = Exponents(n, (p,) * n, p, gamma, (INF,) * n, INF)
-                d = derive(e)
-                if not check_admissibility(d, e).admissible:
+                if not check_admissibility(e).admissible:
                     continue
-                c = iteration_constants(d, e)
+                c = iteration_constants(e)
                 p_star = n * p / (n - p)
                 ok &= abs(c.theta1 - (p_star * gamma - p * p) / (p * (p_star - gamma))) <= 1e-12
                 ok &= abs(c.theta2 - p_star / (p_star - gamma)) <= 1e-12
@@ -194,12 +191,11 @@ def test_criterion_2_admissibility_equivalence(rng):
     good = 0
     while good < 10_000:
         e = random_exponents(rng)
-        d = derive(e)
-        rep = check_admissibility(d, e)
+        rep = check_admissibility(e)
         if not (rep.cond_i and rep.cond_ii):
             continue
         good += 1
-        c = iteration_constants(d, e, check=False)
+        c = iteration_constants(e, check=False)
         if (c.delta1 > 0) != rep.cond_iii:
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -344,15 +340,14 @@ def test_criterion_7_homogeneity(solved_problems):
     targets = [(p, u) for p, u, _ in solved_problems if p.name in ("iso3d", "weighted2d")]
     assert targets
     for prob, u in targets:
-        d = derive(prob.model.exponents)
         grid = u.grid
         bump = hat_bump(grid)
         subbox = tuple((lo + 0.1, hi - 0.1) for lo, hi in prob.box)
         base_lb = verify_lower_bound(prob.model, u, subbox).c_emp
-        base_em, base_ps = (rep.c_emp for rep in verify_sobolev(prob.model, bump, d))
+        base_em, base_ps = (rep.c_emp for rep in verify_sobolev(prob.model, bump))
         for t in (0.5, 3.0, 10.0):
             lb = verify_lower_bound(prob.model, scaled(u, t), subbox).c_emp
-            em, ps = (rep.c_emp for rep in verify_sobolev(prob.model, scaled(bump, t), d))
+            em, ps = (rep.c_emp for rep in verify_sobolev(prob.model, scaled(bump, t)))
             ok &= abs(lb - base_lb) <= 1e-10 * abs(base_lb)
             ok &= abs(em - base_em) <= 1e-10 * abs(base_em)
             ok &= abs(ps - base_ps) <= 1e-10 * abs(base_ps)

@@ -123,6 +123,18 @@ class TestAdmissible:
         assert load_config(cfg).name == "iso3d%"
         assert main(["admissible", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (SMOKE, "353fab8d92fefc210e1645b38d111b6b4bab24e2"),
+            (SMOKE3D, "6a7dcbd97b3095146eaa1df7c58b7cffcc0bc895"),
+        ],
+        ids=["smoke", "smoke3d"],
+    )
+    def test_stdout_bytes(self, capsys, config, digest):
+        assert main(["admissible", "--config", config]) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 @pytest.fixture(scope="module")
 def solved(tmp_path_factory):
@@ -411,6 +423,15 @@ class TestCsvPins:
             ("gamma=1.8:3:4", "28498a38dfafdc9a2a601f9a942739f813661af4"),
             # gamma = 0.5 < q is no Exponents, 9.125 and 12 fail condition (iii)
             ("gamma=0.5:12:5", "db20a3b52d6085dfd9122023714bb13a2d0dad35"),
+            # q = 1.5 < p_2 is no Exponents, 12 fails condition (ii); q raises gamma
+            ("q=1.5:12:4", "7b59cd1b854a77a76e955de24a394bf579a4128f"),
+            # s = 1 is no Exponents; at s = 1.25, sigma_star/s' is q in exact
+            # arithmetic and rounds just below it, so condition (ii) fails
+            ("s=1:2:5", "f467437c9b3796fa8f45327c8c92aaad0eba12f8"),
+            # r = 0.5 is no Exponents, r = 1 fails condition (ii)
+            ("r=0.5:4.5:9", "c8a1c7bfc9fca2dd48073e15f31a9f1719b6376a"),
+            # p = 1 is no Exponents, 2 and 2.5 fail condition (i); p raises q and gamma
+            ("p=1:2.5:4", "4ae952287d20ccb3de1b51c55d5ed45a9df57ac8"),
         ],
     )
     def test_sweep_bytes(self, tmp_path, capsys, axis, digest):
@@ -675,6 +696,27 @@ class TestCertifyOverflow:
         assert row[2] == "inf"
         assert row[-1] == "0"
 
+    def test_recursion_constants_beyond_binary64(self, tmp_path, capsys):
+        # admissible with delta2 about 53 512, so lambda = 8^delta2, R^-delta2
+        # and (1 + N)^E exceed binary64: each is inf, and no command raises
+        text = ISO3D
+        for old, new in (("p = 2,2,2", "p = 2.99,2.99,2.99"), ("q = 2\n", "q = 400\n"),
+                         ("gamma = 2\n", "gamma = 400\n")):
+            text = patch(text, old, new)
+        cfg = write_config(tmp_path, text)
+        assert main(["admissible", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "lambda_base=inf"
+        assert main(["sweep", "--config", cfg, "--axis", "gamma=400:401:2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[2:5] for row in rows] == [["1", "1", "1"]] * 2
+        sol = tmp_path / "ovf.gridfn"
+        write_gridfn(sol, load_config(cfg).initial_field())
+        out = tmp_path / "c"
+        assert main(["certify", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 4
+        row = (out / "iso3d_certificate.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "inf"
+        assert row[-1] == "0"
+
 
 def test_ci_smoke_config_runs_every_command(tmp_path):
     # the problem both CI jobs run through the installed console script:
@@ -729,7 +771,7 @@ def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):
     # inside the box
     spec = load_config(OFFBOX)
     assert spec.grid.lo == (0.1, 0.1) and spec.grid.hi == (0.7, 0.7) and spec.grid.h == 0.05
-    assert spec.certify.C_cal is None and max(spec.exponents.p) < 2
+    assert spec.certify.C_cal is None and max(spec.model.exponents.p) < 2
     out = str(tmp_path / "out")
     solution = os.path.join(out, f"{spec.name}_solution.gridfn")
     assert main(["minimize", "--config", OFFBOX, "--out", out]) == 0

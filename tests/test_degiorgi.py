@@ -16,7 +16,7 @@ from anibound.degiorgi import (
     j_sequence,
     sequences,
 )
-from anibound.exponents import INF, Exponents, default_c0, derive, iteration_constants
+from anibound.exponents import INF, Exponents, default_c0, iteration_constants
 from anibound.fields import GridFunction, make_grid
 from anibound.minimize import SolveConfig, solve
 from conftest import (
@@ -144,7 +144,7 @@ class TestCalibration:
     def test_zero_traces_fall_back_to_one(self):
         g = unit_grid(3, 1 / 8)
         e = simple_model(3).exponents
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         u = GridFunction(g, np.zeros(g.shape))
         t = degiorgi._trace(X0, 0.4, 4.0, c, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
         assert calibrate_C([t]) == 1.0
@@ -152,7 +152,7 @@ class TestCalibration:
     def test_safety_factor(self, harmonic_3d):
         m, u = harmonic_3d
         e = m.exponents
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         js = j_sequence(scaled(u, 8.0), X0, 0.4, 2.0, e, H=10)
         t = degiorgi._trace(X0, 0.4, 2.0, c, 1.0, 1, js)
         if t.C_emp > 0.0:
@@ -234,7 +234,7 @@ class TestCertify:
         g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
         u = GridFunction(g, 6.0 * np.sum((g.node_points() - 0.5) ** 2, axis=1) - 4.0)
         e = simple_model(3).exponents
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         x0, R = (1.0, 0.9, 0.9), 0.45
         cert = certify(u, x0, R, e, C_cal=C_cal, H=12)
         assert [t.sign for t in cert.traces] == [1, -1]
@@ -279,9 +279,8 @@ class TestCertify:
                 assert not cert.valid
                 continue
             finite += 1
-            d_exp = derive(e)
-            c = iteration_constants(d_exp, e)
-            core = (C_cal * default_c0(d_exp, e) ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
+            c = iteration_constants(e)
+            core = (C_cal * default_c0(e) ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
                 1.0 / c.delta1
             )
             closed = max(2.0, core * R ** (-c.theta2) * (1.0 + cert.N) ** c.theta1)

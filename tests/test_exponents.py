@@ -13,7 +13,6 @@ from anibound.exponents import (
     choose_d,
     conjugate_exponent,
     default_c0,
-    derive,
     harmonic_mean,
     iteration_constants,
     sobolev_star,
@@ -77,34 +76,30 @@ class TestSobolevStar:
 class TestDerive:
     def test_all_infinite(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        d = derive(e)
-        assert d.sigma == (2.0, 2.0, 2.0)
-        assert d.sigma_bar == 2.0
-        assert d.sigma_star == 6.0
-        assert d.p_bar == 2.0
-        assert d.s_prime == 1.0
+        assert e.sigma == (2.0, 2.0, 2.0)
+        assert e.sigma_bar == 2.0
+        assert e.sigma_star == 6.0
+        assert e.p_bar == 2.0
+        assert e.s_prime == 1.0
 
     def test_finite_r(self):
         e = Exponents(3, (2, 2, 2), 2, 2.5, (4, 4, 4), 4)
-        d = derive(e)
-        assert d.sigma == pytest.approx((1.6,) * 3)
-        assert d.sigma_bar == pytest.approx(1.6)
-        assert d.sigma_star == pytest.approx(24.0 / 7.0)
-        assert d.p_bar == pytest.approx(2.0)
-        assert d.s_prime == pytest.approx(4.0 / 3.0)
+        assert e.sigma == pytest.approx((1.6,) * 3)
+        assert e.sigma_bar == pytest.approx(1.6)
+        assert e.sigma_star == pytest.approx(24.0 / 7.0)
+        assert e.p_bar == pytest.approx(2.0)
+        assert e.s_prime == pytest.approx(4.0 / 3.0)
 
     def test_r_equal_one(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (1, 1, 1), 2)
-        d = derive(e)
-        assert d.sigma == pytest.approx((1.0,) * 3)
-        assert d.sigma_bar == pytest.approx(1.0)
-        assert d.sigma_star == pytest.approx(1.5)
+        assert e.sigma == pytest.approx((1.0,) * 3)
+        assert e.sigma_bar == pytest.approx(1.0)
+        assert e.sigma_star == pytest.approx(1.5)
 
     def test_sigma_capped_by_p(self, rng):
         for _ in range(200):
             e = random_exponents(rng)
-            d = derive(e)
-            for si, pi, ri in zip(d.sigma, e.p, e.r):
+            for si, pi, ri in zip(e.sigma, e.p, e.r):
                 assert si <= pi + 1e-12
                 assert (si == pi) == math.isinf(ri)
 
@@ -120,26 +115,26 @@ class TestDerive:
 class TestAdmissibility:
     def test_isotropic_gamma4(self):
         e = Exponents(3, (2, 2, 2), 2, 4, (INF,) * 3, INF)
-        rep = check_admissibility(derive(e), e)
+        rep = check_admissibility(e)
         assert rep.admissible
         assert rep.gamma_bound == pytest.approx(6.0)
 
     def test_finite_rs(self):
         e = Exponents(3, (2, 2, 2), 2, 2.5, (4, 4, 4), 4)
-        rep = check_admissibility(derive(e), e)
+        rep = check_admissibility(e)
         assert rep.admissible
         assert rep.gamma_bound == pytest.approx(18.0 / 7.0)
 
     def test_gamma_too_large(self):
         e = Exponents(3, (2, 2, 2), 2, 3, (4, 4, 4), 4)
-        rep = check_admissibility(derive(e), e)
+        rep = check_admissibility(e)
         assert rep.cond_i and rep.cond_ii and not rep.cond_iii
         assert not rep.admissible
 
     def test_gamma_bound_above_q_whenever_cond_ii(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            rep = check_admissibility(derive(e), e)
+            rep = check_admissibility(e)
             if rep.cond_ii:
                 assert rep.gamma_bound > e.q
 
@@ -147,7 +142,7 @@ class TestAdmissibility:
 class TestThetaExponents:
     def test_isotropic_gamma4(self):
         e = Exponents(3, (2, 2, 2), 2, 4, (INF,) * 3, INF)
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         t1, t2 = c.theta1, c.theta2
         assert t1 == pytest.approx(5.0, rel=1e-14)
         assert t2 == pytest.approx(3.0, rel=1e-14)
@@ -157,18 +152,17 @@ class TestThetaExponents:
         for _ in range(100):
             e = random_exponents(rng)
             e = Exponents(e.n, e.p, e.q, e.q, e.r, e.s)
-            d = derive(e)
-            if not check_admissibility(d, e).admissible:
+            if not check_admissibility(e).admissible:
                 continue
-            c = iteration_constants(d, e)
+            c = iteration_constants(e)
             t1, t2 = c.theta1, c.theta2
-            sp, ss, pb, q = d.s_prime, d.sigma_star, d.p_bar, e.q
+            sp, ss, pb, q = e.s_prime, e.sigma_star, e.p_bar, e.q
             assert t1 == pytest.approx(q * (ss - sp * pb) / (pb * (ss - q * sp)), rel=1e-12)
             assert t2 == pytest.approx(q * ss / (pb * (ss - q * sp)), rel=1e-12)
 
     def test_isotropic_gamma_q(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         t1, t2 = c.theta1, c.theta2
         assert t1 == pytest.approx(1.0, rel=1e-14)
         assert t2 == pytest.approx(1.5, rel=1e-14)
@@ -176,13 +170,13 @@ class TestThetaExponents:
     def test_inadmissible_rejected(self):
         e = Exponents(3, (2, 2, 2), 2, 3, (4, 4, 4), 4)
         with pytest.raises(ValueError):
-            iteration_constants(derive(e), e)
+            iteration_constants(e)
 
 
 class TestIterationConstants:
     def test_isotropic_closed_forms(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        c = iteration_constants(derive(e), e)
+        c = iteration_constants(e)
         assert c.delta1 == pytest.approx(4.0 / 3.0, rel=1e-14)  # p^2/n
         assert c.alpha == pytest.approx(2.0 / 3.0, rel=1e-14)  # p/n
         assert c.delta2 == pytest.approx(2.0, rel=1e-14)
@@ -190,32 +184,30 @@ class TestIterationConstants:
 
     def test_theta2_identity(self, rng):
         for e in random_admissible_exponents(rng, 200):
-            c = iteration_constants(derive(e), e)
+            c = iteration_constants(e)
             assert c.theta2 == pytest.approx(c.delta2 / c.delta1, rel=1e-12)
 
     def test_theta1_identity(self, rng):
         for e in random_admissible_exponents(rng, 200):
-            c = iteration_constants(derive(e), e)
+            c = iteration_constants(e)
             assert c.theta1 == pytest.approx(c.norm_exponent / c.delta1, rel=1e-12)
 
     def test_delta1_sign_matches_cond_iii(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            d = derive(e)
-            rep = check_admissibility(d, e)
+            rep = check_admissibility(e)
             if not (rep.cond_i and rep.cond_ii):
                 continue
-            c = iteration_constants(d, e, check=False)
+            c = iteration_constants(e, check=False)
             assert (c.delta1 > 0) == rep.cond_iii
 
     def test_alpha_positive_when_delta1_positive(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            d = derive(e)
-            rep = check_admissibility(d, e)
+            rep = check_admissibility(e)
             if not (rep.cond_i and rep.cond_ii):
                 continue
-            c = iteration_constants(d, e, check=False)
+            c = iteration_constants(e, check=False)
             if c.delta1 > 0:
                 assert c.alpha > 0
 
@@ -223,7 +215,7 @@ class TestIterationConstants:
 class TestChooseD:
     def _iso_constants(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        return iteration_constants(derive(e), e)
+        return iteration_constants(e)
 
     def test_reference_value(self):
         c = self._iso_constants()
@@ -269,11 +261,10 @@ class TestChooseD:
         ds = []
         for e in (Exponents(*args), Exponents(*as_numpy)):
             assert all(type(v) is float for v in (e.q, e.gamma, e.s, *e.p, *e.r))
-            d_exp = derive(e)
-            c = iteration_constants(d_exp, e)
+            c = iteration_constants(e)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ds.append(choose_d(c, 1.0, default_c0(d_exp, e), 0.4, 1.0))
+                ds.append(choose_d(c, 1.0, default_c0(e), 0.4, 1.0))
         assert ds == [math.inf, math.inf]
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anibound.exponents import INF, Exponents, derive
+from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction, _average_to_cells, gradient, lp_norm, make_grid
 from anibound.inequalities import (
     _make_report,
@@ -55,27 +55,28 @@ class TestLowerBound:
             verify_lower_bound(m, u, ((0.0, 2.0), (0.0, 1.0)))
 
 
-def embedding(u, d):
-    """The embedding report of `verify_sobolev`; the model only enters the
-    other row, so constant unit weights do."""
-    return verify_sobolev(simple_model(u.grid.n), u, d)[0]
+def embedding(u, e):
+    """The embedding report of `verify_sobolev` with exponents e; the weights
+    only enter the other row, so constant unit weights do."""
+    n = u.grid.n
+    return verify_sobolev(ModelIntegrand(e, (constant(1.0),) * n, constant(1.0), 0.0), u)[0]
 
 
-def ref_embedding(u, d):
+def ref_embedding(u, e):
     """The embedding row's formulas as a verifier of its own."""
     grid = u.grid
-    lhs = lp_norm(_average_to_cells(u.values), d.sigma_star, grid)
+    lhs = lp_norm(_average_to_cells(u.values), e.sigma_star, grid)
     grads = gradient(u)
     prod = 1.0
     for i in range(grid.n):
-        prod *= lp_norm(grads[i], d.sigma[i], grid)
+        prod *= lp_norm(grads[i], e.sigma[i], grid)
     return _make_report("embedding", lhs, prod ** (1.0 / grid.n), {})
 
 
-def ref_poincare_sobolev(m, v, d):
+def ref_poincare_sobolev(m, v):
     """The Poincare-Sobolev row's formulas as a verifier of its own."""
     grid = v.grid
-    lhs = lp_norm(_average_to_cells(v.values), d.sigma_star, grid)
+    lhs = lp_norm(_average_to_cells(v.values), m.exponents.sigma_star, grid)
     grads = gradient(v)
     lam, _ = m.on_cells(grid)
     hn = grid.h ** grid.n
@@ -92,43 +93,42 @@ class TestEmbedding:
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
         u = GridFunction(g, np.zeros(g.shape))
-        rep = embedding(u, derive(e))
+        rep = embedding(u, e)
         assert rep.lhs == 0.0 and rep.c_emp == 0.0
 
     def test_hat_bump_finite(self):
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        rep = embedding(hat_bump(g), derive(e))
+        rep = embedding(hat_bump(g), e)
         assert rep.lhs > 0.0
         assert math.isfinite(rep.c_emp)
 
     def test_scaling_invariance(self):
         g = unit_grid(3, 1 / 8)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        d = derive(e)
-        base = embedding(hat_bump(g), d)
+        base = embedding(hat_bump(g), e)
         for t in (0.5, 3.0, 10.0):
-            rep = embedding(hat_bump(g, amplitude=t), d)
+            rep = embedding(hat_bump(g, amplitude=t), e)
             assert rep.c_emp == pytest.approx(base.c_emp, rel=1e-10)
 
     def test_requires_sigma_below_n(self):
         g = unit_grid(2, 1 / 8)
         e = Exponents(2, (2, 2), 2, 2, (INF,) * 2, INF)
         with pytest.raises(ValueError):
-            embedding(hat_bump(g), derive(e))
+            embedding(hat_bump(g), e)
 
     def test_requires_vanishing_boundary(self):
         g = unit_grid(3, 1 / 4)
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
         with pytest.raises(ValueError):
-            embedding(coordinate_field(g), derive(e))
+            embedding(coordinate_field(g), e)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_boundary_node_is_checked(self, n):
         # one nonzero node on a face (low or high end of each axis) is
         # refused; the same value one node inside is not
         g = make_grid([(0.1, 0.7)] * n, 0.1)
-        d = derive(simple_model(n, p=1.5).exponents)
+        e = simple_model(n, p=1.5).exponents
         middle = [m // 2 for m in g.shape]
         for axis, end in itertools.product(range(n), (0, -1)):
             for index, refused in ((end, True), (1 if end == 0 else -2, False)):
@@ -136,9 +136,9 @@ class TestEmbedding:
                 values[tuple(middle[:axis] + [index] + middle[axis + 1:])] = 1.0
                 if refused:
                     with pytest.raises(ValueError, match="vanish on the grid boundary"):
-                        embedding(GridFunction(g, values), d)
+                        embedding(GridFunction(g, values), e)
                 else:
-                    assert embedding(GridFunction(g, values), d).lhs > 0.0
+                    assert embedding(GridFunction(g, values), e).lhs > 0.0
 
 
 class TestPoincareSobolev:
@@ -146,23 +146,22 @@ class TestPoincareSobolev:
         g = unit_grid(3, 1 / 8)
         m = simple_model(3)
         u = GridFunction(g, np.zeros(g.shape))
-        _, rep = verify_sobolev(m, u, derive(m.exponents))
+        _, rep = verify_sobolev(m, u)
         assert rep.lhs == 0.0
 
     def test_collapse_to_embedding(self):
         # lambda_i = 1, r_i = inf: the weighted bound coincides with the embedding
         g = unit_grid(3, 1 / 8)
         m = simple_model(3)
-        rep_e, rep_p = verify_sobolev(m, hat_bump(g), derive(m.exponents))
+        rep_e, rep_p = verify_sobolev(m, hat_bump(g))
         assert rep_p.c_emp == pytest.approx(rep_e.c_emp, rel=1e-10)
 
     def test_scaling_invariance(self):
         g = unit_grid(3, 1 / 8)
         m = simple_model(3, p=2.0, q=2.5, gamma=2.5, r=6.0, s=6.0)
-        d = derive(m.exponents)
-        _, base = verify_sobolev(m, hat_bump(g), d)
+        _, base = verify_sobolev(m, hat_bump(g))
         for t in (0.5, 3.0, 10.0):
-            _, rep = verify_sobolev(m, hat_bump(g, amplitude=t), d)
+            _, rep = verify_sobolev(m, hat_bump(g, amplitude=t))
             assert rep.c_emp == pytest.approx(base.c_emp, rel=1e-10)
 
 
@@ -189,13 +188,12 @@ def power_weight(center, exponent):
 )
 def test_sobolev_rows_match_the_separate_formulas_bitwise(m, box, h):
     grid = make_grid(box, h)
-    d = derive(m.exponents)
     rng = np.random.default_rng(grid.n)
     noisy = rng.uniform(0.5, 1.5, size=grid.shape) * hat_bump(grid, 3.0).values
     for v in (hat_bump(grid), GridFunction(grid, noisy)):
-        rep_e, rep_p = verify_sobolev(m, v, d)
-        assert rep_e == ref_embedding(v, d)
-        assert rep_p == ref_poincare_sobolev(m, v, d)
+        rep_e, rep_p = verify_sobolev(m, v)
+        assert rep_e == ref_embedding(v, m.exponents)
+        assert rep_p == ref_poincare_sobolev(m, v)
         assert rep_e.lhs > 0.0 and rep_p.rhs_structure > 0.0
 
 
