@@ -92,17 +92,17 @@ def cmd_admissible(args) -> int:
     return EXIT_OK if admissible else EXIT_INADMISSIBLE
 
 
-def _out_path(args, cfg: RunConfig, filename: str) -> str:
-    out_dir = args.out if args.out else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
+def _out_path(args, filename: str) -> str:
+    directory = args.out or "."
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, filename)
 
 
 def cmd_minimize(args) -> int:
     cfg = load_config(args.config)
     init = cfg.initial_field()
-    sol_path = _out_path(args, cfg, f"{cfg.name}_solution.gridfn")
-    csv_path = _out_path(args, cfg, f"{cfg.name}_minimize.csv")
+    sol_path = _out_path(args, f"{cfg.name}_solution.gridfn")
+    csv_path = _out_path(args, f"{cfg.name}_minimize.csv")
     result = solve(cfg.model, cfg.grid, init, cfg.solver)
     write_gridfn(sol_path, result.u)
     phis = random_perturbations(cfg.grid, 32, seed=0)
@@ -143,19 +143,19 @@ def cmd_certify(args) -> int:
     u = _load_solution(cfg, args.solution)
     spec = cfg.certify
     cert = degiorgi.certify(u, spec.x0, spec.R, e, C_cal=spec.C_cal, H=spec.H)
-    cert_path = _out_path(args, cfg, f"{cfg.name}_certificate.csv")
+    cert_path = _out_path(args, f"{cfg.name}_certificate.csv")
     _write_csv(
         cert_path,
         ("x0", "R", "d", "sup_half_ball", "slack", "theta1", "theta2", "valid"),
         [(cert.x0, cert.R, cert.d, cert.sup_half_ball, cert.slack, cert.theta1, cert.theta2,
           cert.valid)],
     )
-    trace_path = _out_path(args, cfg, f"{cfg.name}_trace.csv")
+    trace_path = _out_path(args, f"{cfg.name}_trace.csv")
     _write_csv(
         trace_path,
         ("sign", "h", "rho_h", "k_h", "J_h", "rhs_h"),
-        [(t.sign, h, t.rhos[h], t.ks[h], t.js[h], t.rhs[h])
-         for t in cert.traces for h in range(len(t.js) - 1)],
+        [(t.sign, h, cert.rhos[h], cert.ks[h], t.js[h], t.rhs[h])
+         for t in cert.traces for h in range(len(t.rhs))],
     )
     print(f"certificate: {cert_path}")
     print(f"trace: {trace_path}")
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
         cfg.model, u, spec.levels, spec.rhos, spec.radii, spec.x0
     )
 
-    csv_path = _out_path(args, cfg, f"{cfg.name}_inequalities.csv")
+    csv_path = _out_path(args, f"{cfg.name}_inequalities.csv")
     _write_csv(
         csv_path,
         ("check", "context", "lhs", "rhs_structure", "c_emp", "passed"),

@@ -2,8 +2,9 @@
 
 Numbers are decimal binary64, "inf" is the infinity literal, nan is an error,
 and n, max_iters and H must be whole numbers.  Errors raise ConfigError,
-naming the section and key.  The full schema, with defaults and checks in
-the comments::
+naming the section and key.  A section or key outside the schema is an
+error too, so a misspelt name never falls back to its default.  The full
+schema, with defaults and checks in the comments::
 
     [problem]
     name = iso2d                 # default run
@@ -19,20 +20,20 @@ the comments::
     s = inf
     [weights]
     lambda1.kind = constant      # or power (center (n), exponent); default constant
-    lambda1.amplitude = 1
+    lambda1.amplitude = 1        # > 0 for lambda<i>; >= 0 for mu
     mu.kind = constant           # as lambda<i>
     u_coeff = 0                  # >= 0
     [boundary]
     kind = affine                # affine: coeffs (n), offset
     coeffs = 1,0                 # radial: center (n), exponent, amplitude, offset
     offset = 0                   # product: factor<i> = a,b, amplitude, offset
-    [solver]                     # optional; any other key is an error
+    [solver]                     # optional
     max_iters = 200              # >= 1; counts Newton steps
     grad_tol = 1e-8              # > 0
     [certify]                    # optional
     x0 = 0.5,0.5                 # n coordinates
     R = 0.4
-    H = 40                       # default 40
+    H = 40                       # >= 1, checked when certify runs; default 40
     C_cal = calibrate            # or a number; default 1
     [verify]                     # optional; defaults shown
     x0 = 0.5,0.5                 # n coordinates; default the box centre
@@ -41,8 +42,6 @@ the comments::
     radii = 0.25,0.3,0.35        # not empty; balls must lie in the grid box
     subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box;
                                  # default the box less a tenth of each side
-    [output]                     # optional
-    dir = .
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degiorgi import DEFAULT_STEPS
 from .exponents import Exponents
 from .fields import Grid, GridFunction, make_grid
 from .integrand import ModelIntegrand, WeightField
@@ -78,14 +78,20 @@ def _num_list(text: str):
 
 
 class _Section:
-    def __init__(self, parser, name):
+    """One section of the file, entered in `opened` by name; it records the
+    keys it reads, so that `load_config` can reject the others."""
+
+    def __init__(self, parser, name, opened):
         self.name = name
         try:
             self.raw = parser[name]
         except KeyError:
             raise ConfigError(f"missing section [{name}]") from None
+        self.read = set()
+        opened[name] = self
 
     def get(self, key, default=None, required=False):
+        self.read.add(key)
         if key in self.raw:
             return self.raw[key]
         if required:
@@ -138,6 +144,8 @@ class _Section:
 def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     kind = sec.get(f"{prefix}.kind", default="constant").strip()
     amp = sec.num(f"{prefix}.amplitude", default=1.0)
+    if prefix != "mu" and amp <= 0:  # 1/lambda_i must lie in L^{r_i}
+        raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be > 0, got {amp!r}")
     if kind == "constant":
         for key in (f"{prefix}.center", f"{prefix}.exponent"):
             if key in sec.raw:
@@ -234,7 +242,6 @@ class RunConfig:
     solver: SolveConfig
     certify: CertifySpec | None
     verify: VerifySpec | None
-    out_dir: str = "."
 
     def initial_field(self) -> GridFunction:
         values = self.boundary(self.grid.node_points()).reshape(self.grid.shape)
@@ -250,10 +257,10 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
-    prob = _Section(parser, "problem")
-    name = prob.get("name", default="run")
+    opened = {}
+    name = _Section(parser, "problem", opened).get("name", default="run")
 
-    gsec = _Section(parser, "grid")
+    gsec = _Section(parser, "grid", opened)
     h = gsec.num("h", required=True)
     box = gsec.box("box", required=True)
     try:
@@ -261,7 +268,7 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from None
 
-    esec = _Section(parser, "exponents")
+    esec = _Section(parser, "exponents", opened)
     n = esec.integer("n", required=True)
     if n != grid.n:
         raise ConfigError(f"[exponents] field 'n': {n} does not match grid dimension {grid.n}")
@@ -278,7 +285,7 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[exponents]: {exc}") from None
 
-    wsec = _Section(parser, "weights")
+    wsec = _Section(parser, "weights", opened)
     lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}", n) for i in range(n))
     u_coeff = wsec.num("u_coeff", default=0.0)
     mu = _parse_weight(wsec, "mu", n)
@@ -287,15 +294,11 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[weights]: {exc}") from None
 
-    bsec = _Section(parser, "boundary")
-    boundary = _parse_boundary(bsec, n)
+    boundary = _parse_boundary(_Section(parser, "boundary", opened), n)
 
     solver = SolveConfig()
     if parser.has_section("solver"):
-        ssec = _Section(parser, "solver")
-        unknown = sorted(set(ssec.raw) - {"max_iters", "grad_tol"})
-        if unknown:
-            raise ConfigError(f"[solver] unknown field(s): {', '.join(unknown)}")
+        ssec = _Section(parser, "solver", opened)
         max_iters = ssec.integer("max_iters", solver.max_iters)
         grad_tol = ssec.num("grad_tol", solver.grad_tol)
         try:
@@ -305,20 +308,20 @@ def load_config(path) -> RunConfig:
 
     certify = None
     if parser.has_section("certify"):
-        csec = _Section(parser, "certify")
+        csec = _Section(parser, "certify", opened)
         x0 = tuple(csec.nums("x0", required=True, count=n))
         c_raw = csec.get("c_cal", default="1")
         C_cal = None if c_raw.strip().lower() == "calibrate" else csec.num("c_cal", 1.0)
         certify = CertifySpec(
             x0=x0,
             R=csec.num("r", required=True),
-            H=csec.integer("h", default=40),
+            H=csec.integer("h", default=DEFAULT_STEPS),
             C_cal=C_cal,
         )
 
     verify = None
     if parser.has_section("verify"):
-        vsec = _Section(parser, "verify")
+        vsec = _Section(parser, "verify", opened)
         centre = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
         x0 = tuple(vsec.nums("x0", default=centre, count=n))
         default_sub = tuple(
@@ -338,10 +341,14 @@ def load_config(path) -> RunConfig:
             raise ConfigError("[verify] field 'rhos': no rho is below any of the radii")
         verify = VerifySpec(levels=levels, rhos=rhos, radii=radii, x0=x0, subbox=subbox)
 
-    out_dir = "."
-    if parser.has_section("output"):
-        out_dir = _Section(parser, "output").get("dir", default=".")
-
+    # a section or key that nothing above read is an error: a misspelt name
+    # would otherwise fall back silently to its default
+    for title in parser.sections():
+        if title not in opened:
+            raise ConfigError(f"unknown section [{title}]")
+        unknown = sorted(set(opened[title].raw) - opened[title].read)
+        if unknown:
+            raise ConfigError(f"[{title}] unknown field(s): {', '.join(unknown)}")
     return RunConfig(
         name=name,
         grid=grid,
@@ -350,5 +357,4 @@ def load_config(path) -> RunConfig:
         solver=solver,
         certify=certify,
         verify=verify,
-        out_dir=out_dir,
     )

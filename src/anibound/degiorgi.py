@@ -1,8 +1,9 @@
 """Level-set iteration engine and L-infinity certification.
 
-Runs the explicit iteration: shrinking radii rho_h -> R/2, increasing levels
-k_h -> d, super-level masses J_h, the geometric recursion that drives them to
-zero, and the closed-form choice of the level scale d.  The recursion
+Runs the explicit iteration on one schedule per ball and level scale
+(`sequences`: shrinking radii rho_h -> R/2, increasing levels k_h -> d),
+super-level masses J_h, the geometric recursion that drives them to zero,
+and the closed-form choice of the level scale d.  The recursion
 constant is existential in the continuum statement; here it is calibrated
 empirically once per problem class and the certificate records how much
 slack the computed minimizer leaves under the resulting bound.
@@ -11,7 +12,8 @@ The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
 are one pass over the ball's cells (`_masses`), and `certify` forms those
 cells once for N, both signs and both of its runs.
 
-Results are data: a `Certificate` holding one `IterationTrace` per sign.
+Results are data: a `Certificate` holding the schedule once and one
+`IterationTrace` per sign.
 The command line writes them as the certificate and trace CSV files.
 """
 
@@ -46,18 +48,18 @@ DECAY_FACTOR = 1e-10
 DEFAULT_STEPS = 40
 
 
-def sequences(R: float, d: float, h: int):
-    """Radii and levels of step h: rho_h, k_h and the midpoint radius rho_bar_h."""
+def sequences(R: float, d: float, H: int) -> tuple:
+    """The schedule of steps h = 0..H as two arrays: radii rho_h = (R/2)(1 + 2^-h),
+    which never rise, and levels k_h = d(1 - 2^-(h+1)), which never fall; each
+    entry is the bits of its scalar formula, as every power of 2 is exact."""
     if R <= 0:
         raise ValueError("radius must be positive")
     if d < 2:
         raise ValueError(f"level scale d must be >= 2, got {d}")
-    if h < 0:
-        raise ValueError("step index must be >= 0")
-    rho = (R / 2.0) * (1.0 + 0.5 ** h)
-    k = d * (1.0 - 0.5 ** (h + 1))
-    rho_bar = (R / 2.0) * (1.0 + 3.0 / (4.0 * 2.0 ** h))
-    return rho, k, rho_bar
+    if H < 1:
+        raise ValueError("need at least one step")
+    halves = np.ldexp(1.0, -np.arange(H + 1))
+    return (R / 2.0) * (1.0 + halves), d * (1.0 - 0.5 * halves)
 
 
 def _ball_data(u: GridFunction, x0, R: float) -> tuple:
@@ -70,21 +72,17 @@ def _ball_data(u: GridFunction, x0, R: float) -> tuple:
     return uc[inside], dist2[inside]
 
 
-def _masses(values, dist2, R: float, d: float, qs: float, hn: float, H: int) -> np.ndarray:
-    """J_h for h = 0..H from the values and squared distances of cells that
-    include every cell of B_R.
+def _masses(values, dist2, rhos, ks, qs: float, hn: float) -> np.ndarray:
+    """J_h for every step of the schedule `rhos`, `ks` (`sequences`) from the
+    values and squared distances of cells that include every cell of B_R.
 
-    rho_h is non-increasing and k_h non-decreasing in floating point too, so
-    the sets {values > k_h} within B_{rho_h} are nested: step h filters only
-    the cells that step h - 1 kept. They stay in the order given, so each
-    J_h is bitwise the sum a scan of all the cells would give. Once the set
-    is empty the remaining J_h are 0.
+    The sets {values > k_h} within B_{rho_h} are nested, so step h filters
+    only the cells that step h - 1 kept. They stay in the order given, so
+    each J_h is bitwise the sum a scan of all the cells would give. Once the
+    set is empty the remaining J_h are 0.
     """
-    if H < 1:
-        raise ValueError("need at least one step")
-    out = np.zeros(H + 1)
-    for h in range(H + 1):
-        rho, k, _ = sequences(R, d, h)
+    out = np.zeros(len(rhos))
+    for h, (rho, k) in enumerate(zip(rhos.tolist(), ks.tolist())):
         keep = (dist2 < rho * rho) & (values > k)
         if not keep.any():
             break
@@ -107,7 +105,7 @@ def j_sequence(
     cells that the step before kept (`_masses`).
     """
     values, dist2 = _ball_data(u, x0, R)
-    return _masses(values, dist2, R, d, e.qs_prime, u.grid.h ** u.grid.n, H)
+    return _masses(values, dist2, *sequences(R, d, H), e.qs_prime, u.grid.h ** u.grid.n)
 
 
 @dataclass(frozen=True)
@@ -151,41 +149,31 @@ def fast_convergence(
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Per-step diagnostics of one level-set iteration run."""
+    """Per-step diagnostics of the level-set iteration for one sign of u; the
+    schedule, x0, R, d and N it ran on are the `Certificate`'s."""
 
-    x0: tuple
-    R: float
-    d: float
     sign: int  # +1 for u, -1 for -u
-    N: float  # ||u||_{sigma_bar*}(B_R)
-    js: np.ndarray
-    rhos: np.ndarray
-    ks: np.ndarray
-    rhs: np.ndarray  # recursion right side at C = 1, per step
+    js: np.ndarray  # J_h, h = 0..H
+    rhs: np.ndarray  # recursion right side at C = 1, h = 0..H-1
     C_emp: float  # minimal C making the recursion hold across steps
 
 
-def _trace(x0, R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
+def _trace(R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
     """The diagnostics of one run from its masses J_0..J_H.
 
     A factor of the recursion's right side too large for binary64 is inf, as
     in `choose_d`; a step with J_h = 0 has right side 0 whatever the factor."""
-    H = len(js) - 1
-    rhos = np.empty(H + 1)
-    ks = np.empty(H + 1)
-    for h in range(H + 1):
-        rhos[h], ks[h], _ = sequences(R, d, h)
     try:
         scale = (1.0 + N) ** c.norm_exponent * d ** (-c.delta1) * R ** (-c.delta2)
     except OverflowError:
         scale = math.inf
     live = js[:-1] > 0
-    rhs = np.zeros(H)
-    rhs[live] = scale * c.lambda_base ** np.arange(H)[live] * js[:-1][live] ** (1.0 + c.alpha)
+    rhs = np.zeros(live.size)
+    rhs[live] = scale * c.lambda_base ** np.arange(live.size)[live] * js[:-1][live] ** (1.0 + c.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, js[1:] / rhs, 0.0)
     C_emp = float(np.max(ratios)) if ratios.size else 0.0
-    return IterationTrace(tuple(x0), R, d, sign, N, js, rhos, ks, rhs, C_emp)
+    return IterationTrace(sign, js, rhs, C_emp)
 
 
 def calibrate_C(traces, safety: float = 2.0) -> float:
@@ -202,16 +190,21 @@ def calibrate_C(traces, safety: float = 2.0) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The outcome on B_R(x0) at level scale d, with the schedule (`sequences`)
+    and N = ||u||_{sigma_bar*}(B_R) that both signs' traces ran on."""
+
     x0: tuple
     R: float
     d: float
+    N: float
+    rhos: np.ndarray
+    ks: np.ndarray
     sup_half_ball: float
     slack: float
     theta1: float
     theta2: float
     valid: bool
-    N: float
-    traces: tuple
+    traces: tuple  # one IterationTrace per sign, +1 then -1
 
 
 def certify(
@@ -232,10 +225,11 @@ def certify(
     those two traces.  Validity is a reproducibility statement about this
     engine with its calibrated constant, not a restatement of the theorem.
 
-    The cells of B_R are formed once; N, both signs and both runs read them.
-    The cell averages of -u are those of u negated, bitwise, so no -u is
-    built, and each trace is `_trace` of the masses that `j_sequence` gives
-    for u or -u.
+    The cells of B_R are formed once; N, both signs and both runs read them,
+    and each run builds one schedule for its d that both signs share. The
+    cell averages of -u are those of u negated, bitwise, so no -u is built,
+    and each trace is `_trace` of the masses that `j_sequence` gives for u
+    or -u.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")
@@ -249,14 +243,15 @@ def certify(
 
     def run(C):
         d = choose_d(c, C, c0, R, N)  # N is sign-invariant: one d serves u and -u
-        return d, tuple(
-            _trace(x0, R, d, c, N, sign, _masses(vals, dist2, R, d, e.qs_prime, hn, H))
+        rhos, ks = sequences(R, d, H)
+        return d, rhos, ks, tuple(
+            _trace(R, d, c, N, sign, _masses(vals, dist2, rhos, ks, e.qs_prime, hn))
             for sign, vals in signed
         )
 
     if C_cal is None:
-        C_cal = calibrate_C(run(1.0)[1])
-    d, traces = run(C_cal)
+        C_cal = calibrate_C(run(1.0)[-1])
+    d, rhos, ks, traces = run(C_cal)
     decayed = all(
         t.js[-1] <= DECAY_FACTOR * max(t.js[0], DECAY_FLOOR) for t in traces
     )
@@ -270,12 +265,14 @@ def certify(
         x0=tuple(x0),
         R=R,
         d=d,
+        N=N,
+        rhos=rhos,
+        ks=ks,
         sup_half_ball=sup_half,
         slack=slack,
         theta1=c.theta1,
         theta2=c.theta2,
         valid=valid,
-        N=N,
         traces=traces,
     )
 

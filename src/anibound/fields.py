@@ -223,17 +223,6 @@ def _lattice_points(axes, box=None) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
-def _cell_box(grid: Grid, mask: np.ndarray) -> tuple:
-    """Index slices, one per axis, of the tight box of cells that holds every
-    cell of a cell mask (empty slices for an empty mask)."""
-    mask = mask.reshape(grid.cell_shape)
-    box = []
-    for i in range(grid.n):
-        hits = np.flatnonzero(mask.any(axis=tuple(j for j in range(grid.n) if j != i)))
-        box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
-    return tuple(box)
-
-
 def _node_box(box: tuple) -> tuple:
     """The nodes of a box of cells: every corner of every cell in it."""
     return tuple(slice(s.start, s.stop + 1) for s in box)
@@ -284,18 +273,15 @@ def _ball_nodes(u: GridFunction, ball: Ball) -> np.ndarray:
 
 
 def cell_mask(grid: Grid, region) -> np.ndarray:
-    """Boolean mask over cells; region is None (every cell), a Ball or a
-    cell mask. A Ball is tested only on the cells of its box."""
+    """Boolean mask over cells; region is None (every cell), a Ball (the
+    cells whose centres lie inside it) or a cell mask."""
     shape = grid.cell_shape
     if region is None:
         return np.ones(shape, dtype=bool)
     if isinstance(region, np.ndarray):
         return region.reshape(shape)
     if isinstance(region, Ball):
-        box = _ball_box(grid, region)
-        mask = np.zeros(shape, dtype=bool)
-        mask[box] = _dist2(grid.cell_axes(), box, region.x0) < region.R * region.R
-        return mask
+        return _dist2(grid.cell_axes(), (slice(None),) * grid.n, region.x0) < region.R * region.R
     raise TypeError(f"region must be None, a Ball or a cell mask, got {type(region).__name__}")
 
 

@@ -32,9 +32,7 @@ from .fields import (
     Grid,
     GridFunction,
     _average_to_cells,
-    _cell_box,
     _lattice_points,
-    _node_box,
     cell_mask,
 )
 
@@ -163,17 +161,11 @@ def cell_energy(m: ModelIntegrand, grid: Grid, values: np.ndarray, weights) -> n
 def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
     """Edge-stencil energy of f(x, u, Du) over the cells of the region (None
     for every cell, a Ball or a cell mask; see `fields.cell_mask`): h^n
-    times the sum of `cell_energy` over them, in row-major order.
-
-    The density is formed only on the bounding box of the region's cells,
-    so beyond building the region's mask the cost scales with that box. A
-    density formed on a larger box and summed over the same cells gives the
-    same bits.
-    """
+    times the sum of `cell_energy` over them, in row-major order. The
+    density is formed on the whole grid; a cell's density is the same bits
+    on any box that holds it, so the box-local sums of `inequalities` and
+    `minimize` give the bits this one gives."""
     g = u.grid
     mask = cell_mask(g, region)
-    if not mask.any():
-        return 0.0
-    box = _cell_box(g, mask)
-    density = cell_energy(m, g, u.values[_node_box(box)], m.on_cells(g, box))
-    return float(np.sum(density[mask[box]]) * g.h ** g.n)
+    density = cell_energy(m, g, u.values, m.on_cells(g))
+    return float(np.sum(density[mask]) * g.h ** g.n)

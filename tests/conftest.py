@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anibound.exponents import INF, Exponents, check_admissibility
-from anibound.degiorgi import sequences
 from anibound.fields import (
     GridFunction,
     _average_to_cells,
@@ -56,7 +55,9 @@ def ball_contains(ball, points):
 
 
 def ref_j_sequence(u, x0, R, d, e, H):
-    """J_0..J_H over the whole grid: every cell average, masked per step."""
+    """J_0..J_H over the whole grid: every cell average, masked per step, on
+    the schedule rho_h = (R/2)(1 + 0.5^h), k_h = d(1 - 0.5^(h+1)) formed
+    one scalar at a time."""
     grid = u.grid
     centers = cell_centers(grid)
     uc = _average_to_cells(u.values).ravel()
@@ -65,10 +66,22 @@ def ref_j_sequence(u, x0, R, d, e, H):
     hn = grid.h ** grid.n
     out = np.empty(H + 1)
     for h in range(H + 1):
-        rho, k, _ = sequences(R, d, h)
+        rho = (R / 2.0) * (1.0 + 0.5 ** h)
+        k = d * (1.0 - 0.5 ** (h + 1))
         sel = (dist2 < rho * rho) & (uc > k)
         out[h] = float(np.sum((uc[sel] - k) ** e.qs_prime) * hn) if sel.any() else 0.0
     return out
+
+
+def tight_cell_box(grid, mask):
+    """Index slices, one per axis, of the tight box of cells that holds every
+    cell of a cell mask (empty slices for an empty mask)."""
+    mask = mask.reshape(grid.cell_shape)
+    box = []
+    for i in range(grid.n):
+        hits = np.flatnonzero(mask.any(axis=tuple(j for j in range(grid.n) if j != i)))
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0))
+    return tuple(box)
 
 
 def lambda_values(m, points, h=0.0):

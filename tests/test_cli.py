@@ -521,10 +521,31 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, text)
         assert main(["admissible", "--config", cfg]) == 1
 
-    @pytest.mark.parametrize("key", ["step0", "shrink", "armijo", "smoothing_eps"])
-    def test_unknown_solver_key(self, tmp_path, key):
-        cfg = write_config(tmp_path, ISO3D + f"\n[solver]\n{key} = 0.5\n")
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            *[("solver", key, f"[solver] unknown field(s): {key}")
+              for key in ("step0", "shrink", "armijo", "smoothing_eps")],
+            ("boundary", "ofset", "[boundary] unknown field(s): ofset"),
+            ("weights", "lambda1.amplitdue", "[weights] unknown field(s): lambda1.amplitdue"),
+            ("certify", "c_call", "[certify] unknown field(s): c_call"),
+            ("verify", "level", "[verify] unknown field(s): level"),
+            ("solvr", "grad_tol", "unknown section [solvr]"),
+            ("output", "dir", "unknown section [output]"),
+        ],
+        ids=["step0", "shrink", "armijo", "smoothing_eps", "boundary", "weights", "certify",
+             "verify", "unknown-section", "output-section"],
+    )
+    def test_unknown_solver_key(self, tmp_path, capsys, section, key, message):
+        # a misspelt key or section once fell back silently to the default
+        head, line = f"[{section}]\n", f"{key} = 0.5\n"
+        if head in ISO3D:
+            text = patch(ISO3D, head, head + line)
+        else:
+            text = ISO3D + "\n" + head + line
+        cfg = write_config(tmp_path, text)
         assert main(["admissible", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -533,12 +554,16 @@ class TestConfigErrors:
              "[weights] field 'lambda1.amplitude'"),
             ("u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = nan",
              "[weights] field 'lambda1.amplitude'"),
+            # 1/lambda_1 lies in no L^r: verify once divided by it
+            ("u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = 0",
+             "[weights] field 'lambda1.amplitude': must be > 0"),
             ("u_coeff = 0", "u_coeff = nan", "[weights] field 'u_coeff'"),
             ("r = inf,inf,inf", "r = inf,nan,inf", "[exponents] field 'r'"),
             ("R = 0.4", "R = NaN", "[certify] field 'r'"),
             ("C_cal = calibrate", "C_cal = nan", "[certify] field 'c_cal'"),
         ],
-        ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "u_coeff", "r", "R", "C_cal"],
+        ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "lambda1.amplitude-zero", "u_coeff",
+             "r", "R", "C_cal"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))

@@ -31,39 +31,47 @@ from conftest import (
 
 class TestSequences:
     def test_step_zero(self):
-        rho, k, rho_bar = sequences(1.0, 4.0, 0)
-        assert rho == 1.0
-        assert k == 2.0
-        assert rho_bar == 0.875
+        rhos, ks = sequences(1.0, 4.0, 1)
+        assert rhos[0] == 1.0
+        assert ks[0] == 2.0
 
     def test_limits(self):
-        rho, k, rho_bar = sequences(1.0, 4.0, 60)
-        assert rho == pytest.approx(0.5, rel=1e-15)
-        assert k == pytest.approx(4.0, rel=1e-15)
-        assert rho_bar == pytest.approx(0.5, rel=1e-15)
+        rhos, ks = sequences(1.0, 4.0, 60)
+        assert rhos[60] == pytest.approx(0.5, rel=1e-15)
+        assert ks[60] == pytest.approx(4.0, rel=1e-15)
 
     def test_ordering(self):
-        # rho_{h+1} < rho_bar_h < rho_h, and levels increase
-        for h in range(10):
-            rho, k, rho_bar = sequences(0.4, 3.0, h)
-            rho_next, k_next, _ = sequences(0.4, 3.0, h + 1)
-            assert rho_next < rho_bar < rho
-            assert k < k_next
+        # radii decrease and levels increase
+        rhos, ks = sequences(0.4, 3.0, 10)
+        assert np.all(rhos[1:] < rhos[:-1])
+        assert np.all(ks[:-1] < ks[1:])
+
+    @given(st.floats(1e-3, 1.0), st.floats(2.0, 1e12), st.integers(1, 1100))
+    def test_is_the_scalar_formula_bitwise(self, R, d, H):
+        # one array per schedule, each entry the bits of the formula for its
+        # h, also once 0.5^h is below an ulp of 1 and once it underflows
+        rhos, ks = sequences(R, d, H)
+        want_rhos = np.array([(R / 2.0) * (1.0 + 0.5 ** h) for h in range(H + 1)])
+        want_ks = np.array([d * (1.0 - 0.5 ** (h + 1)) for h in range(H + 1)])
+        assert rhos.tobytes() == want_rhos.tobytes()
+        assert ks.tobytes() == want_ks.tobytes()
 
     @given(st.floats(1e-3, 1.0), st.floats(2.0, 1e12))
     def test_monotone_in_floating_point(self, R, d):
         # rho_h never rises and k_h never falls, also once 0.5^h is below an
         # ulp: the super-level sets that j_sequence filters in one pass nest
-        steps = [sequences(R, d, h) for h in range(80)]
-        assert all(b[0] <= a[0] and b[1] >= a[1] for a, b in zip(steps, steps[1:]))
+        rhos, ks = sequences(R, d, 79)
+        assert np.all(rhos[1:] <= rhos[:-1]) and np.all(ks[1:] >= ks[:-1])
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            sequences(0.0, 4.0, 0)
+            sequences(0.0, 4.0, 1)
         with pytest.raises(ValueError):
-            sequences(1.0, 1.5, 0)
+            sequences(1.0, 1.5, 1)
         with pytest.raises(ValueError):
             sequences(1.0, 4.0, -1)
+        with pytest.raises(ValueError):
+            sequences(1.0, 4.0, 0)
 
 
 class TestJSequence:
@@ -146,7 +154,7 @@ class TestCalibration:
         e = simple_model(3).exponents
         c = iteration_constants(e)
         u = GridFunction(g, np.zeros(g.shape))
-        t = degiorgi._trace(X0, 0.4, 4.0, c, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
+        t = degiorgi._trace(0.4, 4.0, c, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
         assert calibrate_C([t]) == 1.0
 
     def test_safety_factor(self, harmonic_3d):
@@ -154,7 +162,7 @@ class TestCalibration:
         e = m.exponents
         c = iteration_constants(e)
         js = j_sequence(scaled(u, 8.0), X0, 0.4, 2.0, e, H=10)
-        t = degiorgi._trace(X0, 0.4, 2.0, c, 1.0, 1, js)
+        t = degiorgi._trace(0.4, 2.0, c, 1.0, 1, js)
         if t.C_emp > 0.0:
             assert calibrate_C([t]) == pytest.approx(2.0 * t.C_emp)
             assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)
@@ -230,7 +238,8 @@ class TestCertify:
         # amplitude-6 radial data shifted by -4, on a ball away from its
         # centre: at C_cal = 1e-6, d = 2 and both signs have J_h > 0; the
         # calibrated run has every J_h = 0. The J_h are bitwise the full-grid
-        # masses of u and of -u, and every other field is `_trace` of them
+        # masses of u and of -u, every other field is `_trace` of them, and
+        # the certificate holds the one schedule both signs ran on
         g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
         u = GridFunction(g, 6.0 * np.sum((g.node_points() - 0.5) ** 2, axis=1) - 4.0)
         e = simple_model(3).exponents
@@ -238,10 +247,12 @@ class TestCertify:
         x0, R = (1.0, 0.9, 0.9), 0.45
         cert = certify(u, x0, R, e, C_cal=C_cal, H=12)
         assert [t.sign for t in cert.traces] == [1, -1]
+        rhos, ks = sequences(R, cert.d, 12)
+        assert cert.rhos.tobytes() == rhos.tobytes() and cert.ks.tobytes() == ks.tobytes()
         for t, field in zip(cert.traces, (u, -u)):
             js = ref_j_sequence(field, x0, R, cert.d, e, 12)
             assert t.js.tobytes() == js.tobytes()
-            ref = degiorgi._trace(x0, R, cert.d, c, cert.N, t.sign, js)
+            ref = degiorgi._trace(R, cert.d, c, cert.N, t.sign, js)
             for f in fields(IterationTrace):
                 got, want = getattr(t, f.name), getattr(ref, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name

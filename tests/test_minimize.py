@@ -6,7 +6,7 @@ import pytest
 
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction, _average_to_cells, _cell_box, _node_box, make_grid
+from anibound.fields import GridFunction, _average_to_cells, _node_box, make_grid
 from anibound import minimize
 from anibound.integrand import ModelIntegrand, WeightField, energy
 from anibound.minimize import (
@@ -17,7 +17,14 @@ from anibound.minimize import (
     solve,
     verify_quasiminimality,
 )
-from conftest import constant, coordinate_field, hat_bump, simple_model, unit_grid
+from conftest import (
+    constant,
+    coordinate_field,
+    hat_bump,
+    simple_model,
+    tight_cell_box,
+    unit_grid,
+)
 
 
 def weighted_1d_model():
@@ -735,7 +742,7 @@ class TestQuasiMinimality:
                 assert mask.size == 0
                 continue
             # the box is the tight box of the support cells
-            assert box == _cell_box(g, ref)
+            assert box == tight_cell_box(g, ref)
 
     @pytest.mark.parametrize(
         "model,n,h",

@@ -1,10 +1,11 @@
 """Region-restricted computations against full-grid reference implementations.
 
-energy, cell_mask, the cells and nodes of a ball (`_ball_cells`,
-`_ball_nodes`), caccioppoli_sweep, j_sequence and certify's N and half-ball
-sup work only on the index bounding box of their region.
-The references below evaluate the whole grid and then mask, the way these
-functions did before; every result must agree bitwise.
+The cells and nodes of a ball (`_ball_cells`, `_ball_nodes`),
+caccioppoli_sweep, j_sequence and certify's N and half-ball sup work only on
+the index bounding box of their region; energy and cell_mask form the whole
+grid. The references below evaluate the whole grid and then mask, by their
+own code; every result must agree bitwise, and energy must also agree with
+the stencil formed on the tight box of the region's cells.
 """
 
 import itertools
@@ -20,7 +21,6 @@ from anibound.fields import (
     _average_to_cells,
     _ball_cells,
     _ball_nodes,
-    _cell_box,
     _node_box,
     cell_mask,
     gradient,
@@ -36,6 +36,7 @@ from conftest import (
     lambda_values,
     mu_tilde,
     ref_j_sequence,
+    tight_cell_box,
 )
 
 # ------------------------------------------------------------- references
@@ -76,7 +77,7 @@ def box_energy(m, u, region=None):
     mask = cell_mask(g, region)
     if not mask.any():
         return 0.0
-    box = _cell_box(g, mask)
+    box = tight_cell_box(g, mask)
     sel = mask[box]
     values = u.values[_node_box(box)]
     lam, mu = m.on_cells(g, box)
