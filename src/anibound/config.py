@@ -146,6 +146,8 @@ def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     amp = sec.num(f"{prefix}.amplitude", default=1.0)
     if prefix != "mu" and amp <= 0:  # 1/lambda_i must lie in L^{r_i}
         raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be > 0, got {amp!r}")
+    if amp < 0:
+        raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be >= 0, got {amp!r}")
     if kind == "constant":
         for key in (f"{prefix}.center", f"{prefix}.exponent"):
             if key in sec.raw:

@@ -175,25 +175,65 @@ def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _prolong(a: np.ndarray, axis: int) -> np.ndarray:
-    """Linear prolongation along `axis`, from M + 1 nodes to 2M + 1: the even
-    nodes take the coarse values and each odd node the mean of its two."""
-    shape = list(a.shape)
-    shape[axis] = 2 * shape[axis] - 1
-    out = np.empty(shape)
-    lead = (slice(None),) * axis
-    out[lead + (slice(None, None, 2),)] = a
-    out[lead + (slice(1, None, 2),)] = _pair_average(a, axis)
-    return out
+class _Prolongation:
+    """Linear prolongation, along every axis in turn, of one fixed nodal
+    array `a` into `out`, with work arrays and views built once: M + 1 nodes
+    along an axis go to 2M + 1, the even nodes take the coarse values and
+    each odd node the mean of its two. A call reads `a` as it is then and
+    returns `out`."""
+
+    def __init__(self, a: np.ndarray, out: np.ndarray):
+        self._steps = []
+        for axis in range(a.ndim):
+            lead = (slice(None),) * axis
+            shape = a.shape[:axis] + (2 * a.shape[axis] - 1,) + a.shape[axis + 1:]
+            step = out if axis == a.ndim - 1 else np.empty(shape)
+            self._steps.append((
+                a,
+                a[lead + (slice(1, None),)],
+                a[lead + (slice(None, -1),)],
+                step[lead + (slice(None, None, 2),)],
+                step[lead + (slice(1, None, 2),)],
+            ))
+            a = step
+        self.out = out
+
+    def __call__(self) -> np.ndarray:
+        for a, hi, lo, even, odd in self._steps:
+            np.copyto(even, a)
+            np.add(hi, lo, out=odd)
+            odd *= 0.5
+        return self.out
 
 
-def _restrict(a: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of `_prolong`, from 2M + 1 nodes to M + 1: each even node
-    plus half of each of its odd neighbours (weights 1/2, 1, 1/2)."""
-    lead = (slice(None),) * axis
-    out = _adjoint_pair_average(a[lead + (slice(1, None, 2),)], axis)
-    out += a[lead + (slice(None, None, 2),)]
-    return out
+class _Restriction:
+    """The transpose of that prolongation along each of `axes` in turn, of one
+    fixed nodal array `a`, into work arrays and views built once: 2M + 1
+    nodes along an axis go to M + 1, each even node plus half of each of
+    its odd neighbours (weights 1/2, 1, 1/2). A call reads `a` as it is
+    then, halves its odd nodes along the first axis in place, and returns
+    the result, a buffer that the next call overwrites (`a` itself for no
+    axes)."""
+
+    def __init__(self, a: np.ndarray, axes):
+        self._steps = []
+        for axis in axes:
+            lead = (slice(None),) * axis
+            odd, even = a[lead + (slice(1, None, 2),)], a[lead + (slice(None, None, 2),)]
+            a = np.empty(even.shape)
+            self._steps.append((odd, even, a, a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)]))
+        self.out = a
+
+    def __call__(self) -> np.ndarray:
+        # as `_adjoint_pair_average` of the odd nodes plus the even ones,
+        # with the halved odd nodes kept in place of a work array
+        for odd, even, out, lo, hi in self._steps:
+            odd *= 0.5
+            out.fill(0.0)
+            lo += odd
+            hi += odd
+            out += even
+        return self.out
 
 
 def _add_adjoint_diff(out: np.ndarray, a: np.ndarray, axis: int) -> None:

@@ -30,8 +30,10 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
   power-of-two grid). It is solved densely if Cholesky finds it positive
   definite, and scaled by its inverse diagonal if it is singular (p > 2
   on flat data) or larger: a large grid that cannot be coarsened gets
-  Jacobi. On a p < 2 problem CG takes 1.9, 2.1, 2.6 and 3.2 iterations
-  per step at h = 1/16 ... 1/128, where Jacobi-PCG took 14 to 120.
+  Jacobi. On a p = (1.5, 1.8) problem CG takes 2.0, 1.8, 2.6 and 2.9
+  iterations per step at h = 1/16 ... 1/128, where Jacobi-PCG took 14 to
+  120. The level views, transfer buffers and the coarsest level's edge
+  numbering are built once per solve.
 * The line search tries t = 1 first and halves a rejected step. A trial
   costs one stencil evaluation and one transpose pass over its kept edge
   state (its gradient). It is accepted on Armijo sufficient decrease
@@ -49,9 +51,14 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
 When some p_i < 2 the kink of |t|^p at t = 0 is smoothed to
 (t^2 + eps^2)^(p/2) - eps^p with eps = h^2. The energy and its gradient are
 exact; only the Newton model differs from the true Hessian. On the smoothed
-axes it uses the majorizing curvature f'(t)/t = p (t^2 + eps^2)^(p/2 - 1),
-since the exact f'' makes full steps overshoot the kink; on the others the
-exact f'' (2 for p = 2, p(p-1)|t|^(p-2) for p > 2). The |u|^gamma term uses
+axes it uses the blend k = (f'' + f'(t)/t) / 2 (`_BLEND`), with b = t^2 + eps^2
+so that k = p b^(p/2 - 2) (p t^2 + 2 eps^2) / 2. It lies between the exact
+f'', which makes full steps overshoot the kink at fine h, and the
+majorizer f'/t, which is 1/(p - 1) times too stiff away from the kink and
+shortens every step (23, 25, 27 and 28 Newton steps at h = 1/16 ... 1/128
+on that p = (1.5, 1.8) problem, against 15, 18, 18 and 19 with the blend).
+On the other axes it is the exact f'' (2 for p = 2, p(p-1)|t|^(p-2) for
+p > 2). The |u|^gamma term uses
 gamma(gamma-1)|u|^(gamma-2) for gamma >= 2 and gamma (u^2 + eps^2)^(gamma/2 - 1)
 for gamma < 2, where eps = h^2 > 0 because gamma >= p_i.
 """
@@ -71,8 +78,8 @@ from .fields import (
     _average_to_cells_transpose,
     _hat_box,
     _node_box,
-    _prolong,
-    _restrict,
+    _Prolongation,
+    _Restriction,
 )
 from .integrand import ModelIntegrand, cell_energy
 
@@ -125,6 +132,11 @@ class SolveResult:
 # accepted steps in a row without a new low of the energy or the residual
 # that stops a solve.
 _FORCING, _ARMIJO_C, _MIN_STEP, _FLAT_STEPS = 0.1, 1e-4, 1e-10, 5
+
+# The weight of the exact f'' in the Newton model of a smoothed p_i < 2 axis,
+# k = _BLEND f'' + (1 - _BLEND) f'(t)/t (see the module docstring). A weight
+# of 0.7 did as well in 2-D but took more steps on a 3-D p = 1.2 problem.
+_BLEND = 0.5
 
 # The V-cycle's damped-Jacobi weight, its sweeps before and after the coarse
 # correction, and the most interior nodes of its coarsest level, solved
@@ -210,7 +222,8 @@ class _DiscreteEnergy:
         for i, (w, t, base) in enumerate(zip(self.w, ts, bases)):
             p = self.p[i]
             if base is not None:
-                k = p * base ** (p / 2.0 - 1.0)
+                # f'' = p b^(p/2-2) ((p-1) t^2 + eps^2) and f'/t = p b^(p/2-1), b = base
+                k = p * base ** (p / 2.0 - 2.0) * ((1.0 - _BLEND * (2.0 - p)) * (t * t) + self.eps ** 2)
             elif p == 2:
                 k = 2.0
             else:
@@ -229,23 +242,36 @@ class _DiscreteEnergy:
     def hessian_product(self, curv, v):
         """H v for a nodal array v and weights that `curvature` returned; the
         result is a buffer that the next call overwrites."""
-        return _edge_product(*curv, v, self._hv, self._diffs)
+        return _edge_product(*curv, v, self._hv, self._diffs, _shifts(v, self._hv))
 
 
-def _edge_product(cs, cu, v, out, diffs):
+def _shifts(v, out):
+    """Per axis i, the views that D_i and its transpose read and write: v
+    from its second and to its last node along i, and out to its last and
+    from its second."""
+    views = []
+    for i in range(v.ndim):
+        lead = (slice(None),) * i
+        hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
+        views.append((v[hi], v[lo], out[lo], out[hi]))
+    return views
+
+
+def _edge_product(cs, cu, v, out, diffs, shifts):
     """out = (sum_i D_i^T diag(c_i) D_i + diag(c_u)) v for a nodal array v,
     edge weights cs and nodal weights cu (or None); `diffs` holds one work
-    array per axis, of the shape of c_i. Every level of the V-cycle applies
-    its operator through this one stencil."""
+    array per axis, of the shape of c_i, and `shifts` is `_shifts(v, out)`.
+    Every level of the V-cycle applies its operator through this one
+    stencil."""
     if cu is None:
         out.fill(0.0)
     else:
         np.multiply(cu, v, out=out)
-    for i, (c, d) in enumerate(zip(cs, diffs)):
-        lead = (slice(None),) * i
-        np.subtract(v[lead + (slice(1, None),)], v[lead + (slice(None, -1),)], out=d)
+    for c, d, (v_hi, v_lo, out_lo, out_hi) in zip(cs, diffs, shifts):
+        np.subtract(v_hi, v_lo, out=d)
         d *= c
-        _add_adjoint_diff(out, d, i)
+        out_lo -= d
+        out_hi += d
     return out
 
 
@@ -278,29 +304,36 @@ def _coarse_edges(c, axis):
     total = a + b
     out = np.zeros(total.shape)
     np.divide(a * b, total, out=out, where=total > 0)
-    for j in range(c.ndim):
-        if j != axis:
-            out = _restrict(out, j)
-    return out
+    return _Restriction(out, [j for j in range(c.ndim) if j != axis])()
 
 
-def _dense_inverse(cs, diag):
+def _edge_ends(shape):
+    """Per axis, the numbers of the two end nodes of every edge along it, as
+    `_dense_inverse` numbers them: interior nodes 0..size-1 in row-major
+    order, every boundary node the extra number `size`."""
+    inner = (slice(1, -1),) * len(shape)
+    size = math.prod(m - 2 for m in shape)
+    index = np.full(shape, size)
+    index[inner] = np.arange(size).reshape([m - 2 for m in shape])
+    ends = []
+    for i in range(len(shape)):
+        lead = (slice(None),) * i
+        ends.append((index[lead + (slice(None, -1),)].ravel(), index[lead + (slice(1, None),)].ravel()))
+    return ends
+
+
+def _dense_inverse(cs, diag, ends):
     """The inverse of a level's operator on its interior nodes, formed densely
-    from its edge weights and its diagonal, or None if the operator is
-    singular: its Cholesky factorization fails, or a pivot falls to the
-    round-off of its largest entry, which is on the diagonal."""
+    from its edge weights, its diagonal and `_edge_ends` of its shape, or
+    None if the operator is singular: its Cholesky factorization fails, or
+    a pivot falls to the round-off of its largest entry, which is on the
+    diagonal."""
     inner = (slice(1, -1),) * diag.ndim
     size = diag[inner].size
-    # interior nodes are numbered 0..size-1 and every boundary node maps to
-    # the extra row and column `size`, which is dropped; an edge joins a
-    # distinct pair of nodes, so no kept entry is assigned twice
-    index = np.full(diag.shape, size)
-    index[inner] = np.arange(size).reshape(diag[inner].shape)
+    # the extra row and column `size` of the boundary nodes is dropped; an
+    # edge joins a distinct pair of nodes, so no kept entry is assigned twice
     a = np.zeros((size + 1, size + 1))
-    for i, c in enumerate(cs):
-        lead = (slice(None),) * i
-        lo = index[lead + (slice(None, -1),)].ravel()
-        hi = index[lead + (slice(1, None),)].ravel()
+    for c, (lo, hi) in zip(cs, ends):
         a[lo, hi] = a[hi, lo] = -c.ravel()
     a = a[:size, :size]
     a[np.diag_indices(size)] = diag[inner].ravel()
@@ -314,15 +347,25 @@ def _dense_inverse(cs, diag):
 
 class _Level:
     """One grid of the V-cycle: the weights of its operator for the current
-    Newton step, its damped-Jacobi scaling, and work arrays allocated once
-    per solve. The boundary of x and b stays 0."""
+    Newton step, its damped-Jacobi scaling, and work arrays and views built
+    once per solve: x, b and ax, the stencil's views of x and ax, the
+    interior views of x and b and, above the coarsest level, the transfers
+    to and from the `coarse` level (ax restricted, and the coarse x
+    prolonged into ax, which is free between the residual that is
+    restricted and the next sweep). The boundary of x and b stays 0."""
 
-    def __init__(self, shape):
+    def __init__(self, shape, coarse=None):
+        inner = (slice(1, -1),) * len(shape)
         self.x = np.zeros(shape)
         self.b = np.zeros(shape)
-        self.interior = math.prod(m - 2 for m in shape)
         self.ax = np.empty(shape)
+        self.x_in, self.b_in = self.x[inner], self.b[inner]
         self.diffs = [np.empty(shape[:i] + (m - 1,) + shape[i + 1:]) for i, m in enumerate(shape)]
+        self.shifts = _shifts(self.x, self.ax)
+        if coarse is not None:
+            self.restrict = _Restriction(self.ax, range(len(shape)))
+            self.restricted_in, self.coarse_b_in = self.restrict.out[inner], coarse.b_in
+            self.prolong = _Prolongation(coarse.x, self.ax)
         self.cs = self.cu = self.dinv = self.inverse = None
 
 
@@ -342,13 +385,16 @@ class _VCycle:
     scaled by its inverse diagonal otherwise."""
 
     def __init__(self, shape):
-        shape = tuple(shape)
-        self.levels = [_Level(shape)]
-        while self.levels[-1].interior > _DENSE_MAX and all(m % 2 == 1 and m > 3 for m in shape):
-            shape = tuple((m + 1) // 2 for m in shape)
-            self.levels.append(_Level(shape))
-        self.inner = (slice(1, -1),) * len(shape)
-        self.dense = self.levels[-1].interior <= _DENSE_MAX
+        shapes = [tuple(shape)]
+        while math.prod(m - 2 for m in shapes[-1]) > _DENSE_MAX and all(
+            m % 2 == 1 and m > 3 for m in shapes[-1]
+        ):
+            shapes.append(tuple((m + 1) // 2 for m in shapes[-1]))
+        self.levels = [_Level(shapes[-1])]
+        for s in reversed(shapes[:-1]):
+            self.levels.insert(0, _Level(s, self.levels[0]))
+        self.dense = self.levels[-1].x_in.size <= _DENSE_MAX
+        self.ends = _edge_ends(shapes[-1]) if self.dense else None
 
     def update(self, curv):
         """Form every level's weights from the Newton model's (cs, cu), and
@@ -357,10 +403,7 @@ class _VCycle:
         fine.cs, fine.cu = curv
         for lv, coarse in zip(self.levels, self.levels[1:]):
             coarse.cs = [_coarse_edges(c, i) for i, c in enumerate(lv.cs)]
-            coarse.cu = lv.cu
-            if lv.cu is not None:
-                for axis in range(lv.cu.ndim):
-                    coarse.cu = _restrict(coarse.cu, axis)
+            coarse.cu = None if lv.cu is None else _Restriction(lv.cu.copy(), range(lv.cu.ndim))()
         for lv in self.levels:
             diag = _edge_diagonal(lv.cs, lv.cu)
             lv.dinv = np.ones(diag.shape)
@@ -369,13 +412,15 @@ class _VCycle:
             if lv is not last:
                 lv.dinv *= _OMEGA
             elif self.dense:
-                lv.inverse = _dense_inverse(lv.cs, diag)
+                lv.inverse = _dense_inverse(lv.cs, diag, self.ends)
 
     def apply(self, r):
         """One V-cycle from zero on the interior residual r; the result is a
         new interior array."""
-        self.levels[0].b[self.inner] = r
-        return self._cycle(0)[self.inner].copy()
+        fine = self.levels[0]
+        np.copyto(fine.b_in, r)
+        self._cycle(0)
+        return fine.x_in.copy()
 
     def _cycle(self, k):
         """One V-cycle on level k for its right-hand side b, from x = 0."""
@@ -384,28 +429,22 @@ class _VCycle:
         np.multiply(lv.dinv, lv.b, out=lv.x)
         if k == len(self.levels) - 1:
             if lv.inverse is not None:
-                rhs = lv.b[self.inner]
-                lv.x[self.inner] = (lv.inverse @ rhs.ravel()).reshape(rhs.shape)
-            return lv.x
+                lv.x_in[...] = (lv.inverse @ lv.b_in.ravel()).reshape(lv.b_in.shape)
+            return
         for _ in range(_SWEEPS - 1):
             self._sweep(lv)
-        coarse = self.levels[k + 1]
-        res = self._residual(lv)
-        for axis in range(res.ndim):
-            res = _restrict(res, axis)
-        coarse.b[self.inner] = res[self.inner]
-        corr = self._cycle(k + 1)
-        for axis in range(corr.ndim):
-            corr = _prolong(corr, axis)
-        lv.x += corr
+        self._residual(lv)
+        lv.restrict()
+        np.copyto(lv.coarse_b_in, lv.restricted_in)
+        self._cycle(k + 1)
+        lv.x += lv.prolong()
         for _ in range(_SWEEPS):
             self._sweep(lv)
-        return lv.x
 
     @staticmethod
     def _residual(lv):
         """b - A x into the level's `ax`."""
-        _edge_product(lv.cs, lv.cu, lv.x, lv.ax, lv.diffs)
+        _edge_product(lv.cs, lv.cu, lv.x, lv.ax, lv.diffs, lv.shifts)
         return np.subtract(lv.b, lv.ax, out=lv.ax)
 
     @staticmethod
@@ -416,13 +455,13 @@ class _VCycle:
         lv.x += r
 
 
-def _newton_direction(prob, mg, curv, g, inner):
+def _newton_direction(prob, mg, curv, g, inner, buf):
     """Approximate solution of H x = -g on the interior nodes by CG,
     preconditioned with one V-cycle of `mg`, whose levels are built here from
-    the same model; `g` is the interior block of the gradient and `inner`
-    its index box. Each CG iteration costs one `prob.hessian_product`."""
+    the same model; `g` is the interior block of the gradient, `inner` its
+    index box and `buf` a nodal work array with a zero boundary, which
+    pads each CG direction for `prob.hessian_product`, once per iteration."""
     mg.update(curv)
-    buf = np.zeros(prob.grid.shape)  # its boundary stays zero
     x = np.zeros_like(g)
     r = -g
     z = mg.apply(r)
@@ -487,6 +526,7 @@ def solve(
     prob = _DiscreteEnergy(m, grid, eps)
     mg = _VCycle(grid.shape)
     inner = (slice(1, -1),) * grid.n
+    buf = np.zeros(grid.shape)  # its boundary stays zero
     hn = grid.h ** grid.n
 
     u = boundary.values.copy()
@@ -510,7 +550,7 @@ def solve(
         if flat >= _FLAT_STEPS:
             reason = "stalled"
             break
-        x = _newton_direction(prob, mg, prob.curvature(state), g, inner)
+        x = _newton_direction(prob, mg, prob.curvature(state), g, inner, buf)
         step = _line_search(prob, u, e_val, g, x, inner)
         if step is None:
             reason = "stalled"

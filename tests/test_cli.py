@@ -557,12 +557,15 @@ class TestConfigErrors:
             # 1/lambda_1 lies in no L^r: verify once divided by it
             ("u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = 0",
              "[weights] field 'lambda1.amplitude': must be > 0"),
+            ("u_coeff = 0", "u_coeff = 0\nmu.amplitude = -1",
+             "[weights] field 'mu.amplitude': must be >= 0, got -1.0"),
             ("u_coeff = 0", "u_coeff = nan", "[weights] field 'u_coeff'"),
             ("r = inf,inf,inf", "r = inf,nan,inf", "[exponents] field 'r'"),
             ("R = 0.4", "R = NaN", "[certify] field 'r'"),
             ("C_cal = calibrate", "C_cal = nan", "[certify] field 'c_cal'"),
         ],
-        ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "lambda1.amplitude-zero", "u_coeff",
+        ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "lambda1.amplitude-zero",
+             "mu.amplitude-negative", "u_coeff",
              "r", "R", "C_cal"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):

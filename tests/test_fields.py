@@ -13,8 +13,8 @@ from anibound.fields import (
     _average_to_cells,
     _average_to_cells_transpose,
     _hat_box,
-    _prolong,
-    _restrict,
+    _Prolongation,
+    _Restriction,
     _tensor_hat,
     gradient,
     lp_norm,
@@ -122,17 +122,28 @@ class TestTransposes:
 
     @pytest.mark.parametrize("shape", [(9,), (5, 7), (3, 5, 9)], ids=len)
     def test_restriction_is_the_transpose_of_prolongation(self, shape):
-        # <P a, b> = <a, P^T b> along every axis; P copies the even nodes and
-        # averages into the odd ones, so P of a constant is that constant
+        # <P a, b> = <a, P^T b> along every axis at once and along each one;
+        # P copies the even nodes and averages into the odd ones, so P of a
+        # constant is that constant; each call reads its fixed input anew
         rng = np.random.default_rng(20 + len(shape))
-        for axis in range(len(shape)):
-            coarse = shape[:axis] + ((shape[axis] + 1) // 2,) + shape[axis + 1 :]
-            a = rng.standard_normal(coarse)
-            b = rng.standard_normal(shape)
-            lhs = np.sum(_prolong(a, axis) * b)
-            rhs = np.sum(a * _restrict(b, axis))
+        coarse = tuple((m + 1) // 2 for m in shape)
+        a, b = np.empty(coarse), np.empty(shape)
+        prolong, restrict = _Prolongation(a, np.empty(shape)), _Restriction(b, range(len(shape)))
+        for _ in range(2):
+            a[...], b[...] = rng.standard_normal(coarse), rng.standard_normal(shape)
+            lhs = np.sum(prolong() * b)
+            rhs = np.sum(a * restrict())
             assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(a)) * np.max(np.abs(b))
-            assert _prolong(np.ones(coarse), axis).tobytes() == np.ones(shape).tobytes()
+        a.fill(1.0)
+        assert prolong().tobytes() == np.ones(shape).tobytes()
+        for axis in range(len(shape)):
+            # along one axis: P^T b against the sums it stands for
+            b = rng.standard_normal(shape)
+            lead = (slice(None),) * axis
+            want = b[lead + (slice(None, None, 2),)].copy()
+            want[lead + (slice(None, -1),)] += 0.5 * b[lead + (slice(1, None, 2),)]
+            want[lead + (slice(1, None),)] += 0.5 * b[lead + (slice(1, None, 2),)]
+            np.testing.assert_allclose(_Restriction(b, (axis,))(), want, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("shape", [(9,), (4, 7), (3, 5, 4)], ids=len)
     def test_adjoint_passes_bitwise_equal_zeroed_accumulation(self, shape):

@@ -39,12 +39,18 @@ def aniso2d_model():
     return ModelIntegrand(e, (constant(1.0),) * 2, constant(1.0), 0.0)
 
 
-def weighted_u_term_model():
+def p_near_1_model():
+    """p = (1.1, 1.3), q = gamma = 1.3, unit weights, no u term."""
+    e = Exponents(2, (1.1, 1.3), 1.3, 1.3, (INF, INF), INF)
+    return ModelIntegrand(e, (constant(1.0),) * 2, constant(1.0), 0.0)
+
+
+def weighted_u_term_model(n=2):
     """p = 2 with a power-law lambda_1 and the u_coeff * mu * |u|^3 term."""
-    e = Exponents(2, (2.0, 2.0), 2.0, 3.0, (INF, INF), INF)
-    lam1 = WeightField("power", amplitude=1.0, center=(0.3, 0.3), exponent=0.5)
-    mu = WeightField("power", amplitude=2.0, center=(0.7, 0.4), exponent=1.0)
-    return ModelIntegrand(e, (lam1, constant(1.0)), mu, 1.0)
+    e = Exponents(n, (2.0,) * n, 2.0, 3.0, (INF,) * n, INF)
+    lam1 = WeightField("power", amplitude=1.0, center=(0.3,) * n, exponent=0.5)
+    mu = WeightField("power", amplitude=2.0, center=(0.7,) + (0.4,) * (n - 1), exponent=1.0)
+    return ModelIntegrand(e, (lam1,) + (constant(1.0),) * (n - 1), mu, 1.0)
 
 
 def radial_data(grid, amplitude=3.0):
@@ -250,7 +256,7 @@ class TestVCycle:
         # (64) interior nodes: 49 and 27
         mg = minimize._VCycle(shape)
         assert [lv.x.shape for lv in mg.levels] == [(m,) * len(shape) for m in levels]
-        interior = [lv.x[mg.inner].size for lv in mg.levels]
+        interior = [lv.x_in.size for lv in mg.levels]
         assert interior[-1] <= minimize._DENSE_MAX < min(interior[:-1])
         assert mg.dense
 
@@ -385,6 +391,29 @@ class TestVCycle:
         r = np.random.default_rng(n).standard_normal(minv.shape)
         assert mg.apply(r).tobytes() == (minv * r).tobytes()
 
+    @pytest.mark.parametrize(
+        "grid,digest",
+        [
+            (box(1, 1 / 256), "6d4afecf9b61c496b5f46e03bed35b79c7d8f93c"),
+            (box(2, 1 / 32), "2e70e2bc92286e69b26e17bf4dc4eb032f0dcb49"),
+            (box(3, 1 / 32), "19de01524339c67de834f89922d45a857826473c"),
+            (unit_grid(2, 1 / 44), "8be8d8ecc9e63eff3b6fc8dd492fc49be5b6ba21"),
+        ],
+        ids=["1d_dense", "2d_dense", "3d_dense", "2d_scaled"],
+    )
+    def test_output_pinned(self, grid, digest):
+        # the bytes of four cycles on a p = 2 model with a u term, over 3
+        # levels down to a dense coarsest level (63, 21 and 63 interior
+        # nodes) or to a scaled one (100 nodes); any change to the
+        # arithmetic of the cycle or to its order shows here
+        n = grid.n
+        rng = np.random.default_rng(40 + n)
+        mg = vcycle(_DiscreteEnergy(weighted_u_term_model(n), grid, 0.0), rng.uniform(-1.0, 1.0, grid.shape))
+        sha = hashlib.sha1()
+        for _ in range(4):
+            sha.update(mg.apply(rng.standard_normal(tuple(m - 2 for m in grid.shape))).tobytes())
+        assert sha.hexdigest() == digest
+
 
 class TestMultigridSolve:
     @pytest.fixture
@@ -413,13 +442,15 @@ class TestMultigridSolve:
         assert products[0] <= 4 * res.iterations, (products[0], res.iterations)
 
     def test_grid_that_cannot_coarsen_keeps_the_jacobi_trajectory(self):
-        # 45 cells: one level, so the values of the Jacobi-PCG solver hold
+        # 45 cells: one level, so CG is Jacobi-preconditioned; the final
+        # energy is the one the Jacobi-PCG solver reached with the
+        # majorizing Newton model in 25 steps
         g = unit_grid(2, 1 / 45)
         res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(20_000, 1e-6))
         assert res.converged
-        assert res.iterations == 25
+        assert res.iterations == 18
         assert res.final_energy == 0.8832727962922606
-        assert res.residual == 6.508473447686125e-07
+        assert res.residual == 5.558244535529104e-07
 
     @pytest.mark.parametrize(
         "grid",
@@ -501,6 +532,24 @@ class TestSolve:
             assert res.converged and res.stop_reason == "converged"
             steps.append(res.iterations)
         assert all(b <= 2 * a for a, b in zip(steps, steps[1:])), steps
+
+    def test_p_lt_2_steps_grow_slowly_under_refinement(self):
+        # the blended Newton model: 18, 18 and 19 steps at h = 1/32, 1/64
+        # and 1/128 (the majorizer took 25, 27 and 28)
+        steps = []
+        for h in (1 / 32, 1 / 64, 1 / 128):
+            g = unit_grid(2, h)
+            res = solve(aniso2d_model(), g, radial_data(g), SolveConfig(200, 1e-6))
+            assert res.converged
+            steps.append(res.iterations)
+        assert all(b <= a + 2 for a, b in zip(steps, steps[1:])), steps
+
+    def test_p_near_1_converges(self):
+        # 68 steps with the blended Newton model, 111 with the majorizer
+        g = unit_grid(2, 1 / 16)
+        res = solve(p_near_1_model(), g, radial_data(g), SolveConfig(200, 1e-6))
+        assert res.converged and res.stop_reason == "converged"
+        assert res.iterations <= 80, res.iterations
 
     def test_noise_steps_below_the_round_off_floor_stall(self):
         # grad_tol = 1e-300 is out of reach: once the energy and the residual
@@ -806,10 +855,10 @@ class TestTrajectoryPins:
         g = unit_grid(2, 1 / 16)
         res = solve(aniso2d_model(), g, radial_data(g), self.CFG)
         assert res.converged
-        assert res.iterations == 23
-        assert res.final_energy == 0.9048240078476288
-        assert res.residual == 7.3332173489149e-07
-        assert self.sha1(res) == "55d24dda77b031a4127a187f0287274e6057dc71"
+        assert res.iterations == 15
+        assert res.final_energy == 0.904824007847629
+        assert res.residual == 9.351962031445282e-07
+        assert self.sha1(res) == "709d56e1091782af5587d0867a7976a8da5d4a0c"
         # the Jacobi-PCG solver's pinned energy
         assert res.final_energy == pytest.approx(0.9048240078476288, rel=1e-13, abs=0)
         floor = solve(aniso2d_model(), g, radial_data(g), self.FLOOR)
