@@ -238,8 +238,7 @@ def cmd_sweep(args) -> int:
         rows.append((axis, v, *conds, *consts))
     print(_csv_text(header, rows), end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_csv(os.path.join(args.out, f"{cfg.name}_sweep.csv"), header, rows)
+        _write_csv(_out_path(args, f"{cfg.name}_sweep.csv"), header, rows)
     return EXIT_OK
 
 

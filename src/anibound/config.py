@@ -1,10 +1,12 @@
 """Run-configuration files: flat key-value text with bracketed sections.
 
-Numbers are decimal binary64, "inf" is the infinity literal, nan is an error,
-and n, max_iters and H must be whole numbers.  Errors raise ConfigError,
-naming the section and key.  A section or key outside the schema is an
-error too, so a misspelt name never falls back to its default.  The full
-schema, with defaults and checks in the comments::
+Numbers are decimal binary64 and must be finite, except the entries of r
+and s, where inf means a bounded weight; nan is always an error.  n,
+max_iters and H must be whole numbers, and the boundary data must be finite
+on every node.  Errors raise ConfigError, naming the section and key.  A
+section or key outside the schema is an error too, so a misspelt name never
+falls back to its default.  The full schema, with defaults and checks in the
+comments::
 
     [problem]
     name = iso2d                 # default run
@@ -16,8 +18,8 @@ schema, with defaults and checks in the comments::
     p = 2,2                      # n values; checks as in exponents.Exponents
     q = 2
     gamma = 2
-    r = inf,inf                  # n values
-    s = inf
+    r = inf,inf                  # n values; the only numbers that may be inf,
+    s = inf                      # with s
     [weights]
     lambda1.kind = constant      # or power (center (n), exponent); default constant
     lambda1.amplitude = 1        # > 0 for lambda<i>; >= 0 for mu
@@ -48,7 +50,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,16 +68,46 @@ class ConfigError(ValueError):
     """Malformed run configuration; message carries section/key context."""
 
 
-def _num(text: str) -> float:
-    text = text.strip()
-    val = math.inf if text.lower() == "inf" else float(text)
+def _number(text: str, inf_ok: bool = False) -> float:
+    """A finite number; with inf_ok, inf too (an r or s entry)."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan  # so that "x" and "nan" get one message
     if math.isnan(val):
-        raise ValueError("nan is not a number")
+        raise ValueError(f"not a number: {text!r}")
+    if math.isinf(val) and not inf_ok:
+        raise ValueError(f"not finite: {text!r}")
     return val
 
 
-def _num_list(text: str):
-    return [_num(part) for part in text.split(",") if part.strip()]
+def _numbers(text: str, count=None, inf_ok: bool = False) -> tuple:
+    """Numbers separated by commas, empty entries skipped; `count` of them
+    if given."""
+    values = tuple(_number(part, inf_ok) for part in text.split(",") if part.strip())
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} entries")
+    return values
+
+
+def _integer(text: str) -> int:
+    val = _number(text)
+    if not val.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(val)
+
+
+def _c_cal(text: str):
+    """None for "calibrate", else a number."""
+    return None if text.strip().lower() == "calibrate" else _number(text)
+
+
+def _box(text: str) -> tuple:
+    """Sides lo:hi separated by commas, each with lo < hi."""
+    sides = tuple(tuple(_number(v) for v in part.split(":")) for part in text.split(","))
+    if not all(len(side) == 2 and side[0] < side[1] for side in sides):
+        raise ValueError("need sides lo:hi with lo < hi")
+    return sides
 
 
 class _Section:
@@ -90,60 +123,23 @@ class _Section:
         self.read = set()
         opened[name] = self
 
-    def get(self, key, default=None, required=False):
+    def get(self, key, parse=str, default=None, required=False):
+        """`parse` of the key's text, or `default` if the key is absent; a
+        ValueError from `parse` becomes a ConfigError naming the key."""
         self.read.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            raise ConfigError(f"[{self.name}] missing required field {key!r}")
-        return default
-
-    def num(self, key, default=None, required=False):
-        raw = self.get(key, required=required)
-        if raw is None:
+        if key not in self.raw:
+            if required:
+                raise ConfigError(f"[{self.name}] missing required field {key!r}")
             return default
         try:
-            return _num(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] field {key!r}: not a number: {raw!r}") from None
-
-    def nums(self, key, default=None, required=False, count=None):
-        raw = self.get(key, required=required)
-        if raw is None:
-            return default
-        try:
-            values = _num_list(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] field {key!r}: not a number list: {raw!r}") from None
-        if count is not None and len(values) != count:
-            raise ConfigError(f"[{self.name}] field {key!r}: expected {count} entries")
-        return values
-
-    def box(self, key, default=None, required=False):
-        """Sides lo:hi separated by commas, each with lo < hi."""
-        raw = self.get(key, required=required)
-        if raw is None:
-            return default
-        try:
-            box = tuple(tuple(_num(v) for v in part.split(":")) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"[{self.name}] field {key!r}: malformed {raw!r}") from None
-        if not all(len(side) == 2 and side[0] < side[1] for side in box):
-            raise ConfigError(f"[{self.name}] field {key!r}: need sides lo:hi with lo < hi")
-        return box
-
-    def integer(self, key, default=None, required=False):
-        val = self.num(key, required=required)
-        if val is None:
-            return default
-        if not val.is_integer():
-            raise ConfigError(f"[{self.name}] field {key!r}: not an integer: {self.raw[key]!r}")
-        return int(val)
+            return parse(self.raw[key])
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] field {key!r}: {exc}") from None
 
 
 def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     kind = sec.get(f"{prefix}.kind", default="constant").strip()
-    amp = sec.num(f"{prefix}.amplitude", default=1.0)
+    amp = sec.get(f"{prefix}.amplitude", _number, 1.0)
     if prefix != "mu" and amp <= 0:  # 1/lambda_i must lie in L^{r_i}
         raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be > 0, got {amp!r}")
     if amp < 0:
@@ -154,9 +150,9 @@ def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
                 raise ConfigError(f"[{sec.name}] field {key}: needs {prefix}.kind = power")
         return WeightField("constant", amplitude=amp)
     if kind == "power":
-        center = sec.nums(f"{prefix}.center", required=True, count=n)
-        expo = sec.num(f"{prefix}.exponent", required=True)
-        return WeightField("power", amplitude=amp, center=tuple(center), exponent=expo)
+        center = sec.get(f"{prefix}.center", partial(_numbers, count=n), required=True)
+        expo = sec.get(f"{prefix}.exponent", _number, required=True)
+        return WeightField("power", amplitude=amp, center=center, exponent=expo)
     raise ConfigError(f"[{sec.name}] field {prefix}.kind: unknown kind {kind!r}")
 
 
@@ -191,29 +187,28 @@ class BoundarySpec:
 def _parse_boundary(sec: _Section, n: int) -> BoundarySpec:
     kind = sec.get("kind", required=True).strip()
     if kind == "affine":
-        coeffs = sec.nums("coeffs", required=True, count=n)
-        return BoundarySpec("affine", coeffs=tuple(coeffs), offset=sec.num("offset", 0.0))
+        coeffs = sec.get("coeffs", partial(_numbers, count=n), required=True)
+        return BoundarySpec("affine", coeffs=coeffs, offset=sec.get("offset", _number, 0.0))
     if kind == "radial":
-        center = sec.nums("center", required=True, count=n)
         return BoundarySpec(
             "radial",
-            center=tuple(center),
-            amplitude=sec.num("amplitude", 1.0),
-            exponent=sec.num("exponent", required=True),
-            offset=sec.num("offset", 0.0),
+            center=sec.get("center", partial(_numbers, count=n), required=True),
+            amplitude=sec.get("amplitude", _number, 1.0),
+            exponent=sec.get("exponent", _number, required=True),
+            offset=sec.get("offset", _number, 0.0),
         )
     if kind == "product":
         factors = []
         for i in range(n):
-            pair = sec.nums(f"factor{i + 1}", required=True)
+            pair = sec.get(f"factor{i + 1}", _numbers, required=True)
             if len(pair) != 2:
                 raise ConfigError(f"[{sec.name}] field 'factor{i + 1}': expected 'a,b'")
-            factors.append(tuple(pair))
+            factors.append(pair)
         return BoundarySpec(
             "product",
             factors=tuple(factors),
-            amplitude=sec.num("amplitude", 1.0),
-            offset=sec.num("offset", 0.0),
+            amplitude=sec.get("amplitude", _number, 1.0),
+            offset=sec.get("offset", _number, 0.0),
         )
     raise ConfigError(f"[{sec.name}] field 'kind': unknown boundary kind {kind!r}")
 
@@ -246,7 +241,11 @@ class RunConfig:
     verify: VerifySpec | None
 
     def initial_field(self) -> GridFunction:
-        values = self.boundary(self.grid.node_points()).reshape(self.grid.shape)
+        """The boundary data on every node, which must be finite there."""
+        with np.errstate(all="ignore"):
+            values = self.boundary(self.grid.node_points()).reshape(self.grid.shape)
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[boundary]: {self.boundary.kind} data is not finite on every node")
         return GridFunction(self.grid, values)
 
 
@@ -263,24 +262,24 @@ def load_config(path) -> RunConfig:
     name = _Section(parser, "problem", opened).get("name", default="run")
 
     gsec = _Section(parser, "grid", opened)
-    h = gsec.num("h", required=True)
-    box = gsec.box("box", required=True)
+    h = gsec.get("h", _number, required=True)
+    box = gsec.get("box", _box, required=True)
     try:
         grid = make_grid(box, h)
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from None
 
     esec = _Section(parser, "exponents", opened)
-    n = esec.integer("n", required=True)
+    n = esec.get("n", _integer, required=True)
     if n != grid.n:
         raise ConfigError(f"[exponents] field 'n': {n} does not match grid dimension {grid.n}")
     parsed = dict(
         n=n,
-        p=tuple(esec.nums("p", required=True)),
-        q=esec.num("q", required=True),
-        gamma=esec.num("gamma", required=True),
-        r=tuple(esec.nums("r", required=True)),
-        s=esec.num("s", required=True),
+        p=esec.get("p", _numbers, required=True),
+        q=esec.get("q", _number, required=True),
+        gamma=esec.get("gamma", _number, required=True),
+        r=esec.get("r", partial(_numbers, inf_ok=True), required=True),
+        s=esec.get("s", partial(_number, inf_ok=True), required=True),
     )
     try:
         exps = Exponents(**parsed)
@@ -289,7 +288,7 @@ def load_config(path) -> RunConfig:
 
     wsec = _Section(parser, "weights", opened)
     lambdas = tuple(_parse_weight(wsec, f"lambda{i + 1}", n) for i in range(n))
-    u_coeff = wsec.num("u_coeff", default=0.0)
+    u_coeff = wsec.get("u_coeff", _number, 0.0)
     mu = _parse_weight(wsec, "mu", n)
     try:
         model = ModelIntegrand(exponents=exps, lambdas=lambdas, mu=mu, u_coeff=u_coeff)
@@ -301,8 +300,8 @@ def load_config(path) -> RunConfig:
     solver = SolveConfig()
     if parser.has_section("solver"):
         ssec = _Section(parser, "solver", opened)
-        max_iters = ssec.integer("max_iters", solver.max_iters)
-        grad_tol = ssec.num("grad_tol", solver.grad_tol)
+        max_iters = ssec.get("max_iters", _integer, solver.max_iters)
+        grad_tol = ssec.get("grad_tol", _number, solver.grad_tol)
         try:
             solver = SolveConfig(max_iters=max_iters, grad_tol=grad_tol)
         except ValueError as exc:
@@ -311,31 +310,28 @@ def load_config(path) -> RunConfig:
     certify = None
     if parser.has_section("certify"):
         csec = _Section(parser, "certify", opened)
-        x0 = tuple(csec.nums("x0", required=True, count=n))
-        c_raw = csec.get("c_cal", default="1")
-        C_cal = None if c_raw.strip().lower() == "calibrate" else csec.num("c_cal", 1.0)
         certify = CertifySpec(
-            x0=x0,
-            R=csec.num("r", required=True),
-            H=csec.integer("h", default=DEFAULT_STEPS),
-            C_cal=C_cal,
+            x0=csec.get("x0", partial(_numbers, count=n), required=True),
+            R=csec.get("r", _number, required=True),
+            H=csec.get("h", _integer, DEFAULT_STEPS),
+            C_cal=csec.get("c_cal", _c_cal, 1.0),
         )
 
     verify = None
     if parser.has_section("verify"):
         vsec = _Section(parser, "verify", opened)
-        centre = [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)]
-        x0 = tuple(vsec.nums("x0", default=centre, count=n))
+        centre = tuple(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi))
+        x0 = vsec.get("x0", partial(_numbers, count=n), centre)
         default_sub = tuple(
             (lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
             for lo, hi in zip(grid.lo, grid.hi)
         )
-        subbox = vsec.box("subbox", default=default_sub)
+        subbox = vsec.get("subbox", _box, default_sub)
         if len(subbox) != n:
             raise ConfigError(f"[verify] field 'subbox': expected {n} sides")
-        levels = tuple(vsec.nums("levels", default=[1.0, 1.5, 2.0]))
-        rhos = tuple(vsec.nums("rhos", default=[0.1, 0.15, 0.2]))
-        radii = tuple(vsec.nums("radii", default=[0.25, 0.3, 0.35]))
+        levels = vsec.get("levels", _numbers, (1.0, 1.5, 2.0))
+        rhos = vsec.get("rhos", _numbers, (0.1, 0.15, 0.2))
+        radii = vsec.get("radii", _numbers, (0.25, 0.3, 0.35))
         for key, values in (("levels", levels), ("rhos", rhos), ("radii", radii)):
             if not values:
                 raise ConfigError(f"[verify] field {key!r}: needs at least one value")

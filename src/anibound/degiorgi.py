@@ -9,8 +9,9 @@ empirically once per problem class and the certificate records how much
 slack the computed minimizer leaves under the resulting bound.
 
 The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
-are one pass over the ball's cells (`_masses`), and `certify` forms those
-cells once for N, both signs and both of its runs.
+are one pass over the ball's cells (`_masses`), and `certify` gathers those
+cells, and the nodes its half-ball sup reads, once for N, both signs and
+both of its runs.
 
 Results are data: a `Certificate` holding the schedule once and one
 `IterationTrace` per sign.
@@ -31,7 +32,7 @@ from .exponents import (
     default_c0,
     iteration_constants,
 )
-from .fields import Ball, GridFunction, _ball_cells, _ball_nodes, lp_norm
+from .fields import Ball, GridFunction, _ball_cells, lp_norm
 
 __all__ = [
     "sequences",
@@ -64,12 +65,13 @@ def sequences(R: float, d: float, H: int) -> tuple:
 
 def _ball_data(u: GridFunction, x0, R: float) -> tuple:
     """u averaged to the cells whose centres lie in B_R(x0) and those centres'
-    squared distances from x0, flat in row-major order; only the cells of
-    the ball's box are visited (`fields._ball_cells`, which refuses a ball
-    that leaves the grid box)."""
-    _, uc, dist2 = _ball_cells(u, Ball(x0, R))
+    squared distances from x0, flat in row-major order, then u at the nodes
+    of the ball's box and their squared distances from x0; only the ball's
+    box is visited (`fields._ball_cells`, which refuses a ball that leaves
+    the grid box)."""
+    _, uc, dist2, nodes, node_dist2 = _ball_cells(u, Ball(x0, R))
     inside = dist2 < R * R
-    return uc[inside], dist2[inside]
+    return uc[inside], dist2[inside], nodes, node_dist2
 
 
 def _masses(values, dist2, rhos, ks, qs: float, hn: float) -> np.ndarray:
@@ -104,7 +106,7 @@ def j_sequence(
     Only the cells of the box of B_R(x0) are visited, and each step only the
     cells that the step before kept (`_masses`).
     """
-    values, dist2 = _ball_data(u, x0, R)
+    values, dist2, _, _ = _ball_data(u, x0, R)
     return _masses(values, dist2, *sequences(R, d, H), e.qs_prime, u.grid.h ** u.grid.n)
 
 
@@ -225,16 +227,17 @@ def certify(
     those two traces.  Validity is a reproducibility statement about this
     engine with its calibrated constant, not a restatement of the theorem.
 
-    The cells of B_R are formed once; N, both signs and both runs read them,
-    and each run builds one schedule for its d that both signs share. The
-    cell averages of -u are those of u negated, bitwise, so no -u is built,
-    and each trace is `_trace` of the masses that `j_sequence` gives for u
-    or -u.
+    The cells and nodes of B_R's box are gathered once; N, both signs and
+    both runs read the cells, the half-ball sup reads the nodes, and each
+    run builds one schedule for its d that both signs share. The cell
+    averages of -u are those of u negated, bitwise, so no -u is built, and
+    each trace is `_trace` of the masses that `j_sequence` gives for u or
+    -u.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")
     grid = u.grid
-    uc, dist2 = _ball_data(u, x0, R)
+    uc, dist2, nodes, node_dist2 = _ball_data(u, x0, R)
     c = iteration_constants(e)  # raises on inadmissible exponents
     c0 = default_c0(e)
     N = lp_norm(uc, e.sigma_star, grid)
@@ -256,7 +259,8 @@ def certify(
         t.js[-1] <= DECAY_FACTOR * max(t.js[0], DECAY_FLOOR) for t in traces
     )
 
-    half = _ball_nodes(u, Ball(x0, R / 2.0))
+    r = R / 2.0  # the box of B_R holds every node of B_r
+    half = nodes[node_dist2 < r * r]
     sup_half = float(np.max(np.abs(half))) if half.size else 0.0
 
     slack = d - sup_half

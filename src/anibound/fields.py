@@ -14,8 +14,11 @@ Conventions used throughout the package:
 * level sets are counted on nodes (measure = h^n * node count), integrals are
   cell quadratures with nodal values averaged to cell centers.
 
-The stencil, its transposes and the geometry of regions (a ball's box, its
-cells and its nodes) live only here; weights are sampled in `integrand`.
+The stencil, its transposes and a ball's cells and nodes (`_ball_cells`)
+live here; the solver's stencil helpers (`_shifts`, `_edge_product`,
+`_edge_diagonal`, `_coarse_edges`, `_edge_ends`, `_zero_boundary`,
+`_support`) in `minimize`, a sub-box's cells (`_sub_box`) in `inequalities`,
+and the sampling of weights in `integrand`.
 """
 
 from __future__ import annotations
@@ -294,22 +297,19 @@ def _dist2(axes, box: tuple, x0) -> np.ndarray:
 
 
 def _ball_cells(u: GridFunction, ball: Ball) -> tuple:
-    """The ball's box of cells (`_ball_box`), u averaged to those cells and
-    their centers' squared distances from x0, both in the box's shape; the
-    cells inside the ball are those with distance below R^2. A ball that
-    leaves the grid box is an error: the cells it would need are not there."""
+    """The ball's box of cells (`_ball_box`); u averaged to those cells and
+    their centers' squared distances from x0; u at the box's nodes
+    (`_node_box`) and their squared distances from x0. Each array has its
+    box's shape, and the cells or nodes inside any ball about x0 of radius
+    r <= R are those with distance below r^2. A ball that leaves the grid
+    box is an error: the cells it would need are not there."""
     if not u.grid.contains_ball(ball):
         raise ValueError("ball leaves the grid box")
     box = _ball_box(u.grid, ball)
-    uc = _average_to_cells(u.values[_node_box(box)])
-    return box, uc, _dist2(u.grid.cell_axes(), box, ball.x0)
-
-
-def _ball_nodes(u: GridFunction, ball: Ball) -> np.ndarray:
-    """u at the nodes inside the ball, flat in row-major order; only the nodes
-    of the ball's box are visited."""
-    box = _node_box(_ball_box(u.grid, ball))
-    return u.values[box][_dist2(u.grid.node_axes(), box, ball.x0) < ball.R * ball.R]
+    nodes = _node_box(box)
+    values = u.values[nodes]
+    return (box, _average_to_cells(values), _dist2(u.grid.cell_axes(), box, ball.x0),
+            values, _dist2(u.grid.node_axes(), nodes, ball.x0))
 
 
 def cell_mask(grid: Grid, region) -> np.ndarray:

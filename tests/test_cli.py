@@ -563,15 +563,35 @@ class TestConfigErrors:
             ("r = inf,inf,inf", "r = inf,nan,inf", "[exponents] field 'r'"),
             ("R = 0.4", "R = NaN", "[certify] field 'r'"),
             ("C_cal = calibrate", "C_cal = nan", "[certify] field 'c_cal'"),
+            # inf is an r or s entry only: elsewhere it once reached round()
+            # in make_grid, a nan energy or residual, or d = inf
+            ("box = 0:1,0:1,0:1", "box = 0:inf,0:1,0:1", "[grid] field 'box'"),
+            ("u_coeff = 0", "u_coeff = 0\nlambda1.amplitude = inf",
+             "[weights] field 'lambda1.amplitude'"),
+            ("u_coeff = 0", "u_coeff = inf", "[weights] field 'u_coeff'"),
+            ("u_coeff = 0", "u_coeff = 1\nmu.amplitude = inf", "[weights] field 'mu.amplitude'"),
+            ("kind = affine\ncoeffs = 1,0,0",
+             "kind = radial\ncenter = 0.5,0.5,0.5\nexponent = 2\namplitude = inf",
+             "[boundary] field 'amplitude'"),
+            ("C_cal = calibrate", "C_cal = inf", "[certify] field 'c_cal'"),
         ],
         ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "lambda1.amplitude-zero",
              "mu.amplitude-negative", "u_coeff",
-             "r", "R", "C_cal"],
+             "r", "R", "C_cal", "box-inf", "lambda1.amplitude-inf", "u_coeff-inf",
+             "mu.amplitude-inf", "boundary-amplitude-inf", "C_cal-inf"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_boundary_data_not_finite(self, tmp_path, capsys):
+        # finite inputs, but |x - c|^-1 is inf at the centre c, a node
+        cfg = write_config(tmp_path, patch(Path(SMOKE).read_text(), "exponent = 2", "exponent = -1"))
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [boundary]") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_infinite_integer(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction, _average_to_cells, gradient, lp_norm, make_grid
@@ -259,3 +261,86 @@ class TestCaccioppoli:
         # checked a triple it skipped
         assert caccioppoli_sweep(m, u, (0.5,), (0.4,), (0.2, 0.4), x0) == []
         assert caccioppoli_sweep(m, u, (), (0.2,), (0.4,), x0) == []
+
+
+# ------------------------------------------------ properties (ROADMAP item 7)
+
+GRID_STEP = 1 / 8
+# power-weight centres on a lattice of side h/8: a centre is a cell centre
+# (and the sample is shifted) or at least h/8 from every one, so 1/lambda
+# never overflows its norm
+CENTRE = st.integers(0, 64).map(lambda j: j / 64)
+
+
+@st.composite
+def random_problems(draw):
+    """A model with constant or power lambda_i, r_i finite or inf, s finite
+    or inf, with or without a u term, and nodal data an affine field plus
+    noise, on the unit square or cube at h = 1/8."""
+    n = draw(st.sampled_from((2, 3)))
+    grid = unit_grid(n, GRID_STEP)
+    p = tuple(draw(st.floats(1.05, 3.0)) for _ in range(n))
+    q = max(p)
+    # r_i >= 1/(p_i - 1), so that sigma_i >= 1 and the lower bound's norms exist
+    r = tuple(draw(st.one_of(st.just(INF), st.floats(lo, lo + 10.0)))
+              for lo in (max(1.0, 1.001 / (p_i - 1.0)) for p_i in p))
+    s = draw(st.one_of(st.just(INF), st.floats(1.1, 10.0)))
+    e = Exponents(n, p, q, draw(st.floats(q, q + 2.0)), r, s)
+
+    def weight(r_i):
+        amplitude = draw(st.floats(0.1, 10.0))
+        if draw(st.booleans()):
+            return constant(amplitude)
+        top = 1.0 if math.isinf(r_i) else min(1.0, 0.9 * n / r_i)  # 1/lambda in L^{r_i}
+        centre = tuple(draw(CENTRE) for _ in range(n))
+        return WeightField("power", amplitude, centre, draw(st.floats(-1.0, top)))
+
+    lambdas = tuple(weight(r_i) for r_i in r)
+    u_coeff = draw(st.sampled_from((0.0, 0.5, 3.0)))
+    m = ModelIntegrand(e, lambdas, weight(INF), u_coeff)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slope = rng.uniform(-4.0, 4.0, size=n)
+    noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    values = draw(st.floats(-1.0, 3.0)) + grid.node_points() @ slope
+    values += noise * rng.standard_normal(grid.num_nodes)
+    return m, GridFunction(grid, values.reshape(grid.shape))
+
+
+@settings(deadline=None)
+@given(random_problems(), st.data())
+def test_lower_bound_is_at_most_one_over_n(problem, data):
+    """Hoelder puts ||D_i u||_{sigma_i}^{p_i} below ||1/lambda_i||_{r_i} times
+    the integral of lambda_i |D_i u|^{p_i}, and Jensen puts the cell gradient's
+    power below the edge-stencil mean, so each axis's term is at most its
+    share of the energy and the row, which divides their sum by n, has
+    c_emp <= 1/n for every u: the row cannot fail."""
+    m, u = problem
+    n = u.grid.n
+    subbox = []
+    for _ in range(n):
+        lo = data.draw(st.floats(0.0, 0.7))
+        subbox.append((lo, data.draw(st.floats(lo + 0.2, 1.0))))  # wider than h: a centre
+    rep = verify_lower_bound(m, u, tuple(subbox))
+    assert rep.c_emp <= (1.0 / n) * (1.0 + 1e-12)
+    assert rep.passed
+
+
+@settings(deadline=None)
+@given(random_problems(), st.data())
+def test_caccioppoli_rows_have_a_positive_finite_rhs(problem, data):
+    """A row with lhs > 0 has a cell of B_rho, so of B_R, above k; there the
+    first term is at least mu_tilde k^gamma h^n > 0, since lambda_i > 0 and
+    k >= 1. So every row has 0 < rhs_structure < inf or lhs = 0, and no row
+    can fail short of an overflow."""
+    m, u = problem
+    R = data.draw(st.floats(0.2, 0.45))
+    x0 = tuple(data.draw(st.floats(R, 1.0 - R)) for _ in range(u.grid.n))
+    levels = data.draw(st.lists(st.floats(1.0, 3.0), min_size=1, max_size=3))
+    rhos = data.draw(st.lists(st.floats(GRID_STEP, 0.95 * R), min_size=1, max_size=3))
+    radii = (R, data.draw(st.floats(0.5 * R, R)))
+    reports = caccioppoli_sweep(m, u, levels, rhos, radii, x0)
+    assert reports
+    for rep in reports:
+        if rep.lhs > 0.0:
+            assert 0.0 < rep.rhs_structure < math.inf
+        assert rep.passed

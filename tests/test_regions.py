@@ -1,11 +1,11 @@
 """Region-restricted computations against full-grid reference implementations.
 
-The cells and nodes of a ball (`_ball_cells`, `_ball_nodes`),
-caccioppoli_sweep, j_sequence and certify's N and half-ball sup work only on
-the index bounding box of their region; energy and cell_mask form the whole
-grid. The references below evaluate the whole grid and then mask, by their
-own code; every result must agree bitwise, and energy must also agree with
-the stencil formed on the tight box of the region's cells.
+The cells and nodes of a ball (`_ball_cells`), caccioppoli_sweep,
+j_sequence and certify's N and half-ball sup work only on the index
+bounding box of their region; energy and cell_mask form the whole grid.
+The references below evaluate the whole grid and then mask, by their own
+code; every result must agree bitwise, and energy must also agree with the
+stencil formed on the tight box of the region's cells.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from anibound.fields import (
     GridFunction,
     _average_to_cells,
     _ball_cells,
-    _ball_nodes,
     _node_box,
     cell_mask,
     gradient,
@@ -265,21 +264,25 @@ def test_density_on_a_box_is_the_full_density_there(problem):
 
 
 def test_superlevel_measure_matches_the_full_grid(problem):
-    """The nodes of a ball gathered on its box (`_ball_nodes`, which the
-    certificate's half-ball sup reads) are the full grid's in row-major
-    order, and so is the level measure h^n #{u > k} they give."""
+    """The nodes of a ball's box (`_ball_cells`) inside the ball, and inside
+    the concentric ball of half the radius, which the certificate's
+    half-ball sup reads, are the full grid's in row-major order, and so is
+    the level measure h^n #{u > k} they give."""
     _, u, rng = problem
     grid = u.grid
-    balls = [r for r in regions(grid, rng) if isinstance(r, Ball)]
+    balls = [r for r in regions(grid, rng) if isinstance(r, Ball) and grid.contains_ball(r)]
     balls.append(tangent_ball(grid, 0.3))
-    balls.append(Ball(tuple(grid.lo), grid.h / 3))  # holds a node but no cell center
+    node = tuple(lo + grid.h for lo in grid.lo)
+    balls.append(Ball(node, grid.h / 3))  # holds a node but no cell center
     for ball in balls:
-        nodes = _ball_nodes(u, ball)
-        inside = ball_contains(ball, grid.node_points()).reshape(grid.shape)
-        assert nodes.tobytes() == u.values[inside].tobytes()
-        for k in (-1.0, 0.5, 1.0, 2.2, 5.0):
-            measure = int(np.count_nonzero(nodes > k)) * grid.h ** grid.n
-            assert measure == ref_superlevel_measure(u, k, ball)
+        _, _, _, values, dist2 = _ball_cells(u, ball)
+        for inner in (ball, Ball(ball.x0, ball.R / 2.0)):
+            nodes = values[dist2 < inner.R * inner.R]
+            inside = ball_contains(inner, grid.node_points()).reshape(grid.shape)
+            assert nodes.tobytes() == u.values[inside].tobytes()
+            for k in (-1.0, 0.5, 1.0, 2.2, 5.0):
+                measure = int(np.count_nonzero(nodes > k)) * grid.h ** grid.n
+                assert measure == ref_superlevel_measure(u, k, inner)
 
 
 def test_caccioppoli_matches_the_full_grid(problem):
@@ -383,7 +386,7 @@ def test_ball_norms_match_the_full_grid(problem):
     balls = [tangent_ball(grid, 0.4), random_ball(grid, rng, 0.3)]
     qs = e.q * conjugate_exponent(e.s)
     for ball in balls:
-        _, uc, dist2 = _ball_cells(u, ball)
+        _, uc, dist2, _, _ = _ball_cells(u, ball)
         assert lp_norm(uc[dist2 < ball.R * ball.R], qs, grid) == ref_ball_norm(u, qs, ball)
     if check_admissibility(e).admissible:
         for ball in balls:
