@@ -5,12 +5,9 @@ iteration."""
 from .exponents import (
     INF,
     Exponents,
-    IterationConstants,
     conjugate_exponent,
     harmonic_mean,
     sobolev_star,
-    check_admissibility,
-    iteration_constants,
     choose_d,
 )
 from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm

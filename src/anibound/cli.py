@@ -24,7 +24,7 @@ import numpy as np
 
 from . import degiorgi, inequalities
 from .config import ConfigError, RunConfig, load_config
-from .exponents import Exponents, check_admissibility, iteration_constants
+from .exponents import Exponents
 from .fields import GridFunction, _tensor_hat, read_gridfn, write_gridfn
 from .minimize import random_perturbations, solve, verify_quasiminimality
 
@@ -62,28 +62,22 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _admissibility_lines(e: Exponents):
-    rep = check_admissibility(e)
     lines = [
         f"sigma_bar={_fmt(e.sigma_bar)}",
         f"sigma_star={_fmt(e.sigma_star) if e.sigma_star is not None else 'undefined'}",
         f"p_bar={_fmt(e.p_bar)}",
         f"s_prime={_fmt(e.s_prime)}",
-        f"cond_i={rep.cond_i}",
-        f"cond_ii={rep.cond_ii}",
-        f"cond_iii={rep.cond_iii}",
-        f"gamma_bound={_fmt(rep.gamma_bound) if rep.gamma_bound is not None else 'undefined'}",
+        f"cond_i={e.cond_i}",
+        f"cond_ii={e.cond_ii}",
+        f"cond_iii={e.cond_iii}",
+        f"gamma_bound={_fmt(e.gamma_bound) if e.gamma_bound is not None else 'undefined'}",
     ]
-    if rep.admissible:
-        c = iteration_constants(e)
+    if e.admissible:
         lines += [
-            f"theta1={_fmt(c.theta1)}",
-            f"theta2={_fmt(c.theta2)}",
-            f"delta1={_fmt(c.delta1)}",
-            f"delta2={_fmt(c.delta2)}",
-            f"alpha={_fmt(c.alpha)}",
-            f"lambda_base={_fmt(c.lambda_base)}",
+            f"{name}={_fmt(getattr(e, name))}"
+            for name in ("theta1", "theta2", "delta1", "delta2", "alpha", "lambda_base")
         ]
-    return lines, rep.admissible
+    return lines, e.admissible
 
 
 def cmd_admissible(args) -> int:
@@ -138,7 +132,7 @@ def cmd_certify(args) -> int:
     if cfg.certify is None:
         raise ConfigError("missing section [certify]")
     e = cfg.model.exponents
-    if not check_admissibility(e).admissible:
+    if not e.admissible:
         print("exponents are not admissible; nothing to certify", file=sys.stderr)
         return EXIT_INADMISSIBLE
     u = _load_solution(cfg, args.solution)
@@ -230,11 +224,9 @@ def cmd_sweep(args) -> int:
         except ValueError:  # v gives no valid exponents
             pass
         else:
-            rep = check_admissibility(exps)
-            conds = (rep.cond_i, rep.cond_ii, rep.cond_iii)
-            if rep.admissible:
-                c = iteration_constants(exps)
-                consts = (c.theta1, c.theta2, c.delta1, c.alpha)
+            conds = (exps.cond_i, exps.cond_ii, exps.cond_iii)
+            if exps.admissible:
+                consts = (exps.theta1, exps.theta2, exps.delta1, exps.alpha)
         rows.append((axis, v, *conds, *consts))
     print(_csv_text(header, rows), end="")
     if args.out:

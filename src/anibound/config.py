@@ -156,6 +156,24 @@ def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     raise ConfigError(f"[{sec.name}] field {prefix}.kind: unknown kind {kind!r}")
 
 
+def _check_weights(model: ModelIntegrand, grid: Grid) -> None:
+    """Each power weight in use (every lambda_i, mu only with a u term) must
+    be finite on every cell, and lambda_i positive; constant weights are
+    checked by their amplitude alone, and not sampled."""
+    in_use = {f"lambda{i + 1}": w for i, w in enumerate(model.lambdas)}
+    if model.u_coeff > 0:
+        in_use["mu"] = model.mu
+    if all(w.kind == "constant" for w in in_use.values()):
+        return
+    with np.errstate(all="ignore"):
+        lam, mu = model.on_cells(grid)
+    for (name, w), values in zip(in_use.items(), (*lam, mu)):
+        if w.kind == "power" and not np.all(np.isfinite(values)):
+            raise ConfigError(f"[weights]: {name} is not finite on every cell")
+        if w.kind == "power" and name != "mu" and not np.all(values > 0):
+            raise ConfigError(f"[weights]: {name} is not positive on every cell")
+
+
 @dataclass(frozen=True)
 class BoundarySpec:
     """Closed-form Dirichlet data: affine, radial, or product form."""
@@ -294,6 +312,7 @@ def load_config(path) -> RunConfig:
         model = ModelIntegrand(exponents=exps, lambdas=lambdas, mu=mu, u_coeff=u_coeff)
     except ValueError as exc:
         raise ConfigError(f"[weights]: {exc}") from None
+    _check_weights(model, grid)
 
     boundary = _parse_boundary(_Section(parser, "boundary", opened), n)
 

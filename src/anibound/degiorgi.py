@@ -4,9 +4,11 @@ Runs the explicit iteration on one schedule per ball and level scale
 (`sequences`: shrinking radii rho_h -> R/2, increasing levels k_h -> d),
 super-level masses J_h, the geometric recursion that drives them to zero,
 and the closed-form choice of the level scale d.  The recursion
-constant is existential in the continuum statement; here it is calibrated
-empirically once per problem class and the certificate records how much
-slack the computed minimizer leaves under the resulting bound.
+constant is existential in the continuum statement; here it is C_cal, a
+number (default 1) or `calibrate`, which runs the recursion at C = 1 on the
+field itself and takes `calibrate_C` of those traces.  The certificate
+records how much slack the computed minimizer leaves under the resulting
+bound.
 
 The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
 are one pass over the ball's cells (`_masses`), and `certify` gathers those
@@ -25,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import (
-    Exponents,
-    IterationConstants,
-    choose_d,
-    default_c0,
-    iteration_constants,
-)
+from .exponents import Exponents, choose_d
 from .fields import Ball, GridFunction, _ball_cells, lp_norm
 
 __all__ = [
@@ -160,18 +156,18 @@ class IterationTrace:
     C_emp: float  # minimal C making the recursion hold across steps
 
 
-def _trace(R: float, d: float, c: IterationConstants, N: float, sign: int, js) -> IterationTrace:
+def _trace(R: float, d: float, e: Exponents, N: float, sign: int, js) -> IterationTrace:
     """The diagnostics of one run from its masses J_0..J_H.
 
     A factor of the recursion's right side too large for binary64 is inf, as
     in `choose_d`; a step with J_h = 0 has right side 0 whatever the factor."""
     try:
-        scale = (1.0 + N) ** c.norm_exponent * d ** (-c.delta1) * R ** (-c.delta2)
+        scale = (1.0 + N) ** e.norm_exponent * d ** (-e.delta1) * R ** (-e.delta2)
     except OverflowError:
         scale = math.inf
     live = js[:-1] > 0
     rhs = np.zeros(live.size)
-    rhs[live] = scale * c.lambda_base ** np.arange(live.size)[live] * js[:-1][live] ** (1.0 + c.alpha)
+    rhs[live] = scale * e.lambda_base ** np.arange(live.size)[live] * js[:-1][live] ** (1.0 + e.alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, js[1:] / rhs, 0.0)
     C_emp = float(np.max(ratios)) if ratios.size else 0.0
@@ -238,17 +234,20 @@ def certify(
         raise ValueError(f"radius must lie in (0, 1], got {R}")
     grid = u.grid
     uc, dist2, nodes, node_dist2 = _ball_data(u, x0, R)
-    c = iteration_constants(e)  # raises on inadmissible exponents
-    c0 = default_c0(e)
+    if not e.admissible:
+        raise ValueError(
+            "inadmissible exponents: "
+            f"cond_i={e.cond_i} cond_ii={e.cond_ii} cond_iii={e.cond_iii}"
+        )
     N = lp_norm(uc, e.sigma_star, grid)
     hn = grid.h ** grid.n
     signed = ((+1, uc), (-1, -uc))
 
     def run(C):
-        d = choose_d(c, C, c0, R, N)  # N is sign-invariant: one d serves u and -u
+        d = choose_d(e, C, e.c0, R, N)  # N is sign-invariant: one d serves u and -u
         rhos, ks = sequences(R, d, H)
         return d, rhos, ks, tuple(
-            _trace(R, d, c, N, sign, _masses(vals, dist2, rhos, ks, e.qs_prime, hn))
+            _trace(R, d, e, N, sign, _masses(vals, dist2, rhos, ks, e.qs_prime, hn))
             for sign, vals in signed
         )
 
@@ -274,8 +273,8 @@ def certify(
         ks=ks,
         sup_half_ball=sup_half,
         slack=slack,
-        theta1=c.theta1,
-        theta2=c.theta2,
+        theta1=e.theta1,
+        theta2=e.theta2,
         valid=valid,
         traces=traces,
     )

@@ -1,13 +1,13 @@
 """Exponent calculus for anisotropic p_i,q-growth energies.
 
 Everything here is closed-form arithmetic on the raw exponent tuple
-(p_1..p_n, q, gamma, r_1..r_n, s), held by one object, `Exponents`. The
-exponents the proof derives from the tuple are its read-only properties:
-sigma_i = p_i r_i/(r_i+1), their harmonic average sigma_bar, its Sobolev
-exponent sigma_star, the harmonic average p_bar, the Hoelder conjugate s'
-and q*s'. On top of them sit the three admissibility conditions, the
-L-infinity bound exponents theta1/theta2, and the iteration constants
-delta1, delta2, alpha, lambda that drive the level-set recursion.
+(p_1..p_n, q, gamma, r_1..r_n, s), held by one object, `Exponents`. What the
+proof derives from the tuple are its read-only properties: the exponents
+sigma, sigma_bar, sigma_star, p_bar, s_prime and qs_prime; admissibility
+(cond_i, cond_ii, cond_iii, gamma_bound, admissible); the constants of the
+level-set recursion (delta1, delta2, alpha, lambda_base, theta1, theta2,
+norm_exponent); and the embedding constant c0. `choose_d` turns them into
+the level scale d of one ball.
 
 Infinite exponents are represented by math.inf, but every convention
 (1/inf = 0, r/(r+1) = 1 at r = inf, conjugate of inf is 1) is implemented
@@ -18,21 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 INF = math.inf
 
 __all__ = [
     "INF",
     "Exponents",
-    "AdmissibilityReport",
-    "IterationConstants",
     "conjugate_exponent",
     "harmonic_mean",
     "sobolev_star",
-    "check_admissibility",
-    "iteration_constants",
     "unit_ball_volume",
-    "default_c0",
     "choose_d",
 ]
 
@@ -69,6 +65,11 @@ def sobolev_star(beta_bar: float, n: int) -> float:
     return n * beta_bar / (n - beta_bar)
 
 
+def unit_ball_volume(n: int) -> float:
+    """Volume of the Euclidean unit ball in dimension n."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Raw exponent tuple of the growth conditions.
@@ -81,7 +82,8 @@ class Exponents:
     r   n integrability exponents of 1/lambda_i, each in [1, inf]
     s   integrability exponent of mu, in (1, inf]
 
-    Derived, read-only properties:
+    Derived, read-only properties (sigma_star, p_bar and s_prime, which the
+    rest read, are computed once per tuple):
 
     sigma       sigma_i = p_i r_i/(r_i+1), with r/(r+1) = 1 at r = inf
     sigma_bar   harmonic average of the sigma_i
@@ -90,6 +92,20 @@ class Exponents:
     p_bar       harmonic average of the p_i
     s_prime     Hoelder conjugate s' of s
     qs_prime    q * s'
+    cond_i      sigma_bar < n; cond_ii, cond_iii and admissible are False
+                and gamma_bound is None when it fails
+    cond_ii     q < sigma_star / s'
+    cond_iii    gamma < gamma_bound = (sigma_star/s') * (p_bar/q) + q - p_bar
+    admissible  cond_i and cond_ii and cond_iii
+
+    The constants of the level-set recursion
+    J_{h+1} <= C*B*(d^delta1 R^delta2)^-1 lam^h J_h^(1+alpha): delta1,
+    delta2, alpha, lambda_base = 8^delta2 (inf beyond binary64), the
+    L-infinity bound exponents theta1 and theta2, and norm_exponent =
+    theta1 * delta1, the power of (1 + ||u||) in `choose_d`; and c0 =
+    |B_1|^(1 - qs'/sigma_star), the embedding constant of the Hoelder step.
+    Reading one raises ValueError when sigma_bar >= n. On an inadmissible
+    tuple the signs of delta1 and alpha are informative, the thetas are not.
     """
 
     n: int
@@ -131,16 +147,16 @@ class Exponents:
     def sigma_bar(self) -> float:
         return harmonic_mean(self.sigma)
 
-    @property
+    @cached_property
     def sigma_star(self) -> float | None:
         sigma_bar = self.sigma_bar
         return sobolev_star(sigma_bar, self.n) if sigma_bar < self.n else None
 
-    @property
+    @cached_property
     def p_bar(self) -> float:
         return harmonic_mean(self.p)
 
-    @property
+    @cached_property
     def s_prime(self) -> float:
         return conjugate_exponent(self.s)
 
@@ -148,124 +164,88 @@ class Exponents:
     def qs_prime(self) -> float:
         return self.q * self.s_prime
 
+    @property
+    def cond_i(self) -> bool:
+        return self.sigma_star is not None
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Three strict admissibility conditions plus the derived gamma bound.
+    @property
+    def cond_ii(self) -> bool:
+        return self.cond_i and self.q < self.sigma_star / self.s_prime
 
-    cond_i    sigma_bar < n
-    cond_ii   q < sigma_star / s'
-    cond_iii  gamma < (sigma_star/s') * (p_bar/q) + q - p_bar
-    gamma_bound  the right-hand side of cond_iii (None when cond_i fails)
-    """
+    @property
+    def gamma_bound(self) -> float | None:
+        if not self.cond_i:
+            return None
+        return self.sigma_star / self.s_prime * self.p_bar / self.q + self.q - self.p_bar
 
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
-    gamma_bound: float | None
+    @property
+    def cond_iii(self) -> bool:
+        return self.cond_i and self.gamma < self.gamma_bound
 
     @property
     def admissible(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii
 
+    @property
+    def _star(self) -> float:
+        """sigma_star, which every constant below reads."""
+        star = self.sigma_star
+        if star is None:
+            raise ValueError("sigma_star undefined")
+        return star
 
-def check_admissibility(e: Exponents) -> AdmissibilityReport:
-    if e.sigma_star is None:  # sigma_bar >= n: condition (i) fails
-        return AdmissibilityReport(False, False, False, None)
-    ratio = e.sigma_star / e.s_prime
-    cond_ii = e.q < ratio
-    gamma_bound = ratio * e.p_bar / e.q + e.q - e.p_bar
-    cond_iii = e.gamma < gamma_bound
-    return AdmissibilityReport(True, cond_ii, cond_iii, gamma_bound)
+    @property
+    def _denominator(self) -> float:
+        """Common factor p_bar*sigma_star - qs'(gamma - q + p_bar) shared by
+        delta1 and the thetas; factoring it out keeps the ratio identities
+        theta2 = delta2/delta1 and theta1 = norm_exponent/delta1 accurate even
+        when the factor is tiny near the admissibility boundary."""
+        return self.p_bar * self._star - self.qs_prime * (self.gamma - self.q + self.p_bar)
 
+    @property
+    def _numerator(self) -> float:
+        """sigma_star*gamma - qs'*p_bar, shared by norm_exponent and theta1."""
+        return self._star * self.gamma - self.qs_prime * self.p_bar
 
-def _require_admissible(e: Exponents) -> None:
-    rep = check_admissibility(e)
-    if not rep.admissible:
-        raise ValueError(
-            "inadmissible exponents: "
-            f"cond_i={rep.cond_i} cond_ii={rep.cond_ii} cond_iii={rep.cond_iii}"
-        )
+    @property
+    def delta1(self) -> float:
+        return self.qs_prime * self._denominator / (self.p_bar * self._star)
 
+    @property
+    def delta2(self) -> float:
+        self._star  # raises with the other constants when sigma_bar >= n
+        return self.q * self.qs_prime / self.p_bar
 
-def _denominator(e: Exponents) -> float:
-    """Common factor p_bar*sigma_star - qs'(gamma - q + p_bar) shared by
-    delta1 and the thetas; factoring it out keeps the ratio identities
-    theta2 = delta2/delta1 and theta1 = norm_exponent/delta1 accurate even
-    when the factor is tiny near the admissibility boundary."""
-    return e.p_bar * e.sigma_star - e.qs_prime * (e.gamma - e.q + e.p_bar)
+    @property
+    def alpha(self) -> float:
+        sp, ss, pb, q = self.s_prime, self._star, self.p_bar, self.q
+        return (q / pb) * (1.0 + (q - pb) * sp / ss - self.gamma * sp / ss)
 
+    @property
+    def lambda_base(self) -> float:
+        try:
+            return 8.0 ** self.delta2
+        except OverflowError:  # too large for binary64, as in choose_d
+            return math.inf
 
-@dataclass(frozen=True)
-class IterationConstants:
-    """Constants of the level-set recursion J_{h+1} <= C*B*(d^delta1 R^delta2)^-1 lam^h J_h^(1+alpha).
+    @property
+    def norm_exponent(self) -> float:
+        return self.qs_prime * self._numerator / (self.p_bar * self._star)
 
-    norm_exponent is the power of (1 + ||u||) in the closed-form choice of the
-    level scale d; it equals theta1 * delta1.
-    """
+    @property
+    def theta1(self) -> float:
+        return self._numerator / self._denominator
 
-    delta1: float
-    delta2: float
-    alpha: float
-    lambda_base: float
-    theta1: float
-    theta2: float
-    norm_exponent: float
+    @property
+    def theta2(self) -> float:
+        return self.q * self._star / self._denominator
 
-
-def iteration_constants(e: Exponents, check: bool = True) -> IterationConstants:
-    """Constants of the recursion.
-
-    With check=False the closed forms are evaluated even for inadmissible
-    tuples (the signs of delta1 and alpha are then informative, the thetas
-    are not); callers on the certification path must keep the gate on.
-    """
-    if check:
-        _require_admissible(e)
-    sp, ss, pb = e.s_prime, e.sigma_star, e.p_bar
-    q, g, qs = e.q, e.gamma, e.qs_prime
-    delta2 = q * qs / pb
-    D = _denominator(e)
-    delta1 = qs * D / (pb * ss)
-    alpha = (q / pb) * (1.0 + (q - pb) * sp / ss - g * sp / ss)
-    try:
-        lambda_base = 8.0 ** delta2
-    except OverflowError:  # too large for binary64, as in choose_d
-        lambda_base = math.inf
-    M = ss * g - qs * pb
-    norm_exponent = qs * M / (pb * ss)
-    theta1 = M / D
-    theta2 = q * ss / D
-    return IterationConstants(
-        delta1=delta1,
-        delta2=delta2,
-        alpha=alpha,
-        lambda_base=lambda_base,
-        theta1=theta1,
-        theta2=theta2,
-        norm_exponent=norm_exponent,
-    )
+    @property
+    def c0(self) -> float:
+        return unit_ball_volume(self.n) ** (1.0 - self.qs_prime / self._star)
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the Euclidean unit ball in dimension n."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def default_c0(e: Exponents) -> float:
-    """Default embedding constant |B_1|^(1 - qs'/sigma_star) from the Hoelder step."""
-    if e.sigma_star is None:
-        raise ValueError("sigma_star undefined")
-    return unit_ball_volume(e.n) ** (1.0 - e.qs_prime / e.sigma_star)
-
-
-def choose_d(
-    c: IterationConstants,
-    C_cal: float,
-    c0: float,
-    R: float,
-    N: float,
-) -> float:
+def choose_d(e: Exponents, C_cal: float, c0: float, R: float, N: float) -> float:
     """Closed-form level scale d = max(2, {C c0^alpha lam^(1/alpha) R^-delta2 (1+N)^E}^(1/delta1)).
 
     A d too large for binary64 is returned as inf.
@@ -277,11 +257,11 @@ def choose_d(
     try:
         core = (
             C_cal
-            * c0 ** c.alpha
-            * c.lambda_base ** (1.0 / c.alpha)
-            * R ** (-c.delta2)
-            * (1.0 + N) ** c.norm_exponent
+            * c0 ** e.alpha
+            * e.lambda_base ** (1.0 / e.alpha)
+            * R ** (-e.delta2)
+            * (1.0 + N) ** e.norm_exponent
         )
-        return max(2.0, core ** (1.0 / c.delta1))
+        return max(2.0, core ** (1.0 / e.delta1))
     except OverflowError:
         return math.inf

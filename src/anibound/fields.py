@@ -328,9 +328,10 @@ def cell_mask(grid: Grid, region) -> np.ndarray:
 def lp_norm(f, beta: float, grid: Grid) -> float:
     """L^beta norm by midpoint quadrature of f, the values of a set of cells
     of the grid in any shape (select a region's cells before the call); max
-    over them at beta = inf, 0 for no cells."""
-    if beta < 1:
-        raise ValueError(f"need beta >= 1, got {beta}")
+    over them at beta = inf, 0 for no cells. Any beta > 0 is accepted: below
+    1 this is the L^beta quasi-norm."""
+    if not beta > 0:
+        raise ValueError(f"need beta > 0, got {beta}")
     vals = np.abs(np.asarray(f)).ravel()
     if vals.size == 0:
         return 0.0

@@ -11,7 +11,9 @@ Caccioppoli sweep reports every (k, rho, R) from one pass over the largest
 ball. Only the lower bound has a bound on c_emp (1 + 1e-9); the other rows
 fail only when c_emp is not finite. On a config that loads only an overflow
 fails a row (ROADMAP item 7): the tests check c_emp <= 1/n for the lower
-bound (Hoelder, then Jensen) and 0 < rhs_structure < inf under lhs > 0 for
+bound (Hoelder, then Jensen; Hoelder's step holds for every sigma_i <= p_i,
+so sigma_i < 1 is covered, where the norm of D_i u is the L^{sigma_i}
+quasi-norm) and 0 < rhs_structure < inf under lhs > 0 for
 Caccioppoli as properties, and `verify` feeds the Sobolev rows a fixed hat,
 not u. Their constants in the continuum
 statements are existential, so the falsifiable desk-scale claims are

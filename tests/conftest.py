@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anibound.exponents import INF, Exponents, check_admissibility
+from anibound.exponents import INF, Exponents
 from anibound.fields import (
     GridFunction,
     _average_to_cells,
@@ -165,7 +165,7 @@ def random_admissible_exponents(rng, count, max_attempts=10_000_000):
         if attempts > max_attempts:
             raise RuntimeError("admissible-tuple sampling stalled")
         e = random_exponents(rng)
-        if check_admissibility(e).admissible:
+        if e.admissible:
             out.append(e)
     return out
 

@@ -21,12 +21,7 @@ import pytest
 from anibound.cli import main as cli_main
 from anibound.config import BoundarySpec
 from anibound.degiorgi import certify, fast_convergence
-from anibound.exponents import (
-    INF,
-    Exponents,
-    check_admissibility,
-    iteration_constants,
-)
+from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction, make_grid, read_gridfn, write_gridfn
 from anibound.inequalities import (
     caccioppoli_sweep,
@@ -159,9 +154,8 @@ def test_criterion_1_exponent_closed_forms(rng):
     t0 = time.perf_counter()
     ok = True
     for e in random_admissible_exponents(rng, 10_000):
-        c = iteration_constants(e)
-        ok &= abs(c.theta2 - c.delta2 / c.delta1) <= 1e-12 * abs(c.theta2)
-        ok &= abs(c.theta1 - c.norm_exponent / c.delta1) <= 1e-12 * max(abs(c.theta1), 1.0)
+        ok &= abs(e.theta2 - e.delta2 / e.delta1) <= 1e-12 * abs(e.theta2)
+        ok &= abs(e.theta1 - e.norm_exponent / e.delta1) <= 1e-12 * max(abs(e.theta1), 1.0)
     for n in (3, 4, 5):
         for p in (1.5, 2.0, 2.5):
             if p >= n:
@@ -170,15 +164,14 @@ def test_criterion_1_exponent_closed_forms(rng):
             for gamma_fac in (1.0, 1.2):
                 gamma = p * gamma_fac
                 e = Exponents(n, (p,) * n, p, gamma, (INF,) * n, INF)
-                if not check_admissibility(e).admissible:
+                if not e.admissible:
                     continue
-                c = iteration_constants(e)
                 p_star = n * p / (n - p)
-                ok &= abs(c.theta1 - (p_star * gamma - p * p) / (p * (p_star - gamma))) <= 1e-12
-                ok &= abs(c.theta2 - p_star / (p_star - gamma)) <= 1e-12
+                ok &= abs(e.theta1 - (p_star * gamma - p * p) / (p * (p_star - gamma))) <= 1e-12
+                ok &= abs(e.theta2 - p_star / (p_star - gamma)) <= 1e-12
                 if gamma == p:
-                    ok &= abs(c.delta1 - p * p / n) <= 1e-12
-                    ok &= abs(c.alpha - p / n) <= 1e-12
+                    ok &= abs(e.delta1 - p * p / n) <= 1e-12
+                    ok &= abs(e.alpha - p / n) <= 1e-12
     elapsed = time.perf_counter() - t0
     report(1, f"exponent closed forms ({elapsed:.2f}s)", ok and elapsed < 5.0)
 
@@ -191,12 +184,10 @@ def test_criterion_2_admissibility_equivalence(rng):
     good = 0
     while good < 10_000:
         e = random_exponents(rng)
-        rep = check_admissibility(e)
-        if not (rep.cond_i and rep.cond_ii):
+        if not (e.cond_i and e.cond_ii):
             continue
         good += 1
-        c = iteration_constants(e, check=False)
-        if (c.delta1 > 0) != rep.cond_iii:
+        if (e.delta1 > 0) != e.cond_iii:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     report(

@@ -594,6 +594,18 @@ class TestConfigErrors:
         assert err.startswith("error: [boundary]") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("exponent, fault", [("-2000", "finite"), ("2000", "positive")])
+    def test_power_weight_not_finite_or_not_positive(self, tmp_path, capsys, exponent, fault):
+        # finite inputs, but |x - c|^-2000 overflows to inf on the cells near
+        # c, and |x - c|^2000 underflows to 0 on every cell
+        weight = f"u_coeff = 0\nlambda1.kind = power\nlambda1.center = 0.5,0.5\n" \
+                 f"lambda1.exponent = {exponent}"
+        cfg = write_config(tmp_path, patch(Path(SMOKE).read_text(), "u_coeff = 0", weight))
+        assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [weights]: lambda1 is not {fault} on every cell\n"
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_integer(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ISO3D + "\n[solver]\nmax_iters = inf\n")
         assert main(["admissible", "--config", cfg]) == 1
@@ -837,3 +849,18 @@ def test_ci_smoke3d_config_runs_minimize_certify_verify(tmp_path):
     assert main(["minimize", "--config", SMOKE3D, "--out", out]) == 0
     assert main(["certify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0
     assert main(["verify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0
+
+
+def test_sigma_below_one_verifies(tmp_path):
+    # r_1 = 1 gives sigma_1 = 1.5 / 2 < 1: the lower-bound row reads the
+    # L^{sigma_1} quasi-norm of D_1 u, and Hoelder still bounds its c_emp by 1/n
+    cfg = write_config(tmp_path, patch(Path(SMOKE).read_text(), "r = inf,inf", "r = 1,inf"))
+    assert load_config(cfg).model.exponents.sigma[0] == 0.75
+    out = str(tmp_path / "out")
+    solution = os.path.join(out, "smoke_solution.gridfn")
+    assert main(["minimize", "--config", cfg, "--out", out]) == 0
+    assert main(["certify", "--config", cfg, "--solution", solution, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--solution", solution, "--out", out]) == 0
+    with open(os.path.join(out, "smoke_inequalities.csv")) as fh:
+        lower = next(csv.DictReader(fh))
+    assert lower["check"] == "lower_bound" and 0.0 < float(lower["c_emp"]) <= 0.5

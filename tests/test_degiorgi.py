@@ -16,7 +16,7 @@ from anibound.degiorgi import (
     j_sequence,
     sequences,
 )
-from anibound.exponents import INF, Exponents, default_c0, iteration_constants
+from anibound.exponents import INF, Exponents
 from anibound.fields import GridFunction, make_grid
 from anibound.minimize import SolveConfig, solve
 from conftest import (
@@ -152,17 +152,15 @@ class TestCalibration:
     def test_zero_traces_fall_back_to_one(self):
         g = unit_grid(3, 1 / 8)
         e = simple_model(3).exponents
-        c = iteration_constants(e)
         u = GridFunction(g, np.zeros(g.shape))
-        t = degiorgi._trace(0.4, 4.0, c, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
+        t = degiorgi._trace(0.4, 4.0, e, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
         assert calibrate_C([t]) == 1.0
 
     def test_safety_factor(self, harmonic_3d):
         m, u = harmonic_3d
         e = m.exponents
-        c = iteration_constants(e)
         js = j_sequence(scaled(u, 8.0), X0, 0.4, 2.0, e, H=10)
-        t = degiorgi._trace(0.4, 2.0, c, 1.0, 1, js)
+        t = degiorgi._trace(0.4, 2.0, e, 1.0, 1, js)
         if t.C_emp > 0.0:
             assert calibrate_C([t]) == pytest.approx(2.0 * t.C_emp)
             assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)
@@ -243,7 +241,6 @@ class TestCertify:
         g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
         u = GridFunction(g, 6.0 * np.sum((g.node_points() - 0.5) ** 2, axis=1) - 4.0)
         e = simple_model(3).exponents
-        c = iteration_constants(e)
         x0, R = (1.0, 0.9, 0.9), 0.45
         cert = certify(u, x0, R, e, C_cal=C_cal, H=12)
         assert [t.sign for t in cert.traces] == [1, -1]
@@ -252,7 +249,7 @@ class TestCertify:
         for t, field in zip(cert.traces, (u, -u)):
             js = ref_j_sequence(field, x0, R, cert.d, e, 12)
             assert t.js.tobytes() == js.tobytes()
-            ref = degiorgi._trace(R, cert.d, c, cert.N, t.sign, js)
+            ref = degiorgi._trace(R, cert.d, e, cert.N, t.sign, js)
             for f in fields(IterationTrace):
                 got, want = getattr(t, f.name), getattr(ref, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
@@ -270,12 +267,13 @@ class TestCertify:
     def test_inadmissible_guard(self, harmonic_3d):
         m, u = harmonic_3d
         bad = Exponents(3, (2, 2, 2), 2, 7, (INF,) * 3, INF)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^inadmissible exponents: cond_i=True cond_ii=True "
+                                             "cond_iii=False$"):
             certify(u, X0, 0.4, bad)
 
     def test_d_equals_closed_form_bound(self):
         # d is choose_d's closed form in delta1, delta2 and the norm exponent;
-        # iteration_constants' theta1 = E / delta1 and theta2 = delta2 / delta1
+        # the exponents' theta1 = E / delta1 and theta2 = delta2 / delta1
         # must give the same d when it is written through them
         rng = np.random.default_rng(7)
         finite = 0
@@ -290,10 +288,9 @@ class TestCertify:
                 assert not cert.valid
                 continue
             finite += 1
-            c = iteration_constants(e)
-            core = (C_cal * default_c0(e) ** c.alpha * c.lambda_base ** (1.0 / c.alpha)) ** (
-                1.0 / c.delta1
+            core = (C_cal * e.c0 ** e.alpha * e.lambda_base ** (1.0 / e.alpha)) ** (
+                1.0 / e.delta1
             )
-            closed = max(2.0, core * R ** (-c.theta2) * (1.0 + cert.N) ** c.theta1)
+            closed = max(2.0, core * R ** (-e.theta2) * (1.0 + cert.N) ** e.theta1)
             assert abs(cert.d - closed) <= 1e-9 * cert.d
         assert finite >= 20

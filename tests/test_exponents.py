@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from anibound.exponents import (
     INF,
     Exponents,
-    check_admissibility,
     choose_d,
     conjugate_exponent,
-    default_c0,
     harmonic_mean,
-    iteration_constants,
     sobolev_star,
     unit_ball_volume,
 )
@@ -115,35 +112,30 @@ class TestDerive:
 class TestAdmissibility:
     def test_isotropic_gamma4(self):
         e = Exponents(3, (2, 2, 2), 2, 4, (INF,) * 3, INF)
-        rep = check_admissibility(e)
-        assert rep.admissible
-        assert rep.gamma_bound == pytest.approx(6.0)
+        assert e.admissible
+        assert e.gamma_bound == pytest.approx(6.0)
 
     def test_finite_rs(self):
         e = Exponents(3, (2, 2, 2), 2, 2.5, (4, 4, 4), 4)
-        rep = check_admissibility(e)
-        assert rep.admissible
-        assert rep.gamma_bound == pytest.approx(18.0 / 7.0)
+        assert e.admissible
+        assert e.gamma_bound == pytest.approx(18.0 / 7.0)
 
     def test_gamma_too_large(self):
         e = Exponents(3, (2, 2, 2), 2, 3, (4, 4, 4), 4)
-        rep = check_admissibility(e)
-        assert rep.cond_i and rep.cond_ii and not rep.cond_iii
-        assert not rep.admissible
+        assert e.cond_i and e.cond_ii and not e.cond_iii
+        assert not e.admissible
 
     def test_gamma_bound_above_q_whenever_cond_ii(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            rep = check_admissibility(e)
-            if rep.cond_ii:
-                assert rep.gamma_bound > e.q
+            if e.cond_ii:
+                assert e.gamma_bound > e.q
 
 
 class TestThetaExponents:
     def test_isotropic_gamma4(self):
         e = Exponents(3, (2, 2, 2), 2, 4, (INF,) * 3, INF)
-        c = iteration_constants(e)
-        t1, t2 = c.theta1, c.theta2
+        t1, t2 = e.theta1, e.theta2
         assert t1 == pytest.approx(5.0, rel=1e-14)
         assert t2 == pytest.approx(3.0, rel=1e-14)
 
@@ -152,98 +144,95 @@ class TestThetaExponents:
         for _ in range(100):
             e = random_exponents(rng)
             e = Exponents(e.n, e.p, e.q, e.q, e.r, e.s)
-            if not check_admissibility(e).admissible:
+            if not e.admissible:
                 continue
-            c = iteration_constants(e)
-            t1, t2 = c.theta1, c.theta2
+            t1, t2 = e.theta1, e.theta2
             sp, ss, pb, q = e.s_prime, e.sigma_star, e.p_bar, e.q
             assert t1 == pytest.approx(q * (ss - sp * pb) / (pb * (ss - q * sp)), rel=1e-12)
             assert t2 == pytest.approx(q * ss / (pb * (ss - q * sp)), rel=1e-12)
 
     def test_isotropic_gamma_q(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        c = iteration_constants(e)
-        t1, t2 = c.theta1, c.theta2
+        t1, t2 = e.theta1, e.theta2
         assert t1 == pytest.approx(1.0, rel=1e-14)
         assert t2 == pytest.approx(1.5, rel=1e-14)
 
     def test_inadmissible_rejected(self):
-        e = Exponents(3, (2, 2, 2), 2, 3, (4, 4, 4), 4)
-        with pytest.raises(ValueError):
-            iteration_constants(e)
+        # sigma_bar = 2 = n fails cond_i: no Sobolev exponent, so no constant
+        # of the recursion; reading one is a ValueError, not arithmetic on
+        # None (certify refuses every inadmissible tuple, test_degiorgi)
+        e = Exponents(2, (2, 2), 2, 2, (INF,) * 2, INF)
+        assert e.sigma_star is None and not (e.cond_i or e.cond_ii or e.cond_iii)
+        assert e.gamma_bound is None
+        for name in ("delta1", "delta2", "alpha", "lambda_base", "theta1", "theta2",
+                     "norm_exponent", "c0"):
+            with pytest.raises(ValueError, match="sigma_star undefined"):
+                getattr(e, name)
 
 
-class TestIterationConstants:
+class TestRecursionConstants:
     def test_isotropic_closed_forms(self):
         e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        c = iteration_constants(e)
-        assert c.delta1 == pytest.approx(4.0 / 3.0, rel=1e-14)  # p^2/n
-        assert c.alpha == pytest.approx(2.0 / 3.0, rel=1e-14)  # p/n
-        assert c.delta2 == pytest.approx(2.0, rel=1e-14)
-        assert c.lambda_base == pytest.approx(64.0, rel=1e-14)
+        assert e.delta1 == pytest.approx(4.0 / 3.0, rel=1e-14)  # p^2/n
+        assert e.alpha == pytest.approx(2.0 / 3.0, rel=1e-14)  # p/n
+        assert e.delta2 == pytest.approx(2.0, rel=1e-14)
+        assert e.lambda_base == pytest.approx(64.0, rel=1e-14)
 
     def test_theta2_identity(self, rng):
         for e in random_admissible_exponents(rng, 200):
-            c = iteration_constants(e)
-            assert c.theta2 == pytest.approx(c.delta2 / c.delta1, rel=1e-12)
+            assert e.theta2 == pytest.approx(e.delta2 / e.delta1, rel=1e-12)
 
     def test_theta1_identity(self, rng):
         for e in random_admissible_exponents(rng, 200):
-            c = iteration_constants(e)
-            assert c.theta1 == pytest.approx(c.norm_exponent / c.delta1, rel=1e-12)
+            assert e.theta1 == pytest.approx(e.norm_exponent / e.delta1, rel=1e-12)
 
     def test_delta1_sign_matches_cond_iii(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            rep = check_admissibility(e)
-            if not (rep.cond_i and rep.cond_ii):
+            if not (e.cond_i and e.cond_ii):
                 continue
-            c = iteration_constants(e, check=False)
-            assert (c.delta1 > 0) == rep.cond_iii
+            assert (e.delta1 > 0) == e.cond_iii
 
     def test_alpha_positive_when_delta1_positive(self, rng):
         for _ in range(500):
             e = random_exponents(rng)
-            rep = check_admissibility(e)
-            if not (rep.cond_i and rep.cond_ii):
+            if not (e.cond_i and e.cond_ii):
                 continue
-            c = iteration_constants(e, check=False)
-            if c.delta1 > 0:
-                assert c.alpha > 0
+            if e.delta1 > 0:
+                assert e.alpha > 0
 
 
 class TestChooseD:
-    def _iso_constants(self):
-        e = Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
-        return iteration_constants(e)
+    def _iso_exponents(self):
+        return Exponents(3, (2, 2, 2), 2, 2, (INF,) * 3, INF)
 
     def test_reference_value(self):
-        c = self._iso_constants()
+        e = self._iso_exponents()
         # lambda^(1/alpha) = 64^(3/2) = 512; delta1 = 4/3 -> 512^(3/4)
-        assert choose_d(c, 1.0, 1.0, 1.0, 0.0) == pytest.approx(512.0 ** 0.75, rel=1e-12)
+        assert choose_d(e, 1.0, 1.0, 1.0, 0.0) == pytest.approx(512.0 ** 0.75, rel=1e-12)
 
     def test_floor_at_two(self):
-        c = self._iso_constants()
-        assert choose_d(c, 1e-12, 1e-6, 1.0, 0.0) == 2.0
+        e = self._iso_exponents()
+        assert choose_d(e, 1e-12, 1e-6, 1.0, 0.0) == 2.0
 
     def test_monotone_in_norm(self):
-        c = self._iso_constants()
+        e = self._iso_exponents()
         prev = 0.0
         for N in (0.0, 0.5, 1.0, 5.0, 100.0):
-            d = choose_d(c, 1.0, 1.0, 0.5, N)
+            d = choose_d(e, 1.0, 1.0, 0.5, N)
             assert d >= prev
             prev = d
 
     def test_monotone_in_radius(self):
-        c = self._iso_constants()
-        assert choose_d(c, 1.0, 1.0, 0.3, 1.0) >= choose_d(c, 1.0, 1.0, 0.6, 1.0)
+        e = self._iso_exponents()
+        assert choose_d(e, 1.0, 1.0, 0.3, 1.0) >= choose_d(e, 1.0, 1.0, 0.6, 1.0)
 
     def test_radius_domain(self):
-        c = self._iso_constants()
+        e = self._iso_exponents()
         with pytest.raises(ValueError):
-            choose_d(c, 1.0, 1.0, 1.5, 0.0)
+            choose_d(e, 1.0, 1.0, 1.5, 0.0)
         with pytest.raises(ValueError):
-            choose_d(c, 1.0, 1.0, 0.0, 0.0)
+            choose_d(e, 1.0, 1.0, 0.0, 0.0)
 
     def test_numpy_scalars_overflow_like_config_floats(self):
         # delta1 is about 0.0023, so d = core^(1/delta1) overflows binary64;
@@ -261,10 +250,9 @@ class TestChooseD:
         ds = []
         for e in (Exponents(*args), Exponents(*as_numpy)):
             assert all(type(v) is float for v in (e.q, e.gamma, e.s, *e.p, *e.r))
-            c = iteration_constants(e)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ds.append(choose_d(c, 1.0, default_c0(e), 0.4, 1.0))
+                ds.append(choose_d(e, 1.0, e.c0, 0.4, 1.0))
         assert ds == [math.inf, math.inf]
 
 

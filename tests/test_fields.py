@@ -203,6 +203,19 @@ class TestLpNorm:
         f = np.ones(g.cell_shape)
         assert lp_norm(f[np.zeros(g.cell_shape, dtype=bool)], 2.0, g) == 0.0
 
+    def test_quasi_norm_below_one(self):
+        # f = 1 on half the unit square's cells and 9 on the other half:
+        # ||f||_{1/2} = ((sqrt(1) + sqrt(9)) / 2)^2 = 4, which exceeds
+        # ||1_A||_{1/2} + ||9 * 1_B||_{1/2} = 1/4 + 9/4: no triangle inequality
+        g = unit_grid(2, 0.25)
+        f = np.ones(g.cell_shape)
+        f[2:] = 9.0
+        assert lp_norm(f, 0.5, g) == pytest.approx(4.0, rel=1e-15)
+        assert lp_norm(f[:2], 0.5, g) + lp_norm(f[2:], 0.5, g) == pytest.approx(2.5, rel=1e-15)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="need beta > 0"):
+                lp_norm(f, beta, g)
+
     @given(st.floats(min_value=-10, max_value=10))
     def test_homogeneity(self, t):
         g = unit_grid(2, 0.25)

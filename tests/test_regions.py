@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from anibound.degiorgi import certify, j_sequence
-from anibound.exponents import INF, Exponents, check_admissibility, conjugate_exponent
+from anibound.exponents import INF, Exponents, conjugate_exponent
 from anibound.fields import (
     Ball,
     GridFunction,
@@ -337,7 +337,7 @@ def test_j_sequence_and_half_ball_sup_match_the_full_grid(problem):
         for d in (2.0, 3.1):
             got = j_sequence(u, ball.x0, ball.R, d, e, H=12)
             assert np.array_equal(got, ref_j_sequence(u, ball.x0, ball.R, d, e, 12))
-    if check_admissibility(e).admissible:
+    if e.admissible:
         ball = balls[0]
         cert = certify(u, ball.x0, ball.R, e, H=12)
         half = Ball(ball.x0, ball.R / 2)
@@ -388,7 +388,7 @@ def test_ball_norms_match_the_full_grid(problem):
     for ball in balls:
         _, uc, dist2, _, _ = _ball_cells(u, ball)
         assert lp_norm(uc[dist2 < ball.R * ball.R], qs, grid) == ref_ball_norm(u, qs, ball)
-    if check_admissibility(e).admissible:
+    if e.admissible:
         for ball in balls:
             cert = certify(u, ball.x0, ball.R, e, H=12)
             assert cert.N == ref_ball_norm(u, e.sigma_star, ball)
