@@ -34,16 +34,24 @@ comments::
     grad_tol = 1e-8              # > 0
     [certify]                    # optional
     x0 = 0.5,0.5                 # n coordinates
-    R = 0.4
-    H = 40                       # >= 1, checked when certify runs; default 40
-    C_cal = calibrate            # or a number; default 1
+    R = 0.4                      # in (0, 1]; B_R(x0) must lie in the grid box,
+                                 # checked when certify runs
+    H = 40                       # >= 1; default 40
+    C_cal = 1                    # > 0; default 1 (see below)
     [verify]                     # optional; defaults shown
     x0 = 0.5,0.5                 # n coordinates; default the box centre
-    levels = 1,1.5,2             # not empty; each >= 1, checked when verify runs
-    rhos = 0.1,0.15,0.2          # not empty; some rho below some radius
-    radii = 0.25,0.3,0.35        # not empty; balls must lie in the grid box
-    subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box;
-                                 # default the box less a tenth of each side
+    levels = 1,1.5,2             # not empty; each >= 1
+    rhos = 0.1,0.15,0.2          # not empty; each > 0; some rho below some radius
+    radii = 0.25,0.3,0.35        # not empty; the largest ball about x0 in the grid box
+    subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box, with a
+                                 # cell centre inside; default the box less a
+                                 # tenth of each side
+
+Each check in the comments above is made when the file loads, so a bad
+value is a ConfigError naming its key whichever command reads the file.
+`C_cal = calibrate`, the spelling of an in-sample calibration of C that gave
+1 on every config, reads as 1 without a message; once the benchmark's
+configs stop writing it, it is to become a `[certify] field 'c_cal'` error.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ import numpy as np
 
 from .degiorgi import DEFAULT_STEPS
 from .exponents import Exponents
-from .fields import Grid, GridFunction, make_grid
+from .fields import Ball, Grid, GridFunction, make_grid
+from .inequalities import _sub_box
 from .integrand import ModelIntegrand, WeightField
 from .minimize import SolveConfig
 
@@ -97,9 +106,22 @@ def _integer(text: str) -> int:
     return int(val)
 
 
-def _c_cal(text: str):
-    """None for "calibrate", else a number."""
-    return None if text.strip().lower() == "calibrate" else _number(text)
+def _checked(parse, ok, need: str):
+    """A parse function: `parse`, then ValueError(need.format(value)) unless ok(value)."""
+    def checked(text):
+        if ok(value := parse(text)):
+            return value
+        raise ValueError(need.format(value))
+    return checked
+
+
+_positive = _checked(_number, lambda v: v > 0, "must be > 0, got {!r}")
+_non_negative = _checked(_number, lambda v: v >= 0, "must be >= 0, got {!r}")
+
+
+def _c_cal(text: str) -> float:
+    """A number > 0; "calibrate" reads as 1 (see the module docstring)."""
+    return 1.0 if text.strip().lower() == "calibrate" else _positive(text)
 
 
 def _box(text: str) -> tuple:
@@ -139,11 +161,8 @@ class _Section:
 
 def _parse_weight(sec: _Section, prefix: str, n: int) -> WeightField:
     kind = sec.get(f"{prefix}.kind", default="constant").strip()
-    amp = sec.get(f"{prefix}.amplitude", _number, 1.0)
-    if prefix != "mu" and amp <= 0:  # 1/lambda_i must lie in L^{r_i}
-        raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be > 0, got {amp!r}")
-    if amp < 0:
-        raise ConfigError(f"[{sec.name}] field '{prefix}.amplitude': must be >= 0, got {amp!r}")
+    # > 0 for lambda_i, since 1/lambda_i must lie in L^{r_i}
+    amp = sec.get(f"{prefix}.amplitude", _non_negative if prefix == "mu" else _positive, 1.0)
     if kind == "constant":
         for key in (f"{prefix}.center", f"{prefix}.exponent"):
             if key in sec.raw:
@@ -236,7 +255,7 @@ class CertifySpec:
     x0: tuple
     R: float
     H: int
-    C_cal: float | None  # None means "calibrate"
+    C_cal: float
 
 
 @dataclass(frozen=True)
@@ -331,8 +350,10 @@ def load_config(path) -> RunConfig:
         csec = _Section(parser, "certify", opened)
         certify = CertifySpec(
             x0=csec.get("x0", partial(_numbers, count=n), required=True),
-            R=csec.get("r", _number, required=True),
-            H=csec.get("h", _integer, DEFAULT_STEPS),
+            R=csec.get("r", _checked(_number, lambda R: 0 < R <= 1, "must lie in (0, 1], got {!r}"),
+                       required=True),
+            H=csec.get("h", _checked(_integer, lambda H: H >= 1, "must be >= 1, got {!r}"),
+                       DEFAULT_STEPS),
             C_cal=csec.get("c_cal", _c_cal, 1.0),
         )
 
@@ -346,16 +367,23 @@ def load_config(path) -> RunConfig:
             for lo, hi in zip(grid.lo, grid.hi)
         )
         subbox = vsec.get("subbox", _box, default_sub)
-        if len(subbox) != n:
-            raise ConfigError(f"[verify] field 'subbox': expected {n} sides")
-        levels = vsec.get("levels", _numbers, (1.0, 1.5, 2.0))
-        rhos = vsec.get("rhos", _numbers, (0.1, 0.15, 0.2))
+        try:
+            _sub_box(grid, subbox)
+        except ValueError as exc:
+            raise ConfigError(f"[verify] field 'subbox': {exc}") from None
+        levels = vsec.get("levels", _checked(_numbers, lambda ks: all(k >= 1 for k in ks),
+                                             "each must be >= 1"), (1.0, 1.5, 2.0))
+        rhos = vsec.get("rhos", _checked(_numbers, lambda rs: all(r > 0 for r in rs),
+                                         "each must be > 0"), (0.1, 0.15, 0.2))
         radii = vsec.get("radii", _numbers, (0.25, 0.3, 0.35))
         for key, values in (("levels", levels), ("rhos", rhos), ("radii", radii)):
             if not values:
                 raise ConfigError(f"[verify] field {key!r}: needs at least one value")
         if min(rhos) >= max(radii):
             raise ConfigError("[verify] field 'rhos': no rho is below any of the radii")
+        if not grid.contains_ball(Ball(x0, max(radii))):  # the largest ball of the sweep
+            raise ConfigError(f"[verify] field 'radii': the ball of radius {max(radii)} "
+                              "about x0 leaves the grid box")
         verify = VerifySpec(levels=levels, rhos=rhos, radii=radii, x0=x0, subbox=subbox)
 
     # a section or key that nothing above read is an error: a misspelt name

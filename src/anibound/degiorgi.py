@@ -5,15 +5,12 @@ Runs the explicit iteration on one schedule per ball and level scale
 super-level masses J_h, the geometric recursion that drives them to zero,
 and the closed-form choice of the level scale d.  The recursion
 constant is existential in the continuum statement; here it is C_cal, a
-number (default 1) or `calibrate`, which runs the recursion at C = 1 on the
-field itself and takes `calibrate_C` of those traces.  The certificate
-records how much slack the computed minimizer leaves under the resulting
-bound.
+positive number fixed before the run (default 1).  The certificate records
+how much slack the computed minimizer leaves under the resulting bound.
 
 The super-level sets {u > k_h} within B_{rho_h} are nested, so the masses
 are one pass over the ball's cells (`_masses`), and `certify` gathers those
-cells, and the nodes its half-ball sup reads, once for N, both signs and
-both of its runs.
+cells, and the nodes its half-ball sup reads, once for N and both signs.
 
 Results are data: a `Certificate` holding the schedule once and one
 `IterationTrace` per sign.
@@ -35,7 +32,6 @@ __all__ = [
     "j_sequence",
     "fast_convergence",
     "IterationTrace",
-    "calibrate_C",
     "Certificate",
     "certify",
 ]
@@ -153,7 +149,6 @@ class IterationTrace:
     sign: int  # +1 for u, -1 for -u
     js: np.ndarray  # J_h, h = 0..H
     rhs: np.ndarray  # recursion right side at C = 1, h = 0..H-1
-    C_emp: float  # minimal C making the recursion hold across steps
 
 
 def _trace(R: float, d: float, e: Exponents, N: float, sign: int, js) -> IterationTrace:
@@ -168,22 +163,7 @@ def _trace(R: float, d: float, e: Exponents, N: float, sign: int, js) -> Iterati
     live = js[:-1] > 0
     rhs = np.zeros(live.size)
     rhs[live] = scale * e.lambda_base ** np.arange(live.size)[live] * js[:-1][live] ** (1.0 + e.alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0, js[1:] / rhs, 0.0)
-    C_emp = float(np.max(ratios)) if ratios.size else 0.0
-    return IterationTrace(sign, js, rhs, C_emp)
-
-
-def calibrate_C(traces, safety: float = 2.0) -> float:
-    """Smallest constant making the recursion hold on every trace, times a
-    safety factor.  Falls back to 1 when every trace is identically zero."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("calibration needs at least one trace")
-    worst = max(t.C_emp for t in traces)
-    if worst == 0.0:
-        return 1.0
-    return safety * worst
+    return IterationTrace(sign, js, rhs)
 
 
 @dataclass(frozen=True)
@@ -210,7 +190,7 @@ def certify(
     x0,
     R: float,
     e: Exponents,
-    C_cal: float | None = 1.0,
+    C_cal: float = 1.0,
     H: int = DEFAULT_STEPS,
 ) -> Certificate:
     """Certify local boundedness of u on B_{R/2}(x0).
@@ -218,17 +198,14 @@ def certify(
     Computes the closed-form level scale d from the recursion constant
     C_cal, runs the J-recursion for both signs of u, and reports whether the
     discrete sup over the half ball stays below a finite d while both
-    J-sequences decay.  With C_cal=None the constant is calibrated on u
-    itself: both J-recursions are run at C = 1 and C_cal is calibrate_C of
-    those two traces.  Validity is a reproducibility statement about this
-    engine with its calibrated constant, not a restatement of the theorem.
+    J-sequences decay.  Validity is a reproducibility statement about this
+    engine at the constant C_cal, not a restatement of the theorem.
 
-    The cells and nodes of B_R's box are gathered once; N, both signs and
-    both runs read the cells, the half-ball sup reads the nodes, and each
-    run builds one schedule for its d that both signs share. The cell
-    averages of -u are those of u negated, bitwise, so no -u is built, and
-    each trace is `_trace` of the masses that `j_sequence` gives for u or
-    -u.
+    The cells and nodes of B_R's box are gathered once; N and both signs
+    read the cells, the half-ball sup reads the nodes, and both signs share
+    the one schedule of d. The cell averages of -u are those of u negated,
+    bitwise, so no -u is built, and each trace is `_trace` of the masses
+    that `j_sequence` gives for u or -u.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius must lie in (0, 1], got {R}")
@@ -241,19 +218,12 @@ def certify(
         )
     N = lp_norm(uc, e.sigma_star, grid)
     hn = grid.h ** grid.n
-    signed = ((+1, uc), (-1, -uc))
-
-    def run(C):
-        d = choose_d(e, C, e.c0, R, N)  # N is sign-invariant: one d serves u and -u
-        rhos, ks = sequences(R, d, H)
-        return d, rhos, ks, tuple(
-            _trace(R, d, e, N, sign, _masses(vals, dist2, rhos, ks, e.qs_prime, hn))
-            for sign, vals in signed
-        )
-
-    if C_cal is None:
-        C_cal = calibrate_C(run(1.0)[-1])
-    d, rhos, ks, traces = run(C_cal)
+    d = choose_d(e, C_cal, R, N)  # N is sign-invariant: one d serves u and -u
+    rhos, ks = sequences(R, d, H)
+    traces = tuple(
+        _trace(R, d, e, N, sign, _masses(vals, dist2, rhos, ks, e.qs_prime, hn))
+        for sign, vals in ((+1, uc), (-1, -uc))
+    )
     decayed = all(
         t.js[-1] <= DECAY_FACTOR * max(t.js[0], DECAY_FLOOR) for t in traces
     )

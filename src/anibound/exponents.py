@@ -245,19 +245,17 @@ class Exponents:
         return unit_ball_volume(self.n) ** (1.0 - self.qs_prime / self._star)
 
 
-def choose_d(e: Exponents, C_cal: float, c0: float, R: float, N: float) -> float:
-    """Closed-form level scale d = max(2, {C c0^alpha lam^(1/alpha) R^-delta2 (1+N)^E}^(1/delta1)).
-
-    A d too large for binary64 is returned as inf.
-    """
+def choose_d(e: Exponents, C_cal: float, R: float, N: float) -> float:
+    """Closed-form level scale d = max(2, {C c0^alpha lam^(1/alpha) R^-delta2 (1+N)^E}^(1/delta1))
+    with c0 = `e.c0`; a d too large for binary64 is returned as inf."""
     if not 0.0 < R <= 1.0:
         raise ValueError(f"radius R must lie in (0, 1], got {R}")
-    if N < 0 or C_cal <= 0 or c0 <= 0:
-        raise ValueError("need N >= 0 and C_cal, c0 > 0")
+    if N < 0 or C_cal <= 0:
+        raise ValueError("need N >= 0 and C_cal > 0")
     try:
         core = (
             C_cal
-            * c0 ** e.alpha
+            * e.c0 ** e.alpha
             * e.lambda_base ** (1.0 / e.alpha)
             * R ** (-e.delta2)
             * (1.0 + N) ** e.norm_exponent

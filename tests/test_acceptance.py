@@ -264,7 +264,7 @@ def test_criterion_5_certificates(solved_problems):
     details = []
     for prob, u, t_solve in solved_problems:
         t0 = time.perf_counter()
-        cert = certify(u, prob.x0, prob.R, prob.model.exponents, C_cal=None)
+        cert = certify(u, prob.x0, prob.R, prob.model.exponents)
         elapsed = t_solve + (time.perf_counter() - t0)
         decay_ok = all(
             t.js[-1] <= 1e-10 * max(t.js[0], 1e-30) for t in cert.traces

@@ -202,7 +202,7 @@ class TestCertify:
         assert trace[0] == "sign,h,rho_h,k_h,J_h,rhs_h"
         assert len(trace) == 2 * 40 + 1
 
-    @pytest.mark.parametrize("c_cal, passed", [("calibrate", None), ("2.5", 2.5)])
+    @pytest.mark.parametrize("c_cal, passed", [("calibrate", 1.0), ("2.5", 2.5)])
     def test_one_certify_call(self, solved, tmp_path, monkeypatch, c_cal, passed):
         calls = []
         certify = degiorgi.certify
@@ -397,7 +397,7 @@ class TestCsvPins:
             # every J_h of both signs is nonzero, and the half-ball sup is above d
             ("1e-5", 4, "61ea01289149fbc9bac569d37779dddd305c27af",
              "3646fa01f08281d99392b6a789f718a43ac144ac"),
-            # every J_h is 0 at C = 1, so the calibrated constant is 1
+            # every J_h is 0 at C = 1; "calibrate" reads as C_cal = 1
             ("calibrate", 0, "faccdcae14f4ebfc932c21372c25edc07c12815c",
              "ed0fd69a90db893f2193a5878f56bdfd405c3a0d"),
         ],
@@ -574,16 +574,33 @@ class TestConfigErrors:
              "kind = radial\ncenter = 0.5,0.5,0.5\nexponent = 2\namplitude = inf",
              "[boundary] field 'amplitude'"),
             ("C_cal = calibrate", "C_cal = inf", "[certify] field 'c_cal'"),
+            # each below once passed the config reader and failed only when
+            # certify or verify ran, with a message that named no key
+            ("C_cal = calibrate", "C_cal = -1", "[certify] field 'c_cal': must be > 0, got -1.0"),
+            ("C_cal = calibrate", "C_cal = 0", "[certify] field 'c_cal': must be > 0, got 0.0"),
+            ("R = 0.4", "R = 2", "[certify] field 'r': must lie in (0, 1], got 2.0"),
+            ("H = 40", "H = 0", "[certify] field 'h': must be >= 1, got 0"),
+            ("levels = 1,1.5", "levels = 0.5", "[verify] field 'levels': each must be >= 1"),
+            ("rhos = 0.15,0.2", "rhos = 0,0.1", "[verify] field 'rhos': each must be > 0"),
+            ("radii = 0.3,0.35", "radii = 0.6",
+             "[verify] field 'radii': the ball of radius 0.6 about x0 leaves the grid box"),
+            # lo < hi, but no cell centre (h = 1/8) lies between 0.5 and 0.52
+            ("radii = 0.3,0.35", "radii = 0.3,0.35\nsubbox = 0.1:0.9,0.5:0.52,0.1:0.9",
+             "[verify] field 'subbox': sub-box ((0.1, 0.9), (0.5, 0.52), (0.1, 0.9)) "
+             "holds no cell center"),
         ],
         ids=["lambda1.amplitude", "lambda1.amplitude-no-kind", "lambda1.amplitude-zero",
              "mu.amplitude-negative", "u_coeff",
              "r", "R", "C_cal", "box-inf", "lambda1.amplitude-inf", "u_coeff-inf",
-             "mu.amplitude-inf", "boundary-amplitude-inf", "C_cal-inf"],
+             "mu.amplitude-inf", "boundary-amplitude-inf", "C_cal-inf", "C_cal-negative",
+             "C_cal-zero", "R-above-one", "H-zero", "levels-below-one", "rho-zero",
+             "radii-leave-box", "subbox-no-cell"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))
         assert main(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: [") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
 
     def test_boundary_data_not_finite(self, tmp_path, capsys):
@@ -827,11 +844,11 @@ def test_readme_output_table_matches_the_written_headers(tmp_path):
 
 def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):
     # the 2-D problem CI runs on a box whose far nodes miss its sides by
-    # rounding (0.1 + 12 * 0.05 > 0.7), with a calibrated C_cal and balls
+    # rounding (0.1 + 12 * 0.05 > 0.7), with the default C_cal and balls
     # inside the box
     spec = load_config(OFFBOX)
     assert spec.grid.lo == (0.1, 0.1) and spec.grid.hi == (0.7, 0.7) and spec.grid.h == 0.05
-    assert spec.certify.C_cal is None and max(spec.model.exponents.p) < 2
+    assert spec.certify.C_cal == 1.0 and max(spec.model.exponents.p) < 2
     out = str(tmp_path / "out")
     solution = os.path.join(out, f"{spec.name}_solution.gridfn")
     assert main(["minimize", "--config", OFFBOX, "--out", out]) == 0
@@ -840,10 +857,10 @@ def test_ci_offbox_config_runs_minimize_certify_verify(tmp_path):
 
 
 def test_ci_smoke3d_config_runs_minimize_certify_verify(tmp_path):
-    # the 3-D problem CI also runs through the console script: a calibrated
+    # the 3-D problem CI also runs through the console script: the default
     # C_cal, the |u|^gamma term and 3-D bumps
     spec = load_config(SMOKE3D)
-    assert spec.certify.C_cal is None and spec.model.u_coeff > 0 and spec.grid.n == 3
+    assert spec.certify.C_cal == 1.0 and spec.model.u_coeff > 0 and spec.grid.n == 3
     out = str(tmp_path / "out")
     solution = os.path.join(out, f"{spec.name}_solution.gridfn")
     assert main(["minimize", "--config", SMOKE3D, "--out", out]) == 0

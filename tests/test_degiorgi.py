@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from anibound import degiorgi
 from anibound.degiorgi import (
-    Certificate,
     IterationTrace,
-    calibrate_C,
     certify,
     fast_convergence,
     j_sequence,
@@ -144,60 +142,6 @@ def harmonic_3d():
 X0 = (0.5, 0.5, 0.5)
 
 
-class TestCalibration:
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            calibrate_C([])
-
-    def test_zero_traces_fall_back_to_one(self):
-        g = unit_grid(3, 1 / 8)
-        e = simple_model(3).exponents
-        u = GridFunction(g, np.zeros(g.shape))
-        t = degiorgi._trace(0.4, 4.0, e, 0.0, 1, j_sequence(u, X0, 0.4, 4.0, e, H=10))
-        assert calibrate_C([t]) == 1.0
-
-    def test_safety_factor(self, harmonic_3d):
-        m, u = harmonic_3d
-        e = m.exponents
-        js = j_sequence(scaled(u, 8.0), X0, 0.4, 2.0, e, H=10)
-        t = degiorgi._trace(0.4, 2.0, e, 1.0, 1, js)
-        if t.C_emp > 0.0:
-            assert calibrate_C([t]) == pytest.approx(2.0 * t.C_emp)
-            assert calibrate_C([t], safety=3.0) == pytest.approx(3.0 * t.C_emp)
-
-
-def assert_same_certificate(a, b):
-    """Field-by-field equality of two certificates, traces included."""
-    for f in fields(Certificate):
-        if f.name != "traces":
-            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
-    assert len(a.traces) == len(b.traces)
-    for ta, tb in zip(a.traces, b.traces):
-        for f in fields(IterationTrace):
-            np.testing.assert_array_equal(getattr(ta, f.name), getattr(tb, f.name), f.name)
-
-
-class TestCalibratedCertify:
-    def test_equals_probe_then_certify(self, harmonic_3d):
-        m, u = harmonic_3d
-        probe = certify(u, X0, 0.4, m.exponents, C_cal=1.0, H=12)
-        manual = certify(u, X0, 0.4, m.exponents, C_cal=calibrate_C(probe.traces), H=12)
-        assert_same_certificate(certify(u, X0, 0.4, m.exponents, C_cal=None, H=12), manual)
-
-    def test_certifies_at_the_calibrated_constant(self, harmonic_3d, monkeypatch):
-        # the minimizers here leave every J_h = 0, so calibrate_C returns 1;
-        # a stand-in constant shows which traces it gets and where its value goes
-        m, u = harmonic_3d
-        seen = []
-        monkeypatch.setattr(degiorgi, "calibrate_C", lambda traces: seen.append(traces) or 7.5)
-        cert = certify(u, X0, 0.4, m.exponents, C_cal=None, H=12)
-        probe = certify(u, X0, 0.4, m.exponents, C_cal=1.0, H=12)
-        assert len(seen) == 1
-        assert_same_certificate(replace(probe, traces=seen[0]), probe)
-        assert_same_certificate(cert, certify(u, X0, 0.4, m.exponents, C_cal=7.5, H=12))
-        assert cert.d > probe.d
-
-
 class TestCertify:
     def test_zero_field_certifies(self):
         g = unit_grid(3, 1 / 8)
@@ -231,11 +175,11 @@ class TestCertify:
         assert {t.sign for t in cert.traces} == {1, -1}
         assert all(len(t.js) == 13 for t in cert.traces)
 
-    @pytest.mark.parametrize("C_cal", [1e-6, None])
+    @pytest.mark.parametrize("C_cal", [1e-6, 1.0])
     def test_traces_are_the_iteration_traces(self, C_cal):
         # amplitude-6 radial data shifted by -4, on a ball away from its
-        # centre: at C_cal = 1e-6, d = 2 and both signs have J_h > 0; the
-        # calibrated run has every J_h = 0. The J_h are bitwise the full-grid
+        # centre: at C_cal = 1e-6, d = 2 and both signs have J_h > 0; at
+        # C_cal = 1 every J_h is 0. The J_h are bitwise the full-grid
         # masses of u and of -u, every other field is `_trace` of them, and
         # the certificate holds the one schedule both signs ran on
         g = make_grid([(-0.5, 1.5)] * 3, 1 / 8)
@@ -253,9 +197,21 @@ class TestCertify:
             for f in fields(IterationTrace):
                 got, want = getattr(t, f.name), getattr(ref, f.name)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
-        if C_cal is not None:
+        if C_cal < 1.0:
             assert cert.d == 2.0
             assert all(np.count_nonzero(t.js) >= 2 for t in cert.traces)
+        else:
+            assert not any(np.any(t.js) for t in cert.traces)
+
+    def test_one_level_scale_per_call(self, harmonic_3d, monkeypatch):
+        # one d, at the given constant, serves both signs and the one schedule
+        m, u = harmonic_3d
+        calls = []
+        choose_d = degiorgi.choose_d
+        monkeypatch.setattr(degiorgi, "choose_d", lambda *args: calls.append(args) or choose_d(*args))
+        cert = certify(u, X0, 0.4, m.exponents, C_cal=2.5, H=12)
+        assert calls == [(m.exponents, 2.5, 0.4, cert.N)]
+        assert cert.d == choose_d(m.exponents, 2.5, 0.4, cert.N)
 
     def test_radius_guard(self, harmonic_3d):
         m, u = harmonic_3d

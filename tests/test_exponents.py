@@ -208,31 +208,33 @@ class TestChooseD:
 
     def test_reference_value(self):
         e = self._iso_exponents()
-        # lambda^(1/alpha) = 64^(3/2) = 512; delta1 = 4/3 -> 512^(3/4)
-        assert choose_d(e, 1.0, 1.0, 1.0, 0.0) == pytest.approx(512.0 ** 0.75, rel=1e-12)
+        # lambda^(1/alpha) = 64^(3/2) = 512; delta1 = 4/3 -> (c0^alpha 512)^(3/4)
+        assert choose_d(e, 1.0, 1.0, 0.0) == pytest.approx((e.c0 ** e.alpha * 512.0) ** 0.75,
+                                                           rel=1e-12)
 
     def test_floor_at_two(self):
         e = self._iso_exponents()
-        assert choose_d(e, 1e-12, 1e-6, 1.0, 0.0) == 2.0
+        # C c0^alpha 512 is about 1e-9
+        assert choose_d(e, 1e-12, 1.0, 0.0) == 2.0
 
     def test_monotone_in_norm(self):
         e = self._iso_exponents()
         prev = 0.0
         for N in (0.0, 0.5, 1.0, 5.0, 100.0):
-            d = choose_d(e, 1.0, 1.0, 0.5, N)
+            d = choose_d(e, 1.0, 0.5, N)
             assert d >= prev
             prev = d
 
     def test_monotone_in_radius(self):
         e = self._iso_exponents()
-        assert choose_d(e, 1.0, 1.0, 0.3, 1.0) >= choose_d(e, 1.0, 1.0, 0.6, 1.0)
+        assert choose_d(e, 1.0, 0.3, 1.0) >= choose_d(e, 1.0, 0.6, 1.0)
 
     def test_radius_domain(self):
         e = self._iso_exponents()
         with pytest.raises(ValueError):
-            choose_d(e, 1.0, 1.0, 1.5, 0.0)
+            choose_d(e, 1.0, 1.5, 0.0)
         with pytest.raises(ValueError):
-            choose_d(e, 1.0, 1.0, 0.0, 0.0)
+            choose_d(e, 1.0, 0.0, 0.0)
 
     def test_numpy_scalars_overflow_like_config_floats(self):
         # delta1 is about 0.0023, so d = core^(1/delta1) overflows binary64;
@@ -252,7 +254,7 @@ class TestChooseD:
             assert all(type(v) is float for v in (e.q, e.gamma, e.s, *e.p, *e.r))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ds.append(choose_d(e, 1.0, e.c0, 0.4, 1.0))
+                ds.append(choose_d(e, 1.0, 0.4, 1.0))
         assert ds == [math.inf, math.inf]
 
 
