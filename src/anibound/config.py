@@ -34,15 +34,15 @@ comments::
     grad_tol = 1e-8              # > 0
     [certify]                    # optional
     x0 = 0.5,0.5                 # n coordinates
-    R = 0.4                      # in (0, 1]; B_R(x0) must lie in the grid box,
-                                 # checked when certify runs
+    R = 0.4                      # in (0, 1]; B_R(x0) must lie in the grid box
     H = 40                       # >= 1; default 40
     C_cal = 1                    # > 0; default 1 (see below)
     [verify]                     # optional; defaults shown
     x0 = 0.5,0.5                 # n coordinates; default the box centre
     levels = 1,1.5,2             # not empty; each >= 1
     rhos = 0.1,0.15,0.2          # not empty; each > 0; some rho below some radius
-    radii = 0.25,0.3,0.35        # not empty; the largest ball about x0 in the grid box
+    radii = 0.25,0.3,0.35        # not empty; each > min(rhos); the largest ball
+                                 # about x0 in the grid box
     subbox = 0.1:0.9,0.1:0.9     # n sides lo:hi, lo < hi, in the grid box, with a
                                  # cell centre inside; default the box less a
                                  # tenth of each side
@@ -356,6 +356,9 @@ def load_config(path) -> RunConfig:
                        DEFAULT_STEPS),
             C_cal=csec.get("c_cal", _c_cal, 1.0),
         )
+        if not grid.contains_ball(Ball(certify.x0, certify.R)):
+            raise ConfigError(f"[certify] field 'r': the ball of radius {certify.R} "
+                              "about x0 leaves the grid box")
 
     verify = None
     if parser.has_section("verify"):
@@ -381,6 +384,9 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"[verify] field {key!r}: needs at least one value")
         if min(rhos) >= max(radii):
             raise ConfigError("[verify] field 'rhos': no rho is below any of the radii")
+        if min(radii) <= min(rhos):  # no rho < R: that radius gives no row
+            raise ConfigError(f"[verify] field 'radii': {min(radii)} gives no row; "
+                              f"each must exceed min(rhos) = {min(rhos)}")
         if not grid.contains_ball(Ball(x0, max(radii))):  # the largest ball of the sweep
             raise ConfigError(f"[verify] field 'radii': the ball of radius {max(radii)} "
                               "about x0 leaves the grid box")

@@ -24,6 +24,7 @@ and the sampling of weights in `integrand`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,28 +385,52 @@ _MAGIC = "GRIDFN v1"
 def write_gridfn(path, u: GridFunction) -> None:
     """Write a grid function in the GRIDFN v1 ASCII format (17 significant digits).
 
-    The values are rendered by one %-format over their Python floats, which
-    gives the same bytes as formatting each value on its own.
+    Every value is rendered as `f"{v:.17g}"`, through one %-format over
+    Python floats.  When at most half of the values are distinct float64 bit
+    patterns (a sort of the int64 view counts them), only the distinct ones
+    are formatted and their lines are gathered back into C order; otherwise
+    every value is formatted directly.  Keying on bits keeps 0.0 and -0.0
+    apart, so both paths write the same bytes.
     """
     g = u.grid
     header = [_MAGIC, f"dim={g.n}"]
     header.append("box=" + ",".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in zip(g.lo, g.hi)))
     header.append(f"h={g.h:.17g}")
-    values = u.values.ravel(order="C").tolist()
+    values = u.values.ravel(order="C")
+    bits = values.view(np.int64)
+    # a sort and a searchsorted, not np.unique(return_inverse=True), whose
+    # argsort would cost the all-distinct fallback about 15%
+    keys = np.sort(bits)
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    if 2 * keys.size > values.size:
+        body = ("%.17g\n" * values.size) % tuple(values.tolist())
+    else:
+        distinct = ("%.17g\n" * keys.size) % tuple(keys.view(np.float64).tolist())
+        lines = np.array(distinct.splitlines(keepends=True), dtype=object)
+        body = "".join(lines[np.searchsorted(keys, bits)].tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.write(("%.17g\n" * len(values)) % tuple(values))
+        fh.write(body)
 
 
 def read_gridfn(path) -> GridFunction:
     """Read a GRIDFN v1 file written by write_gridfn.
 
-    Blank lines and whitespace around a line are ignored, as are CR line
-    ends; each remaining line after the 4 header lines holds exactly one
-    value, converted as Python's float() converts it.
+    Blank lines, spaces and tabs around a line, and CR line ends are
+    ignored.  The 4 header lines are parsed here; the lines after them go to
+    numpy's C reader (`np.loadtxt` on the path), so each must hold exactly
+    one decimal float literal as that reader parses it: an optional sign,
+    digits with an optional point and exponent, or inf/nan.  Digit
+    underscores and hex floats are errors, and `#` starts no comment.
     """
+    lines, skip = [], 0  # the header's non-blank lines, and the lines they span
     with open(path) as fh:
-        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
+        for line in fh:
+            skip += 1
+            if line := line.strip():
+                lines.append(line)
+                if len(lines) == 4:
+                    break
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a GRIDFN v1 file")
     try:
@@ -418,7 +443,15 @@ def read_gridfn(path) -> GridFunction:
     if len(box) != dim:
         raise ValueError(f"{path}: box has {len(box)} axes, expected {dim}")
     grid = make_grid(box, h)
-    values = np.fromiter(map(float, lines[4:]), dtype=float, count=len(lines) - 4)
+    with warnings.catch_warnings():
+        # a body without values is the count error below, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            values = np.loadtxt(path, skiprows=skip, comments=None, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if values.size and values.shape[1] != 1:
+        raise ValueError(f"{path}: expected one value per line")
     if values.size != grid.num_nodes:
         raise ValueError(
             f"{path}: expected {grid.num_nodes} values, found {values.size}"

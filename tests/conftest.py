@@ -117,6 +117,9 @@ GRIDFN_REJECTS = (
     "wrong_box_key",
     "wrong_h_key",
     "empty_file",
+    "digit_underscore",
+    "comment_line",
+    "all_values_on_one_line",
 )
 
 
@@ -134,6 +137,12 @@ def gridfn_reject(text, name):
         "one_value_too_few": head + body[:-1],
         "one_value_too_many": head + body + [body[-1]],
         "missing_h_line": head[:3] + body,
+        # Python's float() reads 1_0 as 10; numpy's C reader refuses it
+        "digit_underscore": head + ["1_0"] + body[1:],
+        # an extra line: the count would match if '#' started a comment
+        "comment_line": head + ["# a comment"] + body,
+        # the count matches, but not one value per line
+        "all_values_on_one_line": head + [" ".join(body)],
     }
     # a header line whose value is intact but whose key is not dim, box or h
     for i, key in enumerate(("dim", "box", "h"), 1):

@@ -282,6 +282,7 @@ class TestVerify:
         # its own bump there with "field must vanish on the grid boundary"
         text = patch(Path(SMOKE).read_text(), "box = 0:1,0:1", f"box = {box},{box}")
         text = patch(text, "h = 0.125", f"h = {h}")
+        text = patch(text, "R = 0.4", "R = 0.15")  # the certify ball fits every box
         text = patch(text, "[verify]\nx0 = 0.5,0.5", "[verify]\nrhos = 0.1,0.15\nradii = 0.2,0.25")
         cfg = write_config(tmp_path, text)
         sol = tmp_path / "smoke.gridfn"
@@ -584,6 +585,11 @@ class TestConfigErrors:
             ("rhos = 0.15,0.2", "rhos = 0,0.1", "[verify] field 'rhos': each must be > 0"),
             ("radii = 0.3,0.35", "radii = 0.6",
              "[verify] field 'radii': the ball of radius 0.6 about x0 leaves the grid box"),
+            # verify wrote rows for R = 0.3 only, and none for a radius <= min(rhos)
+            ("radii = 0.3,0.35", "radii = -0.1,0.3",
+             "[verify] field 'radii': -0.1 gives no row; each must exceed min(rhos) = 0.15"),
+            ("R = 0.4", "R = 0.6",
+             "[certify] field 'r': the ball of radius 0.6 about x0 leaves the grid box"),
             # lo < hi, but no cell centre (h = 1/8) lies between 0.5 and 0.52
             ("radii = 0.3,0.35", "radii = 0.3,0.35\nsubbox = 0.1:0.9,0.5:0.52,0.1:0.9",
              "[verify] field 'subbox': sub-box ((0.1, 0.9), (0.5, 0.52), (0.1, 0.9)) "
@@ -594,7 +600,7 @@ class TestConfigErrors:
              "r", "R", "C_cal", "box-inf", "lambda1.amplitude-inf", "u_coeff-inf",
              "mu.amplitude-inf", "boundary-amplitude-inf", "C_cal-inf", "C_cal-negative",
              "C_cal-zero", "R-above-one", "H-zero", "levels-below-one", "rho-zero",
-             "radii-leave-box", "subbox-no-cell"],
+             "radii-leave-box", "radii-no-row", "R-leave-box", "subbox-no-cell"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))

@@ -301,6 +301,36 @@ class TestGridFnFormat:
         assert back.grid == g
         assert back.values.tobytes() == u.values.tobytes()
 
+    # values a field repeats: both signed zeros, which a dedup on float values
+    # rather than bits would merge, both signs of the smallest subnormal, a
+    # non-terminating binary fraction and integer-valued floats
+    REPEATED = (0.0, -0.0, 5e-324, -5e-324, 1 / 3, 1.0, -7.0, 2.0 ** 53)
+
+    @pytest.mark.parametrize(
+        "box,h,distinct",
+        [
+            ([(-0.5, 1.0), (0.0, 2.0)], 1 / 8, 20),
+            ([(0.0, 1.0)] * 3, 1 / 4, 13),
+            ([(0.0, 1.0), (0.0, 3.0)], 1 / 3, 20),
+            ([(0.0, 1.0), (0.0, 3.0)], 1 / 3, 21),
+        ],
+        ids=["2d", "3d", "half-distinct", "above-half-distinct"],
+    )
+    def test_repeated_values_bytes(self, tmp_path, box, h, distinct):
+        # at most half distinct, each distinct value is formatted once; the
+        # last field, with one value more, is formatted value by value
+        g = make_grid(box, h)
+        pool = list(self.REPEATED)
+        pool += [(-1) ** j * (j + 0.5) / 7 for j in range(distinct - len(pool))]
+        order = np.random.default_rng(distinct).permutation(g.num_nodes)
+        u = GridFunction(g, np.array(pool)[order % distinct].reshape(g.shape))
+        assert np.unique(u.values.view(np.int64)).size == distinct
+        path = tmp_path / "u.gridfn"
+        write_gridfn(path, u)
+        body = path.read_bytes().split(b"\n", 4)[4]
+        assert body == "".join(f"{v:.17g}\n" for v in u.values.ravel()).encode()
+        assert read_gridfn(path).values.tobytes() == u.values.tobytes()
+
     @staticmethod
     def small_text(tmp_path):
         path = tmp_path / "ok.gridfn"
