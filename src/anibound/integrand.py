@@ -148,13 +148,23 @@ def cell_energy(m: ModelIntegrand, grid: Grid, values: np.ndarray, weights) -> n
     every cell and times h^n, it is the solver's energy without smoothing.
     """
     lam, mu = weights
-    f = 0.0
+    f = np.zeros(lam.shape[1:])
     for i, p in enumerate(m.exponents.p):
         t = np.diff(values, axis=i)
         t /= grid.h
-        f = f + lam[i] * _average_to_cells(np.abs(t) ** p, skip=i)
+        np.abs(t, out=t)
+        t **= p
+        a = _average_to_cells(t, skip=i)
+        del t
+        a *= lam[i]
+        f += a
+        del a
     if m.u_coeff > 0:
-        f = f + m.u_coeff * mu * _average_to_cells(np.abs(values) ** m.exponents.gamma)
+        a = np.abs(values)
+        a **= m.exponents.gamma
+        a = _average_to_cells(a)
+        a *= m.u_coeff * mu
+        f += a
     return f
 
 

@@ -33,7 +33,8 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
   Jacobi. On a p = (1.5, 1.8) problem CG takes 2.0, 1.8, 2.6 and 2.9
   iterations per step at h = 1/16 ... 1/128, where Jacobi-PCG took 14 to
   120. The level views, transfer buffers and the coarsest level's edge
-  numbering are built once per solve.
+  numbering are built at a solve's first Newton step, so a solve that
+  starts converged builds no V-cycle.
 * The line search tries t = 1 first and halves a rejected step. A trial
   costs one stencil evaluation and one transpose pass over its kept edge
   state (its gradient). It is accepted on Armijo sufficient decrease
@@ -66,7 +67,9 @@ for gamma < 2, where eps = h^2 > 0 because gamma >= p_i.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,8 +98,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver parameters: at most max_iters Newton steps, stopping once the
-    residual is at most grad_tol.
+    """Solver parameters: at most max_iters Newton steps (an integer >= 1),
+    stopping once the residual is at most grad_tol (finite and > 0).
 
     grad_tol is compared against the sup norm of the energy gradient scaled
     by h^-n, i.e. a discrete Euler-Lagrange residual that is stable under
@@ -109,8 +112,11 @@ class SolveConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0:
-            raise ValueError("max_iters and grad_tol must be positive")
+        # no residual is <= NaN, and every residual is <= inf
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be > 0 and finite, got {self.grad_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -155,19 +161,35 @@ class _DiscreteEnergy:
     share e, c_x is u_coeff h^n 2^(-n) times the sum of mu over the cells at
     x, and f_i(t) is |t|^p_i or its smoothing. `evaluate` returns the energy
     with the state from which `gradient` builds the nodal gradient and
-    `curvature` the weights of the Newton model."""
+    `curvature` the weights of the Newton model. The full-grid passes form
+    each product in place, with at most two temporaries per axis, and
+    `hessian_product`'s work arrays are allocated at its first call."""
 
     def __init__(self, m: ModelIntegrand, grid: Grid, eps: float):
         self.grid = grid
         self.eps = eps
         hn = grid.h ** grid.n
         lam, mu = m.on_cells(grid)
-        self.w = [hn * _average_to_cells_transpose(lam_i, skip=i) for i, lam_i in enumerate(lam)]
-        self.wu = None if mu is None else (m.u_coeff * hn) * _average_to_cells_transpose(mu)
+        self.w = [_average_to_cells_transpose(lam_i, skip=i) for i, lam_i in enumerate(lam)]
+        del lam
+        for w in self.w:
+            w *= hn
+        self.wu = None
+        if mu is not None:
+            self.wu = _average_to_cells_transpose(mu)
+            self.wu *= m.u_coeff * hn
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
-        self._diffs = [np.empty(w.shape) for w in self.w]  # hessian_product's
-        self._hv = np.empty(grid.shape)
+
+    @cached_property
+    def _diffs(self):
+        """`hessian_product`'s work arrays, one per axis in the shape of w_i."""
+        return [np.empty(w.shape) for w in self.w]
+
+    @cached_property
+    def _hv(self):
+        """`hessian_product`'s result buffer."""
+        return np.empty(self.grid.shape)
 
     def evaluate(self, values):
         """Energy and state: per axis the edge differences D_e u / h and the
@@ -180,35 +202,54 @@ class _DiscreteEnergy:
             t /= self.grid.h
             p = self.p[i]
             if self.eps > 0 and p < 2:
-                base = t * t + self.eps ** 2
-                f = base ** (p / 2.0) - self.eps ** p
+                base = t * t
+                base += self.eps ** 2
+                f = base ** (p / 2.0)
+                f -= self.eps ** p
             else:
                 base = None
-                f = np.abs(t) ** p
+                f = np.abs(t)
+                f **= p
             ts.append(t)
             bases.append(base)
             total += float(np.vdot(w, f))
+            del f
         if self.wu is not None:
-            total += float(np.vdot(self.wu, np.abs(values) ** self.gamma))
+            f = np.abs(values)
+            f **= self.gamma
+            total += float(np.vdot(self.wu, f))
         return total, (ts, bases, values)
 
     def gradient(self, state):
         """Nodal gradient of the energy from a state that `evaluate` returned."""
         ts, bases, u = state
-        gout = (
-            np.zeros(self.grid.shape)
-            if self.wu is None
-            else self.wu * self.gamma * np.sign(u) * np.abs(u) ** (self.gamma - 1.0)
-        )
+        if self.wu is None:
+            gout = np.zeros(self.grid.shape)
+        else:
+            # ((wu gamma) sign(u)) |u|^(gamma-1): the grouping fixes the bits
+            gout = self.wu * self.gamma
+            gout *= np.sign(u)
+            a = np.abs(u)
+            a **= self.gamma - 1.0
+            gout *= a
+            del a
         for i, (w, t, base) in enumerate(zip(self.w, ts, bases)):
             p = self.p[i]
+            # (p sign(t)) |t|^(p-1), or (p t) b^(p/2-1) when smoothed
             if base is None:
-                d = p * np.sign(t) * np.abs(t) ** (p - 1.0)
+                d = np.sign(t)
+                d *= p
+                a = np.abs(t)
+                a **= p - 1.0
             else:
-                d = p * t * base ** (p / 2.0 - 1.0)
+                d = t * p
+                a = base ** (p / 2.0 - 1.0)
+            d *= a
+            del a
             d *= w
             d /= self.grid.h
             _add_adjoint_diff(gout, d, i)
+            del d
         return gout
 
     def curvature(self, state):
@@ -348,10 +389,10 @@ def _dense_inverse(cs, diag, ends):
 class _Level:
     """One grid of the V-cycle: the weights of its operator for the current
     Newton step, its damped-Jacobi scaling, and work arrays and views built
-    once per solve: x, b and ax, the stencil's views of x and ax, the
-    interior views of x and b and, above the coarsest level, the transfers
-    to and from the `coarse` level (ax restricted, and the coarse x
-    prolonged into ax, which is free between the residual that is
+    at a solve's first Newton step: x, b and ax, the stencil's views of x
+    and ax, the interior views of x and b and, above the coarsest level,
+    the transfers to and from the `coarse` level (ax restricted, and the
+    coarse x prolonged into ax, which is free between the residual that is
     restricted and the next sweep). The boundary of x and b stays 0."""
 
     def __init__(self, shape, coarse=None):
@@ -524,9 +565,8 @@ def solve(
         raise ValueError("boundary data lives on a different grid")
     eps = grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
     prob = _DiscreteEnergy(m, grid, eps)
-    mg = _VCycle(grid.shape)
+    mg = buf = None  # built at the first Newton step
     inner = (slice(1, -1),) * grid.n
-    buf = np.zeros(grid.shape)  # its boundary stays zero
     hn = grid.h ** grid.n
 
     u = boundary.values.copy()
@@ -550,6 +590,9 @@ def solve(
         if flat >= _FLAT_STEPS:
             reason = "stalled"
             break
+        if mg is None:
+            mg = _VCycle(grid.shape)
+            buf = np.zeros(grid.shape)  # its boundary stays zero
         x = _newton_direction(prob, mg, prob.curvature(state), g, inner, buf)
         step = _line_search(prob, u, e_val, g, x, inner)
         if step is None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anibound import degiorgi, inequalities
+from anibound import degiorgi, inequalities, minimize
 from anibound.cli import main
 from anibound.config import load_config
 from anibound.fields import GridFunction, read_gridfn, write_gridfn
@@ -83,6 +83,7 @@ R = 0.4
 SMOKE = str(Path(__file__).parent / "data" / "smoke.cfg")
 SMOKE3D = str(Path(__file__).parent / "data" / "smoke3d.cfg")
 OFFBOX = str(Path(__file__).parent / "data" / "offbox.cfg")
+AFFINE3D = str(Path(__file__).parent / "data" / "affine3d.cfg")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -872,6 +873,33 @@ def test_ci_smoke3d_config_runs_minimize_certify_verify(tmp_path):
     assert main(["minimize", "--config", SMOKE3D, "--out", out]) == 0
     assert main(["certify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0
     assert main(["verify", "--config", SMOKE3D, "--solution", solution, "--out", out]) == 0
+
+
+def test_ci_affine3d_config_runs_every_command_without_a_vcycle(tmp_path, monkeypatch):
+    # the benchmark's post65 problem at h = 1/16, which CI also runs through
+    # the console script: its affine data is the exact discrete minimizer, so
+    # minimize takes no Newton step and builds no V-cycle; every command runs
+    # twice, into two directories that must hold the same bytes
+    def refuse(shape):
+        raise AssertionError("a solve that starts converged built a V-cycle")
+
+    monkeypatch.setattr(minimize, "_VCycle", refuse)
+    cfg = AFFINE3D
+    spec = load_config(cfg)
+    assert spec.grid.n == 3 and spec.grid.h == 1 / 16 and spec.certify.C_cal == 1.0
+    outs = [tmp_path / "iso3d_h16", tmp_path / "iso3d_h16-again"]
+    for out in outs:
+        solution = str(out / "iso3d_h16_solution.gridfn")
+        assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["certify", "--config", cfg, "--solution", solution, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--solution", solution, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", cfg, "--axis", "gamma=1.8:3:4", "--out", str(out)]) == 0
+    with open(outs[0] / "iso3d_h16_minimize.csv") as fh:
+        assert next(csv.DictReader(fh))["iterations"] == "0"
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir()) and len(names) == 6
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_sigma_below_one_verifies(tmp_path):

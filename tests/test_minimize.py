@@ -6,9 +6,16 @@ import pytest
 
 from anibound.config import BoundarySpec
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction, _average_to_cells, _node_box, make_grid
+from anibound.fields import (
+    GridFunction,
+    _add_adjoint_diff,
+    _average_to_cells,
+    _average_to_cells_transpose,
+    _node_box,
+    make_grid,
+)
 from anibound import minimize
-from anibound.integrand import ModelIntegrand, WeightField, energy
+from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from anibound.minimize import (
     Bump,
     SolveConfig,
@@ -147,6 +154,111 @@ class TestDiscreteEnergy:
         e_fresh, fresh = prob.evaluate(accepted.copy())
         assert e_kept == e_fresh
         assert np.array_equal(prob.gradient(kept), prob.gradient(fresh))
+
+
+def signed_zero_field(rng, shape):
+    """Nodal values dense in +0.0, -0.0 and subnormals of both signs, a
+    quarter of them uniform in [-1, 1]: their differences hold -0.0
+    (-0.0 - 0.0) and subnormals, and so do the values themselves."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.5e-308, -2.5e-308])
+    values = rng.choice(pool, size=shape)
+    normal = rng.random(shape) < 0.25
+    values[normal] = rng.uniform(-1.0, 1.0, int(normal.sum()))
+    return values
+
+
+def reference_energy_and_gradient(m, grid, eps, values):
+    """`_DiscreteEnergy`'s energy and gradient at `values` as the expressions
+    that the in-place passes replaced: each product formed as a new array."""
+    hn = grid.h ** grid.n
+    lam, mu = m.on_cells(grid)
+    w = [hn * _average_to_cells_transpose(lam_i, skip=i) for i, lam_i in enumerate(lam)]
+    wu = None if mu is None else (m.u_coeff * hn) * _average_to_cells_transpose(mu)
+    gamma = m.exponents.gamma
+    total = 0.0
+    gout = (
+        np.zeros(grid.shape)
+        if wu is None
+        else wu * gamma * np.sign(values) * np.abs(values) ** (gamma - 1.0)
+    )
+    for i, (w_i, p) in enumerate(zip(w, m.exponents.p)):
+        t = np.diff(values, axis=i)
+        t /= grid.h
+        if eps > 0 and p < 2:
+            base = t * t + eps ** 2
+            f = base ** (p / 2.0) - eps ** p
+            d = p * t * base ** (p / 2.0 - 1.0)
+        else:
+            f = np.abs(t) ** p
+            d = p * np.sign(t) * np.abs(t) ** (p - 1.0)
+        total += float(np.vdot(w_i, f))
+        d *= w_i
+        d /= grid.h
+        _add_adjoint_diff(gout, d, i)
+    if wu is not None:
+        total += float(np.vdot(wu, np.abs(values) ** gamma))
+    return (w, wu), total, gout
+
+
+def reference_cell_energy(m, grid, values, weights):
+    """`cell_energy` as the expression that the in-place pass replaced."""
+    lam, mu = weights
+    f = 0.0
+    for i, p in enumerate(m.exponents.p):
+        t = np.diff(values, axis=i)
+        t /= grid.h
+        f = f + lam[i] * _average_to_cells(np.abs(t) ** p, skip=i)
+    if m.u_coeff > 0:
+        f = f + m.u_coeff * mu * _average_to_cells(np.abs(values) ** m.exponents.gamma)
+    return f
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestInPlacePasses:
+    """The full-grid passes of the energy, its gradient and `cell_energy`
+    form each product in place, keeping its operand pair: the bits of the
+    expressions they replaced, also where a sign of zero could flip
+    (np.sign(-0.0) is +0.0, so p sign(t) |t|^(p-1) is not p t there)."""
+
+    EXPONENTS = {"p_2": (2.0, 2.0, 2.0), "p_3": (3.0, 3.0, 3.0), "smoothed_p_lt_2": (1.5, 1.8, 1.6)}
+
+    # A flipped zero reaches the gradient only at a node whose u term is -0.0
+    # (|u|^(gamma-1) of a negative subnormal u underflows, gamma > 2) next to
+    # an edge where t = -0.0. At h < 1 a -0.0 difference needs two zero ends,
+    # so the grids at h = 2, where a subnormal difference divided by h rounds
+    # to -0.0, are the ones that see it.
+    @pytest.mark.parametrize("n,cells", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("h", ["unit box", 2.0])
+    @pytest.mark.parametrize("u_coeff", [0.0, 0.7])
+    @pytest.mark.parametrize("branch", sorted(EXPONENTS))
+    def test_bits_match_the_reference_expressions(self, branch, u_coeff, h, n, cells):
+        h = 1.0 / cells if h == "unit box" else h
+        side = cells * h
+        p = self.EXPONENTS[branch][:n]
+        e = Exponents(n, p, max(p), max(p) + 1.0, (INF,) * n, INF)
+        lam1 = WeightField("power", amplitude=1.5, center=(0.3 * side,) * n, exponent=0.5)
+        mu = WeightField("power", amplitude=2.0, center=(0.7 * side,) * n, exponent=1.0)
+        m = ModelIntegrand(e, (lam1,) + (constant(0.5),) * (n - 1), mu, u_coeff)
+        g = make_grid([(0.0, side)] * n, h)
+        eps = h ** 2 if max(p) < 2 else 0.0
+        prob = _DiscreteEnergy(m, g, eps)
+        weights = m.on_cells(g)
+        rng = np.random.default_rng(11)
+        for _ in range(16):
+            values = signed_zero_field(rng, g.shape)
+            (w, wu), total, grad = reference_energy_and_gradient(m, g, eps, values)
+            assert [bits(a) for a in prob.w] == [bits(a) for a in w]
+            assert (prob.wu is None) == (wu is None)
+            assert wu is None or bits(prob.wu) == bits(wu)
+            e_val, state = prob.evaluate(values)
+            assert bits(e_val) == bits(total)
+            assert bits(prob.gradient(state)) == bits(grad)
+            assert bits(cell_energy(m, g, values, weights)) == bits(
+                reference_cell_energy(m, g, values, weights)
+            )
 
 
 class TestNewtonModel:
@@ -593,6 +705,22 @@ class TestSolve:
         res = solve(p_gt_2_model(), g, radial_data(g), SolveConfig(grad_tol=1e-6))
         assert res.converged
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grad_tol": float("nan")},  # no residual is <= NaN: a solve ran to max_iters
+            {"grad_tol": float("inf")},
+            {"grad_tol": 0.0},
+            {"max_iters": 2.5},
+            {"max_iters": float("inf")},
+            {"max_iters": 0},
+        ],
+        ids=repr,
+    )
+    def test_config_refuses_values_that_cannot_work(self, kwargs):
+        with pytest.raises(ValueError):
+            SolveConfig(**kwargs)
+
     def test_deterministic(self):
         m = simple_model(2, u_coeff=1.0, gamma=3.0)
         g = unit_grid(2, 1 / 8)
@@ -601,6 +729,59 @@ class TestSolve:
         r2 = solve(m, g, init, SolveConfig(max_iters=200))
         assert np.array_equal(r1.u.values, r2.u.values)
         assert r1.final_energy == r2.final_energy
+
+
+def affine_iso3d(h):
+    """The benchmark's post65 problem at spacing h: p = gamma = 2, unit
+    weights, no u term, and the affine data 3 x_1, the exact discrete
+    minimizer, so a solve starts converged."""
+    g = unit_grid(3, h)
+    bnd = BoundarySpec("affine", coeffs=(3.0, 0.0, 0.0))
+    return simple_model(3), g, GridFunction(g, bnd(g.node_points()).reshape(g.shape))
+
+
+class TestZeroStepSolve:
+    """A solve whose initial iterate meets grad_tol evaluates the energy and
+    its gradient once, and builds nothing that only a Newton step uses."""
+
+    CFG = SolveConfig(max_iters=20_000, grad_tol=1e-6)
+
+    def test_builds_no_vcycle(self, monkeypatch):
+        def refuse(shape):
+            raise AssertionError("a solve that starts converged built a V-cycle")
+
+        monkeypatch.setattr(minimize, "_VCycle", refuse)
+        res = solve(*affine_iso3d(1 / 16), self.CFG)
+        assert res.converged and res.iterations == 0
+
+    def test_allocates_no_hessian_work_arrays(self, monkeypatch):
+        made = []
+
+        class Recorded(_DiscreteEnergy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(minimize, "_DiscreteEnergy", Recorded)
+        res = solve(*affine_iso3d(1 / 16), self.CFG)
+        assert res.iterations == 0 and len(made) == 1
+        assert "_diffs" not in vars(made[0]) and "_hv" not in vars(made[0])
+
+    def test_peak_memory(self):
+        # the weights w_i (3 edge arrays), the iterate, its edge differences
+        # (3), the gradient and the two temporaries of one axis: about 10.6
+        # nodal arrays at 17^3 nodes, against 25.8 with a V-cycle and the
+        # Hessian work arrays allocated up front
+        model, g, init = affine_iso3d(1 / 16)
+        solve(model, g, init, self.CFG)  # the first call imports and caches
+        tracemalloc.start()
+        try:
+            res = solve(model, g, init, self.CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 0
+        assert peak <= 12 * np.zeros(g.shape).nbytes
 
 
 def on_grid(bump):
