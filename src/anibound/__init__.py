@@ -12,7 +12,7 @@ from .exponents import (
 )
 from .fields import Grid, GridFunction, Ball, make_grid, gradient, lp_norm
 from .integrand import WeightField, ModelIntegrand, energy
-from .minimize import SolveConfig, SolveResult, solve, verify_quasiminimality
+from .minimize import SolveConfig, SolveResult, solve
 from .degiorgi import certify, fast_convergence, j_sequence, sequences
 
 __version__ = "0.1.0"

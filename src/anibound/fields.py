@@ -16,9 +16,9 @@ Conventions used throughout the package:
 
 The stencil, its transposes and a ball's cells and nodes (`_ball_cells`)
 live here; the solver's stencil helpers (`_shifts`, `_edge_product`,
-`_edge_diagonal`, `_coarse_edges`, `_edge_ends`, `_zero_boundary`,
-`_support`) in `minimize`, a sub-box's cells (`_sub_box`) in `inequalities`,
-and the sampling of weights in `integrand`.
+`_edge_diagonal`, `_coarse_edges`, `_edge_ends`, `_zero_boundary`) in
+`minimize`, a sub-box's cells (`_sub_box`) in `inequalities`, and the
+sampling of weights in `integrand`.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ def energy(m: ModelIntegrand, u: GridFunction, region=None) -> float:
     for every cell, a Ball or a cell mask; see `fields.cell_mask`): h^n
     times the sum of `cell_energy` over them, in row-major order. The
     density is formed on the whole grid; a cell's density is the same bits
-    on any box that holds it, so the box-local sums of `inequalities` and
-    `minimize` give the bits this one gives."""
+    on any box that holds it, so the box-local sums of `inequalities` give
+    the bits this one gives."""
     g = u.grid
     mask = cell_mask(g, region)
     density = cell_energy(m, g, u.values, m.on_cells(g))

@@ -62,6 +62,30 @@ On the other axes it is the exact f'' (2 for p = 2, p(p-1)|t|^(p-2) for
 p > 2). The |u|^gamma term uses
 gamma(gamma-1)|u|^(gamma-2) for gamma >= 2 and gamma (u^2 + eps^2)^(gamma/2 - 1)
 for gamma < 2, where eps = h^2 > 0 because gamma >= p_i.
+
+The solver thus stops on the residual of the smoothed energy E_eps, while the
+energy every later claim is about is E_h, the same sum with f_i = |t|^p_i.
+`solve` reports, from its last iterate u and the weights it has built, a
+bound on how far u is from minimizing E_h, for every perturbation at once:
+
+* Edge by edge 0 <= |t|^p - f_eps(t) <= eps^p, since
+  |t|^p <= (t^2 + eps^2)^(p/2) <= |t|^p + eps^p for p <= 2; the |u|^gamma
+  term is not smoothed. E_eps is convex, so with g = grad E_eps(u) on the
+  interior nodes, every phi that vanishes on the boundary, with support
+  cells S, has
+      F(u; S) <= F(u + phi; S) + delta_eps(S) + |<g, phi>|,
+  F(.; S) being E_h on the cells S and delta_eps(S) the sum over p_i < 2 of
+  eps^p_i h^n times the sum of lambda_i over S. The whole box's delta_eps,
+  which bounds every delta_eps(S), is `smoothing_defect`: there the sum of
+  h^n lambda_i over the cells is the sum of the edge weights w_e along i.
+* Truncating a field at the extremes of the data, and at 0 when there is a
+  u term, lowers every term of E_eps, so E_eps has a minimizer in that
+  range, and by convexity min E_h >= min E_eps >= E_eps(u) - |g|_1 osc,
+  osc the range of u widened the same way. So min E_h lies in
+  [`energy_lower`, `energy_h`] = [E_eps(u) - |g|_1 osc, E_h(u)].
+
+When some p_i < 2 this costs one evaluate-and-gradient pass at eps = 0;
+otherwise every number is the solver's own.
 """
 
 from __future__ import annotations
@@ -77,23 +101,13 @@ from .fields import (
     Grid,
     GridFunction,
     _add_adjoint_diff,
-    _average_to_cells,
     _average_to_cells_transpose,
-    _hat_box,
-    _node_box,
     _Prolongation,
     _Restriction,
 )
-from .integrand import ModelIntegrand, cell_energy
+from .integrand import ModelIntegrand
 
-__all__ = [
-    "SolveConfig",
-    "SolveResult",
-    "solve",
-    "verify_quasiminimality",
-    "Bump",
-    "random_perturbations",
-]
+__all__ = ["SolveConfig", "SolveResult", "solve"]
 
 
 @dataclass(frozen=True)
@@ -123,7 +137,18 @@ class SolveConfig:
 class SolveResult:
     """stop_reason is "converged", "max_iters" or "stalled" (the line search
     found no acceptable step above t = 1e-10, or 5 accepted steps in a row
-    took neither the energy nor the residual to a new low)."""
+    took neither the energy nor the residual to a new low).
+
+    final_energy and residual are those of the energy the solver minimizes,
+    E_eps (E_h itself when every p_i >= 2): E_eps(u) and sup |g| / h^n, g
+    the gradient of E_eps at u on the interior nodes. The rest is about E_h,
+    the energy without smoothing (see the module docstring for the bound):
+    energy_h is E_h(u) and residual_h its sup |grad E_h(u)| / h^n;
+    energy_lower is E_eps(u) - |g|_1 osc, a lower bound of min E_h, osc being
+    the range of u widened to hold 0 when there is a u term; and
+    smoothing_defect is the whole box's delta_eps, the sum over p_i < 2 of
+    eps^p_i times the sum of the edge weights along axis i (0 when every
+    p_i >= 2)."""
 
     u: GridFunction
     final_energy: float
@@ -131,6 +156,10 @@ class SolveResult:
     converged: bool
     residual: float
     stop_reason: str
+    energy_h: float
+    energy_lower: float
+    smoothing_defect: float
+    residual_h: float
 
 
 # The fixed Newton-CG constants: relative CG forcing, sufficient-decrease
@@ -191,21 +220,23 @@ class _DiscreteEnergy:
         """`hessian_product`'s result buffer."""
         return np.empty(self.grid.shape)
 
-    def evaluate(self, values):
+    def evaluate(self, values, eps=None):
         """Energy and state: per axis the edge differences D_e u / h and the
         smoothing base t^2 + eps^2 (None if unsmoothed), and `values` itself,
-        which must not change while the state is in use."""
+        which must not change while the state is in use. eps = 0 evaluates
+        E_h; the default is the energy's own eps."""
+        eps = self.eps if eps is None else eps
         ts, bases = [], []
         total = 0.0
         for i, w in enumerate(self.w):
             t = np.diff(values, axis=i)
             t /= self.grid.h
             p = self.p[i]
-            if self.eps > 0 and p < 2:
+            if eps > 0 and p < 2:
                 base = t * t
-                base += self.eps ** 2
+                base += eps ** 2
                 f = base ** (p / 2.0)
-                f -= self.eps ** p
+                f -= eps ** p
             else:
                 base = None
                 f = np.abs(t)
@@ -569,7 +600,7 @@ def solve(
     inner = (slice(1, -1),) * grid.n
     hn = grid.h ** grid.n
 
-    u = boundary.values.copy()
+    u = boundary.values  # read-only; every line-search trial is a copy
     e_val, state = prob.evaluate(u)
     g = prob.gradient(state)[inner]
     iterations = 0
@@ -601,6 +632,17 @@ def solve(
         u, e_val, state, g = step
         iterations += 1
 
+    del state, mg, buf  # freed before the E_h pass, which builds its own state
+    lo, hi = float(u.min()), float(u.max())
+    if prob.wu is not None:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    energy_lower = e_val - float(np.sum(np.abs(g))) * (hi - lo)
+    e_h, residual_h, defect = e_val, residual, 0.0
+    if prob.eps > 0:
+        e_h, state = prob.evaluate(u, eps=0.0)
+        residual_h = float(np.max(np.abs(prob.gradient(state)[inner]), initial=0.0)) / hn
+        defect = sum(prob.eps ** p * float(np.sum(w)) for p, w in zip(prob.p, prob.w) if p < 2)
+
     return SolveResult(
         u=GridFunction(grid, u),
         final_energy=e_val,
@@ -608,97 +650,8 @@ def solve(
         converged=reason == "converged",
         residual=residual,
         stop_reason=reason,
+        energy_h=e_h,
+        energy_lower=energy_lower,
+        smoothing_defect=defect,
+        residual_h=residual_h,
     )
-
-
-@dataclass(frozen=True)
-class QuasiMinimalityReport:
-    margins: tuple  # Q*F(u+phi; supp) + tol - F(u; supp) per perturbation
-    empirical_Q: float  # max over perturbations of F(u;supp)/F(u+phi;supp)
-    failures: int
-
-
-@dataclass(frozen=True)
-class Bump:
-    """A perturbation stored only on the box of nodes that holds its nonzero
-    values: scale times a tensor hat there, zero elsewhere on the grid."""
-
-    grid: Grid
-    nodes: tuple  # one slice per axis
-    values: np.ndarray  # on the nodes of the box, scale applied
-    scale: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function values must be finite")
-
-
-def _support(grid: Grid, nodes: tuple, values: np.ndarray) -> tuple:
-    """For phi given by its values on a box of nodes (zero off it): the box of
-    the cells with a corner in that box, the mask of those with a nonzero
-    corner on it, and phi on the nodes of the cell box. Only the box is
-    visited; for the tight box of phi's nonzero nodes the cell box is the
-    tight box of the masked cells."""
-    box = tuple(
-        slice(max(s.start - 1, 0), min(s.stop, cells)) for s, cells in zip(nodes, grid.cell_shape)
-    )
-    outer = _node_box(box)
-    on_nodes = np.zeros([s.stop - s.start for s in outer])
-    on_nodes[tuple(slice(s.start - o.start, s.stop - o.start) for s, o in zip(nodes, outer))] = values
-    return box, _average_to_cells((on_nodes != 0.0).astype(float)) > 0.0, on_nodes
-
-
-def verify_quasiminimality(
-    m: ModelIntegrand,
-    u: GridFunction,
-    Q: float = 1.0,
-    perturbations=(),
-    tol: float = 1e-10,
-) -> QuasiMinimalityReport:
-    """Check F(u; supp phi) <= Q * F(u + phi; supp phi) + tol for each `Bump`
-    phi, with both densities formed on the box of phi's support (off it
-    u + phi = u) from one sample of the weights; a bump is read only on its
-    own box of nodes."""
-    if Q < 1:
-        raise ValueError("need Q >= 1")
-    grid = u.grid
-    hn = grid.h ** grid.n
-    margins = []
-    emp_q = 0.0
-    failures = 0
-    for phi in perturbations:
-        if phi.grid != grid:
-            raise ValueError("perturbation lives on a different grid")
-        # phi = 0 has no support cells: both energies are 0 and the margin is tol
-        box, mask, phi_values = _support(grid, phi.nodes, phi.values)
-        values = u.values[_node_box(box)]
-        perturbed = values + phi_values
-        if not np.all(np.isfinite(perturbed)):
-            raise ValueError("grid function values must be finite")
-        weights = m.on_cells(grid, box)
-        f_u = float(np.sum(cell_energy(m, grid, values, weights)[mask]) * hn)
-        f_up = float(np.sum(cell_energy(m, grid, perturbed, weights)[mask]) * hn)
-        margin = Q * f_up + tol - f_u
-        margins.append(margin)
-        if margin < 0:
-            failures += 1
-        if f_up > 0:
-            emp_q = max(emp_q, f_u / f_up)
-    return QuasiMinimalityReport(tuple(margins), emp_q, failures)
-
-
-def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
-    """Seeded tensor-hat `Bump`s vanishing on the boundary, yielded one at a
-    time: each is drawn only when the caller asks for it, and built only on
-    its box of nodes, where every 1-D hat is nonzero once the boundary nodes
-    are zeroed. The draws are a_0, b_0, a_1, b_1, ..., then the scale."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        box = []
-        for lo, hi in zip(grid.lo, grid.hi):
-            a = rng.uniform(lo, hi - 2 * grid.h)
-            box.append((a, rng.uniform(a + 2 * grid.h, hi)))
-        nodes, vals = _hat_box(grid, box)
-        scale = amplitude * rng.uniform(-1.0, 1.0)
-        vals *= scale
-        yield Bump(grid, nodes, vals, scale)

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +86,7 @@ SMOKE = str(Path(__file__).parent / "data" / "smoke.cfg")
 SMOKE3D = str(Path(__file__).parent / "data" / "smoke3d.cfg")
 OFFBOX = str(Path(__file__).parent / "data" / "offbox.cfg")
 AFFINE3D = str(Path(__file__).parent / "data" / "affine3d.cfg")
+P11 = str(Path(__file__).parent / "data" / "p11.cfg")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -153,7 +156,9 @@ class TestMinimize:
         cfg, out = solved
         assert os.path.exists(os.path.join(out, "iso3d_solution.gridfn"))
         summary = Path(out, "iso3d_minimize.csv").read_text().splitlines()
-        assert summary[0] == "energy,iterations,residual,converged,empirical_Q"
+        assert summary[0] == (
+            "energy,iterations,residual,converged,energy_lower,smoothing_defect,residual_h"
+        )
         fields = summary[1].split(",")
         assert fields[3] == "1"
 
@@ -449,7 +454,7 @@ class TestCsvPins:
         out = tmp_path / "out"
         assert main(["minimize", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "iso3d_minimize.csv").read_text().splitlines()[1].split(",")[1] == "0"
-        assert sha1_of(out / "iso3d_minimize.csv") == "9ddd765e530c8fa78d6d5d5ab38ba3714bbd5495"
+        assert sha1_of(out / "iso3d_minimize.csv") == "9d7029ecb921db8e87994968bd1f8f9800c14d6e"
 
 
 class TestSweep:
@@ -900,6 +905,48 @@ def test_ci_affine3d_config_runs_every_command_without_a_vcycle(tmp_path, monkey
     assert names == sorted(path.name for path in outs[1].iterdir()) and len(names) == 6
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_p11_bracket_holds_the_lowest_energy_reached(tmp_path):
+    # p = (1.1, 1.3) at h = 1/16: u minimizes E_eps, and E_h(u) lies 1.4e-4
+    # above the lowest E_h that solves at eps = h^3, h^4 and h^6 reached, so
+    # the bracket [energy_lower, energy] must be at least that wide
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", P11, "--out", str(out)]) == 0
+    with open(out / "p11_minimize.csv") as fh:
+        row = {k: float(v) for k, v in next(csv.DictReader(fh)).items()}
+    assert row["energy"] - row["energy_lower"] >= 1.4e-4
+    assert row["energy_lower"] <= 1.934607 <= row["energy"]
+    # the width is E_h(u) - E_eps(u) <= smoothing_defect plus |g|_1 osc,
+    # which is about 1e-9 at a residual of 1e-8
+    assert row["smoothing_defect"] >= row["energy"] - row["energy_lower"]
+    assert row["residual"] <= 1e-8 < row["residual_h"]
+
+
+def test_commands_leave_numpy_random_unimported(tmp_path):
+    # numpy >= 2 imports numpy.random on first use only; no command uses it,
+    # so a run does not pay for the import
+    def run(code):
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]  # the commands print before it
+
+    if run("import sys, numpy; print('numpy.random' in sys.modules)") == "True":
+        pytest.skip("a bare import numpy already loads numpy.random")
+    out, sol = tmp_path / "out", tmp_path / "out" / "smoke_solution.gridfn"
+    calls = [["minimize", "--config", SMOKE, "--out", str(out)]]
+    calls += [[cmd, "--config", SMOKE, "--solution", str(sol), "--out", str(out)]
+              for cmd in ("certify", "verify")]
+    got = run(
+        "import sys\n"
+        "from anibound.cli import main\n"
+        f"print([(main(argv), 'numpy.random' in sys.modules) for argv in {calls!r}])\n"
+    )
+    assert got == repr([(0, False)] * 3)
 
 
 def test_sigma_below_one_verifies(tmp_path):
