@@ -101,13 +101,15 @@ from .fields import (
     Grid,
     GridFunction,
     _add_adjoint_diff,
+    _average_to_cells,
     _average_to_cells_transpose,
     _Prolongation,
     _Restriction,
+    _tensor_hat,
 )
-from .integrand import ModelIntegrand
+from .integrand import ModelIntegrand, energy
 
-__all__ = ["SolveConfig", "SolveResult", "solve"]
+__all__ = ["SolveConfig", "SolveResult", "solve", "verify_quasiminimality", "random_perturbations"]
 
 
 @dataclass(frozen=True)
@@ -581,6 +583,11 @@ def _line_search(prob, u, e_val, g, x, inner):
     return None
 
 
+def _smoothing_eps(m: ModelIntegrand, grid: Grid) -> float:
+    """The solver's eps: h^2 when some p_i < 2, else 0 (no smoothing)."""
+    return grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
+
+
 def solve(
     m: ModelIntegrand,
     grid: Grid,
@@ -594,8 +601,7 @@ def solve(
     """
     if boundary.grid != grid:
         raise ValueError("boundary data lives on a different grid")
-    eps = grid.h ** 2 if any(p < 2 for p in m.exponents.p) else 0.0
-    prob = _DiscreteEnergy(m, grid, eps)
+    prob = _DiscreteEnergy(m, grid, _smoothing_eps(m, grid))
     mg = buf = None  # built at the first Newton step
     inner = (slice(1, -1),) * grid.n
     hn = grid.h ** grid.n
@@ -655,3 +661,43 @@ def solve(
         smoothing_defect=defect,
         residual_h=residual_h,
     )
+
+
+def verify_quasiminimality(m: ModelIntegrand, u: GridFunction, perturbations=()) -> list:
+    """The terms of the bound F(u; S) - F(u + phi; S) <= delta_eps(S) +
+    |<g, phi>| (module docstring) for each full-grid nodal phi that vanishes
+    on the boundary, as (F(u; S) - F(u + phi; S), delta_eps(S), |<g, phi>|):
+    S the cells with a nonzero corner of phi, F(.; S) `integrand.energy` over
+    them and g the gradient of the solver's energy at u on the interior
+    nodes. No command calls it, nor `random_perturbations`."""
+    grid = u.grid
+    inner = (slice(1, -1),) * grid.n
+    prob = _DiscreteEnergy(m, grid, _smoothing_eps(m, grid))
+    g = prob.gradient(prob.evaluate(u.values)[1])[inner]
+    lam, _ = m.on_cells(grid)
+    hn = grid.h ** grid.n
+    terms = []
+    for phi in perturbations:
+        if np.shape(phi) != grid.shape:
+            raise ValueError("perturbation lives on a different grid")
+        cells = _average_to_cells((phi != 0.0).astype(float)) > 0.0
+        lhs = energy(m, u, cells) - energy(m, GridFunction(grid, u.values + phi), cells)
+        delta = sum(prob.eps ** p * hn * float(np.sum(lam_i[cells]))
+                    for p, lam_i in zip(prob.p, lam) if p < 2)
+        terms.append((lhs, delta, abs(float(np.vdot(g, phi[inner])))))
+    return terms
+
+
+def random_perturbations(grid: Grid, count: int, seed: int = 0, amplitude: float = 0.1):
+    """Seeded tensor-hat bumps vanishing on the boundary, as full-grid nodal
+    arrays yielded one at a time; numpy.random loads at the first draw. The
+    draws are a_0, b_0, a_1, b_1, ..., then the scale."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        box = []
+        for lo, hi in zip(grid.lo, grid.hi):
+            a = rng.uniform(lo, hi - 2 * grid.h)
+            box.append((a, rng.uniform(a + 2 * grid.h, hi)))
+        vals = _tensor_hat(grid, box)
+        vals *= amplitude * rng.uniform(-1.0, 1.0)
+        yield vals

@@ -43,23 +43,6 @@ def hat_bump(grid, amplitude=1.0):
     return GridFunction(grid, amplitude * _tensor_hat(grid, zip(grid.lo, grid.hi)))
 
 
-def random_perturbations(grid, count, seed=0, amplitude=0.1):
-    """Seeded tensor-hat bumps vanishing on the boundary, as full-grid nodal
-    arrays: the perturbations a sampled quasi-minimality check once drew,
-    now the reference that the solver's bound is tested against. The draws
-    are a_0, b_0, a_1, b_1, ..., then the scale, which multiplies the whole
-    array (so off the hat's box a negative scale leaves -0.0)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        box = []
-        for lo, hi in zip(grid.lo, grid.hi):
-            a = rng.uniform(lo, hi - 2 * grid.h)
-            box.append((a, rng.uniform(a + 2 * grid.h, hi)))
-        vals = _tensor_hat(grid, box)
-        vals *= amplitude * rng.uniform(-1.0, 1.0)
-        yield vals
-
-
 def scaled(u, t):
     """The grid function t * u."""
     return GridFunction(u.grid, t * u.values)

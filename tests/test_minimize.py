@@ -19,11 +19,16 @@ from anibound.fields import (
 )
 from anibound import minimize
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
-from anibound.minimize import SolveConfig, _DiscreteEnergy, solve
+from anibound.minimize import (
+    SolveConfig,
+    _DiscreteEnergy,
+    random_perturbations,
+    solve,
+    verify_quasiminimality,
+)
 from conftest import (
     constant,
     coordinate_field,
-    random_perturbations,
     simple_model,
     unit_grid,
 )
@@ -888,6 +893,14 @@ class TestQuasiMinimalityBound:
         gaps = [lhs - slope for lhs, _, slope in
                 (bound_terms(m, res.u, phi) for phi in random_perturbations(res.u.grid, 32, seed=0))]
         assert max(gaps) > 0
+
+    @pytest.mark.parametrize("name", ("p11", "smoke3d"))
+    def test_verify_quasiminimality_gives_the_reference_terms(self, name):
+        m, res = data_solve(name, 1)
+        phis = [*random_perturbations(res.u.grid, 32, seed=0), *truncations(res.u)]
+        assert verify_quasiminimality(m, res.u, phis) == [bound_terms(m, res.u, phi) for phi in phis]
+        with pytest.raises(ValueError, match="different grid"):
+            verify_quasiminimality(m, res.u, [phis[0][1:]])
 
     @pytest.mark.parametrize("refine", (1, 2, 4))
     def test_bracket_holds_a_tighter_solve(self, monkeypatch, refine):
