@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import degiorgi, inequalities
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _integer, _number, load_config
 from .exponents import Exponents
 from .fields import GridFunction, _tensor_hat, read_gridfn, write_gridfn
 from .minimize import solve
@@ -200,17 +200,15 @@ def cmd_sweep(args) -> int:
     try:
         axis, rng = args.axis.split("=", 1)
         lo_s, hi_s, steps_s = rng.split(":")
-        lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-    except ValueError:
-        print(f"malformed axis spec {args.axis!r}; expected param=lo:hi:steps", file=sys.stderr)
-        return EXIT_USAGE
+        lo, hi, steps = _number(lo_s), _number(hi_s), _integer(steps_s)
+    except ValueError as exc:
+        raise ValueError(f"malformed axis spec {args.axis!r} ({exc}); expected param=lo:hi:steps "
+                         "with finite lo and hi") from None
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
-        print(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
     if steps < 1:
-        print("steps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"steps must be >= 1, got {steps}")
     values = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
     header = ("axis", "value", "cond_i", "cond_ii", "cond_iii", "theta1", "theta2", "delta1", "alpha")
@@ -262,8 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of inadmissible
+        # exponents, and 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:

@@ -132,7 +132,7 @@ class Exponents:
         if not self.q <= self.gamma:
             raise ValueError(f"need q <= gamma, got q={self.q}, gamma={self.gamma}")
         for ri in self.r:
-            if ri < 1:
+            if not ri >= 1:
                 raise ValueError(f"need r_i >= 1, got {ri}")
         if not self.s > 1:
             raise ValueError(f"need s > 1, got {self.s}")

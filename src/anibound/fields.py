@@ -18,7 +18,9 @@ The stencil, its transposes and a ball's cells and nodes (`_ball_cells`)
 live here; the solver's stencil helpers (`_shifts`, `_edge_product`,
 `_edge_diagonal`, `_coarse_edges`, `_edge_ends`, `_zero_boundary`) in
 `minimize`, a sub-box's cells (`_sub_box`) in `inequalities`, and the
-sampling of weights in `integrand`.
+sampling of weights in `integrand`. `_ends` is the one place that chooses
+an edge's two nodes, k and k + 1 along its axis: every stencil pass, here
+and in `minimize`, takes its edge views from it.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -109,7 +108,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError(f"ball radius must be positive, got {self.R}")
 
 
@@ -118,11 +117,11 @@ def make_grid(box, h: float) -> Grid:
     box = [(float(lo), float(hi)) for lo, hi in box]
     if not box:
         raise ValueError("empty box")
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"spacing must be positive, got {h}")
     shape = []
     for lo, hi in box:
-        if hi <= lo:
+        if not hi > lo:
             raise ValueError(f"degenerate box side [{lo}, {hi}]")
         side = hi - lo
         m = round(side / h)
@@ -134,11 +133,11 @@ def make_grid(box, h: float) -> Grid:
     return Grid(n=len(box), lo=lo, hi=hi, h=float(h), shape=tuple(shape))
 
 
-def _pair_average(a: np.ndarray, axis: int) -> np.ndarray:
+def _ends(a: np.ndarray, axis: int) -> tuple:
+    """The views (lo, hi) of the two ends of every edge along `axis`: `a`
+    without its last node along it, and without its first."""
     lead = (slice(None),) * axis
-    out = a[lead + (slice(1, None),)] + a[lead + (slice(None, -1),)]
-    out *= 0.5
-    return out
+    return a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)]
 
 
 def gradient(u: GridFunction, box=None) -> np.ndarray:
@@ -162,21 +161,10 @@ def _average_to_cells(values: np.ndarray, skip=None) -> np.ndarray:
     and a cell gets the mean of its 2^(n-1) edges."""
     for axis in range(values.ndim):
         if axis != skip:
-            values = _pair_average(values, axis=axis)
+            lo, hi = _ends(values, axis)
+            values = hi + lo
+            values *= 0.5
     return values
-
-
-def _adjoint_pair_average(a: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of `_pair_average`: half of each value added into each of
-    its two neighbours along `axis`."""
-    half = 0.5 * a
-    shape = list(a.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] += half
-    out[lead + (slice(1, None),)] += half
-    return out
 
 
 class _Prolongation:
@@ -194,8 +182,7 @@ class _Prolongation:
             step = out if axis == a.ndim - 1 else np.empty(shape)
             self._steps.append((
                 a,
-                a[lead + (slice(1, None),)],
-                a[lead + (slice(None, -1),)],
+                *_ends(a, axis),
                 step[lead + (slice(None, None, 2),)],
                 step[lead + (slice(1, None, 2),)],
             ))
@@ -203,7 +190,7 @@ class _Prolongation:
         self.out = out
 
     def __call__(self) -> np.ndarray:
-        for a, hi, lo, even, odd in self._steps:
+        for a, lo, hi, even, odd in self._steps:
             np.copyto(even, a)
             np.add(hi, lo, out=odd)
             odd *= 0.5
@@ -225,12 +212,13 @@ class _Restriction:
             lead = (slice(None),) * axis
             odd, even = a[lead + (slice(1, None, 2),)], a[lead + (slice(None, None, 2),)]
             a = np.empty(even.shape)
-            self._steps.append((odd, even, a, a[lead + (slice(None, -1),)], a[lead + (slice(1, None),)]))
+            self._steps.append((odd, even, a, *_ends(a, axis)))
         self.out = a
 
     def __call__(self) -> np.ndarray:
-        # as `_adjoint_pair_average` of the odd nodes plus the even ones,
-        # with the halved odd nodes kept in place of a work array
+        # as `_average_to_cells_transpose` along the axis of the odd nodes,
+        # plus the even ones, with the halved odd nodes kept in place of a
+        # work array
         for odd, even, out, lo, hi in self._steps:
             odd *= 0.5
             out.fill(0.0)
@@ -240,21 +228,20 @@ class _Restriction:
         return self.out
 
 
-def _add_adjoint_diff(out: np.ndarray, a: np.ndarray, axis: int) -> None:
-    """out += D^T a in place, D the forward difference along `axis`: a is an
-    array on the edges along `axis`, out a nodal array."""
-    lead = (slice(None),) * axis
-    out[lead + (slice(None, -1),)] -= a
-    out[lead + (slice(1, None),)] += a
-
-
 def _average_to_cells_transpose(w: np.ndarray, skip=None) -> np.ndarray:
     """Transpose of `_average_to_cells`: a cell array mapped to a nodal array,
     or with skip = i to the edges along axis i, each edge getting 2^(1-n)
     times the sum over the cells that share it."""
     for axis in range(w.ndim):
         if axis != skip:
-            w = _adjoint_pair_average(w, axis=axis)
+            # half of each value added into each of its two nodes along axis
+            half = 0.5 * w
+            shape = list(w.shape)
+            shape[axis] += 1
+            w = np.zeros(shape)
+            lo, hi = _ends(w, axis)
+            lo += half
+            hi += half
     return w
 
 
@@ -341,38 +328,21 @@ def lp_norm(f, beta: float, grid: Grid) -> float:
     return float((np.sum(vals ** beta) * grid.h ** grid.n) ** (1.0 / beta))
 
 
-def _hat_box(grid: Grid, box) -> tuple:
-    """The product over axes of the hats that peak at the midpoint of
-    [a_i, b_i] and vanish outside it, box = [(a_1, b_1), ...] with a_i < b_i,
-    formed only on the box of nodes where every axis hat is nonzero: that
-    box (one slice per axis) and the product on it. The hats are zeroed on
-    the boundary nodes first, so the product vanishes on the grid boundary
-    even where a node meant to lie on b_i misses it by rounding
-    (0.1 + 12 * 0.05 > 0.7). A hat that is zero on every node gives empty
-    slices."""
-    support, prod = [], 1.0
-    for i, (x, (a, b)) in enumerate(zip(grid.node_axes(), box)):
+def _tensor_hat(grid: Grid, box) -> np.ndarray:
+    """Nodal values on the whole grid of the product over axes of the hats
+    that peak at the midpoint of [a_i, b_i] and vanish outside it, box =
+    [(a_1, b_1), ...] with a_i < b_i. The hats are zeroed on the boundary
+    nodes first, so the product vanishes on the grid boundary even where a
+    node meant to lie on b_i misses it by rounding (0.1 + 12 * 0.05 > 0.7)."""
+    hats = []
+    for x, (a, b) in zip(grid.node_axes(), box):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         hat = np.clip(1.0 - np.abs(x - mid) / half, 0.0, None)
         hat[[0, -1]] = 0.0
-        nonzero = np.flatnonzero(hat)
-        if nonzero.size == 0:
-            return (slice(0, 0),) * grid.n, np.zeros((0,) * grid.n)
-        support.append(slice(int(nonzero[0]), int(nonzero[-1]) + 1))
-        shape = [1] * grid.n
-        shape[i] = -1
-        prod = prod * hat[support[-1]].reshape(shape)
-    return tuple(support), prod
-
-
-def _tensor_hat(grid: Grid, box) -> np.ndarray:
-    """Nodal values of the tensor hat of `_hat_box` on the whole grid, zero
-    off its box."""
-    vals = np.zeros(grid.shape)
-    support, prod = _hat_box(grid, box)
-    vals[support] = prod
-    return vals
+        hats.append(hat)
+    # 1 * hat_0 * hat_1 * ..., broadcast to the grid's shape
+    return math.prod(np.meshgrid(*hats, indexing="ij", sparse=True))
 
 
 # ---------------------------------------------------------------------------

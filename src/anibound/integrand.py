@@ -56,8 +56,10 @@ class WeightField:
     def __post_init__(self):
         if self.kind not in ("constant", "power"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ValueError("weight amplitude must be nonnegative")
+        if math.isnan(self.exponent):
+            raise ValueError("weight exponent must be a number")
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
 
     def __call__(self, points: np.ndarray, h: float = 0.0) -> np.ndarray:
@@ -96,7 +98,7 @@ class ModelIntegrand:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if len(self.lambdas) != e.n:
             raise ValueError("need one lambda weight per axis")
-        if self.u_coeff < 0:
+        if not self.u_coeff >= 0:
             raise ValueError("u_coeff must be nonnegative")
         for lam, ri in zip(self.lambdas, e.r):
             if lam.kind == "power" and lam.exponent > 0 and not math.isinf(ri):

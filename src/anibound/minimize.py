@@ -100,9 +100,9 @@ import numpy as np
 from .fields import (
     Grid,
     GridFunction,
-    _add_adjoint_diff,
     _average_to_cells,
     _average_to_cells_transpose,
+    _ends,
     _Prolongation,
     _Restriction,
     _tensor_hat,
@@ -281,7 +281,9 @@ class _DiscreteEnergy:
             del a
             d *= w
             d /= self.grid.h
-            _add_adjoint_diff(gout, d, i)
+            lo, hi = _ends(gout, i)  # gout += D_i^T d
+            lo -= d
+            hi += d
             del d
         return gout
 
@@ -320,15 +322,9 @@ class _DiscreteEnergy:
 
 
 def _shifts(v, out):
-    """Per axis i, the views that D_i and its transpose read and write: v
-    from its second and to its last node along i, and out to its last and
-    from its second."""
-    views = []
-    for i in range(v.ndim):
-        lead = (slice(None),) * i
-        hi, lo = lead + (slice(1, None),), lead + (slice(None, -1),)
-        views.append((v[hi], v[lo], out[lo], out[hi]))
-    return views
+    """Per axis i, the views that D_i and its transpose read and write: the
+    `_ends` of v and of out along i."""
+    return [(*_ends(v, i), *_ends(out, i)) for i in range(v.ndim)]
 
 
 def _edge_product(cs, cu, v, out, diffs, shifts):
@@ -341,7 +337,7 @@ def _edge_product(cs, cu, v, out, diffs, shifts):
         out.fill(0.0)
     else:
         np.multiply(cu, v, out=out)
-    for c, d, (v_hi, v_lo, out_lo, out_hi) in zip(cs, diffs, shifts):
+    for c, d, (v_lo, v_hi, out_lo, out_hi) in zip(cs, diffs, shifts):
         np.subtract(v_hi, v_lo, out=d)
         d *= c
         out_lo -= d
@@ -355,9 +351,9 @@ def _edge_diagonal(cs, cu):
     nodes = (cs[0].shape[0] + 1,) + cs[0].shape[1:]  # one more than edges along axis 0
     diag = np.zeros(nodes) if cu is None else cu.copy()
     for i, c in enumerate(cs):
-        lead = (slice(None),) * i
-        diag[lead + (slice(None, -1),)] += c
-        diag[lead + (slice(1, None),)] += c
+        lo, hi = _ends(diag, i)
+        lo += c
+        hi += c
     return diag
 
 
@@ -389,11 +385,7 @@ def _edge_ends(shape):
     size = math.prod(m - 2 for m in shape)
     index = np.full(shape, size)
     index[inner] = np.arange(size).reshape([m - 2 for m in shape])
-    ends = []
-    for i in range(len(shape)):
-        lead = (slice(None),) * i
-        ends.append((index[lead + (slice(None, -1),)].ravel(), index[lead + (slice(1, None),)].ravel()))
-    return ends
+    return [tuple(end.ravel() for end in _ends(index, i)) for i in range(len(shape))]
 
 
 def _dense_inverse(cs, diag, ends):

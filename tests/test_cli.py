@@ -495,6 +495,54 @@ class TestSweep:
         assert printed.strip() == on_disk.strip()
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 1, not its own 2, which is the code of
+    inadmissible exponents; --help exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["minimize"],
+            ["certify", "--config", SMOKE],
+            ["verify", "--config", SMOKE],
+        ],
+        ids=["no-command", "unknown-command", "no-config", "no-solution-certify",
+             "no-solution-verify"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: anibound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            "gamma=nan:3:2",
+            "p=inf:3:2",
+            "r=nan:nan:2",
+            "gamma=2:3:-inf",
+            "gamma=2:3:0",
+            "gamma=2:3:1.5",
+            "bogus=1:2:3",
+            "gamma=1:2",
+            "gamma",
+        ],
+    )
+    def test_sweep_spec_error_is_one_error_line(self, capsys, axis):
+        # each bad spec exits 1 with one stderr line, as every other
+        # command's errors do, and prints no rows
+        assert main(["sweep", "--config", SMOKE, "--axis", axis]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "text",

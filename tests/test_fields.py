@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from anibound.fields import (
     GridFunction,
-    _add_adjoint_diff,
-    _adjoint_pair_average,
     _average_to_cells,
     _average_to_cells_transpose,
-    _hat_box,
     _Prolongation,
     _Restriction,
     _tensor_hat,
@@ -100,8 +97,11 @@ class TestTransposes:
         for axis in range(grid.n):
             w = rng.standard_normal(grid.cell_shape)
             lhs = np.sum(grads[axis] * w)
+            a = _average_to_cells_transpose(w, skip=axis)
+            lead = (slice(None),) * axis
             transpose = np.zeros(grid.shape)
-            _add_adjoint_diff(transpose, _average_to_cells_transpose(w, skip=axis), axis)
+            transpose[lead + (slice(None, -1),)] -= a
+            transpose[lead + (slice(1, None),)] += a
             rhs = np.sum(u * transpose) / grid.h
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
@@ -147,8 +147,10 @@ class TestTransposes:
 
     @pytest.mark.parametrize("shape", [(9,), (4, 7), (3, 5, 4)], ids=len)
     def test_adjoint_passes_bitwise_equal_zeroed_accumulation(self, shape):
-        # reference: accumulate into a zeroed array, one slice at a time;
-        # the inputs are dense in signed zeros and include subnormals
+        # reference: per axis, accumulate half of each value into a zeroed
+        # array, one slice at a time; the inputs are dense in signed zeros
+        # and include subnormals. The gradient's D^T accumulation is pinned
+        # bit for bit by test_minimize's TestInPlacePasses.
         def pair_average_ref(a, axis):
             out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
             lead = (slice(None),) * axis
@@ -156,28 +158,17 @@ class TestTransposes:
             out[lead + (slice(1, None),)] += 0.5 * a
             return out
 
-        def diff_ref(a, axis):
-            out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
-            lead = (slice(None),) * axis
-            out[lead + (slice(None, -1),)] -= a
-            out[lead + (slice(1, None),)] += a
-            return out
-
-        def diff_in_place(a, axis):
-            out = np.zeros(a.shape[:axis] + (a.shape[axis] + 1,) + a.shape[axis + 1 :])
-            _add_adjoint_diff(out, a, axis)
-            return out
-
         rng = np.random.default_rng(len(shape))
         pool = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324, 1e-310, 0.1])
         for _ in range(50):
             a = rng.choice(pool, size=shape)
-            for axis in range(len(shape)):
-                for fn, ref in (
-                    (_adjoint_pair_average, pair_average_ref),
-                    (diff_in_place, diff_ref),
-                ):
-                    assert fn(a, axis).tobytes() == ref(a, axis).tobytes()
+            for skip in (None, *range(len(shape))):
+                ref = a
+                for axis in range(len(shape)):
+                    if axis != skip:
+                        ref = pair_average_ref(ref, axis)
+                got = _average_to_cells_transpose(a, skip=skip)
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestLpNorm:
@@ -364,8 +355,8 @@ class TestGridFnFormat:
 
 
 class TestTensorHat:
-    """The hat is formed on the box of nodes where every axis hat is nonzero;
-    the oracle is the full-grid product with its boundary nodes zeroed."""
+    """The oracle is the full-grid product of the per-axis hats, each with its
+    boundary nodes zeroed, formed one axis at a time from ones."""
 
     @staticmethod
     def full_grid_hat(grid, box):
@@ -406,16 +397,16 @@ class TestTensorHat:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_interior_drops_the_boundary_nodes(self, n):
-        # boxes reaching past the grid: the box of nodes stops one node short
-        # of each face, and holds every nonzero of the hat
+        # boxes reaching past the grid: the nonzero nodes stop one node short
+        # of each face and fill the box of nodes they span
         grid = unit_grid(n, 1 / 8)
         for box in ([(-0.3, 0.6)] + [(0.4, 1.7)] * (n - 1), [(-2.0, 3.0)] * n):
-            nodes, prod = _hat_box(grid, box)
-            full = self.full_grid_hat(grid, box)
+            hat = self.check(grid, box)
+            nonzero = np.nonzero(hat)
+            nodes = tuple(slice(k.min(), k.max() + 1) for k in nonzero)
             assert all(0 < s.start and s.stop < m for s, m in zip(nodes, grid.shape))
-            assert np.all(prod != 0.0)
-            assert prod.tobytes() == full[nodes].tobytes()
-            assert np.count_nonzero(full) == prod.size
+            assert np.all(hat[nodes] != 0.0)
+            assert np.count_nonzero(hat) == hat[nodes].size
 
     def test_vanishes_on_a_boundary_missed_by_rounding(self):
         # 0.1 + 12 * 0.05 > 0.7: the last node misses b, where the unzeroed

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from anibound.exponents import INF, Exponents
-from anibound.fields import GridFunction
+from anibound.fields import Ball, GridFunction, make_grid
 from anibound.integrand import ModelIntegrand, WeightField, cell_energy, energy
 from anibound.minimize import _DiscreteEnergy
 from conftest import (
@@ -78,6 +80,29 @@ class TestWeights:
         bad = WeightField("power", amplitude=1.0, center=(0.5, 0.5), exponent=0.6)
         with pytest.raises(ValueError):
             ModelIntegrand(e, (bad, WeightField("constant")), WeightField("constant"), 0.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Exponents(2, (2.0, 2.0), 2.0, 2.0, (math.nan, 2.0), INF), "r_i >= 1"),
+        (lambda: Exponents(2, (math.nan, 2.0), 2.0, 2.0, (INF, INF), INF), "p_i <= q"),
+        (lambda: Exponents(2, (2.0, 2.0), math.nan, 2.0, (INF, INF), INF), "p_i <= q"),
+        (lambda: Exponents(2, (2.0, 2.0), 2.0, math.nan, (INF, INF), INF), "q <= gamma"),
+        (lambda: Exponents(2, (2.0, 2.0), 2.0, 2.0, (INF, INF), math.nan), "s > 1"),
+        (lambda: WeightField("constant", amplitude=math.nan), "amplitude"),
+        (lambda: WeightField("power", center=(0.5, 0.5), exponent=math.nan), "exponent"),
+        (lambda: simple_model(2, u_coeff=math.nan), "u_coeff"),
+        (lambda: Ball((0.5, 0.5), math.nan), "radius must be positive"),
+        (lambda: make_grid([(0.0, 1.0)], math.nan), "spacing must be positive"),
+        (lambda: make_grid([(0.0, math.nan)], 0.5), "degenerate box side"),
+    ],
+    ids=["r", "p", "q", "gamma", "s", "amplitude", "exponent", "u_coeff", "ball", "h", "box"],
+)
+def test_validators_reject_nan(build, message):
+    # each check is written so that a comparison with NaN fails it
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestGrowth:

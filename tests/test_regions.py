@@ -365,7 +365,7 @@ def test_j_sequence_nested_pass_matches_the_full_grid(n, h):
         u = GridFunction(grid, radial - shift)
         top = float(np.max(np.abs(u.values)))
         for (x0, R), d in itertools.product(balls, np.geomspace(2.0, 2.0 * top, 12)[:-1]):
-            for sign, field in ((1, u), (-1, -u)):
+            for sign, field in ((1, u), (-1, GridFunction(grid, -u.values))):
                 got = j_sequence(field, x0, R, d, e, H)
                 assert got.tobytes() == ref_j_sequence(field, x0, R, d, e, H).tobytes()
                 positive = np.count_nonzero(got)
