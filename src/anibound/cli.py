@@ -207,8 +207,8 @@ def cmd_sweep(args) -> int:
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {', '.join(_SWEEP_AXES)}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= 10_000:  # every row is built before the first is printed
+        raise ValueError(f"steps must be an integer in [1, 10000], got {steps}")
     values = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
     header = ("axis", "value", "cond_i", "cond_ii", "cond_iii", "theta1", "theta2", "delta1", "alpha")

@@ -34,8 +34,10 @@ comments::
     grad_tol = 1e-8              # > 0
     [certify]                    # optional
     x0 = 0.5,0.5                 # n coordinates
-    R = 0.4                      # in (0, 1]; B_R(x0) must lie in the grid box
-    H = 40                       # >= 1; default 40
+    R = 0.4                      # in (0, 1]; B_R(x0) must lie in the grid box,
+                                 # hold a cell centre, and B_R/2(x0) a node
+    H = 40                       # an integer in [1, 53]; default 40 (from
+                                 # h = 53 on, rho_h and k_h round to R/2, d)
     C_cal = 1                    # > 0; default 1 (see below)
     [verify]                     # optional; defaults shown
     x0 = 0.5,0.5                 # n coordinates; default the box centre
@@ -352,13 +354,20 @@ def load_config(path) -> RunConfig:
             x0=csec.get("x0", partial(_numbers, count=n), required=True),
             R=csec.get("r", _checked(_number, lambda R: 0 < R <= 1, "must lie in (0, 1], got {!r}"),
                        required=True),
-            H=csec.get("h", _checked(_integer, lambda H: H >= 1, "must be >= 1, got {!r}"),
-                       DEFAULT_STEPS),
+            H=csec.get("h", _checked(_integer, lambda H: 1 <= H <= 53,
+                                     "must be an integer in [1, 53], got {!r}"), DEFAULT_STEPS),
             C_cal=csec.get("c_cal", _c_cal, 1.0),
         )
         if not grid.contains_ball(Ball(certify.x0, certify.R)):
             raise ConfigError(f"[certify] field 'r': the ball of radius {certify.R} "
                               "about x0 leaves the grid box")
+        # an empty ball would certify nothing; the nearest point per axis, its
+        # squares summed as `fields._dist2` sums them, gives certify's masks
+        for axes, radius, what in ((grid.cell_axes(), certify.R, "cell centre lies in B_R"),
+                                   (grid.node_axes(), certify.R / 2.0, "node lies in B_R/2")):
+            nearest = sum(float(np.min((a - c) ** 2)) for a, c in zip(axes, certify.x0))
+            if nearest >= radius * radius:
+                raise ConfigError(f"[certify] field 'r': no {what}(x0), radius {radius}")
 
     verify = None
     if parser.has_section("verify"):

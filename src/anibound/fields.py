@@ -15,12 +15,11 @@ Conventions used throughout the package:
   cell quadratures with nodal values averaged to cell centers.
 
 The stencil, its transposes and a ball's cells and nodes (`_ball_cells`)
-live here; the solver's stencil helpers (`_shifts`, `_edge_product`,
-`_edge_diagonal`, `_coarse_edges`, `_edge_ends`, `_zero_boundary`) in
-`minimize`, a sub-box's cells (`_sub_box`) in `inequalities`, and the
-sampling of weights in `integrand`. `_ends` is the one place that chooses
-an edge's two nodes, k and k + 1 along its axis: every stencil pass, here
-and in `minimize`, takes its edge views from it.
+live here; the solver's stencil helpers (`_edge_product`, `_edge_diagonal`,
+`_coarse_edges`, `_edge_ends`) in `minimize`, a sub-box's cells (`_sub_box`)
+in `inequalities`, and the sampling of weights in `integrand`. `_ends` is
+the one place that chooses an edge's two nodes, k and k + 1 along its axis:
+every stencil pass, here and in `minimize`, takes its edge views from it.
 """
 
 from __future__ import annotations

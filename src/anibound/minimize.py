@@ -16,7 +16,8 @@ smoothed) discrete energy, so its step count does not grow as h shrinks.
   the number of interior nodes, or at a non-positive curvature (then the
   first preconditioned direction is taken). H is a model of the Hessian,
   built once per step from the edge state of the iterate; each CG
-  iteration costs one Hessian-vector product.
+  iteration costs one product with H, on the V-cycle's finest level
+  (`_VCycle.product`).
 * The preconditioner is one symmetric multigrid V-cycle, matrix-free, with
   its levels built once per step from H's weights (`_VCycle`). A coarse
   edge takes the two fine edges along its axis in series, a b / (a + b),
@@ -93,7 +94,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -193,8 +193,7 @@ class _DiscreteEnergy:
     x, and f_i(t) is |t|^p_i or its smoothing. `evaluate` returns the energy
     with the state from which `gradient` builds the nodal gradient and
     `curvature` the weights of the Newton model. The full-grid passes form
-    each product in place, with at most two temporaries per axis, and
-    `hessian_product`'s work arrays are allocated at its first call."""
+    each product in place, with at most two temporaries per axis."""
 
     def __init__(self, m: ModelIntegrand, grid: Grid, eps: float):
         self.grid = grid
@@ -211,16 +210,6 @@ class _DiscreteEnergy:
             self.wu *= m.u_coeff * hn
         self.p = m.exponents.p
         self.gamma = m.exponents.gamma
-
-    @cached_property
-    def _diffs(self):
-        """`hessian_product`'s work arrays, one per axis in the shape of w_i."""
-        return [np.empty(w.shape) for w in self.w]
-
-    @cached_property
-    def _hv(self):
-        """`hessian_product`'s result buffer."""
-        return np.empty(self.grid.shape)
 
     def evaluate(self, values, eps=None):
         """Energy and state: per axis the edge differences D_e u / h and the
@@ -315,22 +304,12 @@ class _DiscreteEnergy:
             cu = self.wu * k
         return cs, cu
 
-    def hessian_product(self, curv, v):
-        """H v for a nodal array v and weights that `curvature` returned; the
-        result is a buffer that the next call overwrites."""
-        return _edge_product(*curv, v, self._hv, self._diffs, _shifts(v, self._hv))
-
-
-def _shifts(v, out):
-    """Per axis i, the views that D_i and its transpose read and write: the
-    `_ends` of v and of out along i."""
-    return [(*_ends(v, i), *_ends(out, i)) for i in range(v.ndim)]
-
 
 def _edge_product(cs, cu, v, out, diffs, shifts):
     """out = (sum_i D_i^T diag(c_i) D_i + diag(c_u)) v for a nodal array v,
     edge weights cs and nodal weights cu (or None); `diffs` holds one work
-    array per axis, of the shape of c_i, and `shifts` is `_shifts(v, out)`.
+    array per axis, of the shape of c_i, and `shifts` holds per axis i the
+    `_ends` of v and of out along i, (v_lo, v_hi, out_lo, out_hi).
     Every level of the V-cycle applies its operator through this one
     stencil."""
     if cu is None:
@@ -355,14 +334,6 @@ def _edge_diagonal(cs, cu):
         lo += c
         hi += c
     return diag
-
-
-def _zero_boundary(a):
-    """Set the boundary nodes of a nodal array to 0 in place."""
-    for axis in range(a.ndim):
-        lead = (slice(None),) * axis
-        a[lead + (0,)] = 0.0
-        a[lead + (-1,)] = 0.0
 
 
 def _coarse_edges(c, axis):
@@ -413,26 +384,28 @@ def _dense_inverse(cs, diag, ends):
 
 class _Level:
     """One grid of the V-cycle: the weights of its operator for the current
-    Newton step, its damped-Jacobi scaling, and work arrays and views built
-    at a solve's first Newton step: x, b and ax, the stencil's views of x
-    and ax, the interior views of x and b and, above the coarsest level,
-    the transfers to and from the `coarse` level (ax restricted, and the
-    coarse x prolonged into ax, which is free between the residual that is
-    restricted and the next sweep). The boundary of x and b stays 0."""
+    Newton step, its damped-Jacobi scaling `dinv`, and work arrays and views
+    built at a solve's first Newton step: x, b and ax, the stencil's views
+    of x and ax, the interior views of x, b and dinv and, above the coarsest
+    level, the transfers to and from the `coarse` level (ax restricted, and
+    the coarse x prolonged into ax, which is free between the residual that
+    is restricted and the next sweep). The boundary of x, b and dinv stays
+    0. Level 0's x, ax and diffs also serve CG's product with H."""
 
     def __init__(self, shape, coarse=None):
         inner = (slice(1, -1),) * len(shape)
         self.x = np.zeros(shape)
         self.b = np.zeros(shape)
         self.ax = np.empty(shape)
-        self.x_in, self.b_in = self.x[inner], self.b[inner]
+        self.dinv = np.zeros(shape)
+        self.x_in, self.b_in, self.dinv_in = self.x[inner], self.b[inner], self.dinv[inner]
         self.diffs = [np.empty(shape[:i] + (m - 1,) + shape[i + 1:]) for i, m in enumerate(shape)]
-        self.shifts = _shifts(self.x, self.ax)
+        self.shifts = [(*_ends(self.x, i), *_ends(self.ax, i)) for i in range(len(shape))]
         if coarse is not None:
             self.restrict = _Restriction(self.ax, range(len(shape)))
             self.restricted_in, self.coarse_b_in = self.restrict.out[inner], coarse.b_in
             self.prolong = _Prolongation(coarse.x, self.ax)
-        self.cs = self.cu = self.dinv = self.inverse = None
+        self.cs = self.cu = self.inverse = None
 
 
 class _VCycle:
@@ -472,9 +445,9 @@ class _VCycle:
             coarse.cu = None if lv.cu is None else _Restriction(lv.cu.copy(), range(lv.cu.ndim))()
         for lv in self.levels:
             diag = _edge_diagonal(lv.cs, lv.cu)
-            lv.dinv = np.ones(diag.shape)
-            np.divide(1.0, diag, out=lv.dinv, where=diag > 0)
-            _zero_boundary(lv.dinv)
+            diag_in = diag[(slice(1, -1),) * diag.ndim]
+            lv.dinv_in.fill(1.0)
+            np.divide(1.0, diag_in, out=lv.dinv_in, where=diag_in > 0)
             if lv is not last:
                 lv.dinv *= _OMEGA
             elif self.dense:
@@ -487,6 +460,14 @@ class _VCycle:
         np.copyto(fine.b_in, r)
         self._cycle(0)
         return fine.x_in.copy()
+
+    def product(self, d):
+        """H d for an interior array d, on level 0; the result is an interior
+        view that the next product or cycle overwrites."""
+        fine = self.levels[0]
+        np.copyto(fine.x_in, d)
+        _edge_product(fine.cs, fine.cu, fine.x, fine.ax, fine.diffs, fine.shifts)
+        return fine.ax[(slice(1, -1),) * fine.ax.ndim]
 
     def _cycle(self, k):
         """One V-cycle on level k for its right-hand side b, from x = 0."""
@@ -521,12 +502,11 @@ class _VCycle:
         lv.x += r
 
 
-def _newton_direction(prob, mg, curv, g, inner, buf):
+def _newton_direction(mg, curv, g):
     """Approximate solution of H x = -g on the interior nodes by CG,
     preconditioned with one V-cycle of `mg`, whose levels are built here from
-    the same model; `g` is the interior block of the gradient, `inner` its
-    index box and `buf` a nodal work array with a zero boundary, which
-    pads each CG direction for `prob.hessian_product`, once per iteration."""
+    the same model, and with one `mg.product` per iteration; `g` is the
+    interior block of the gradient."""
     mg.update(curv)
     x = np.zeros_like(g)
     r = -g
@@ -535,8 +515,7 @@ def _newton_direction(prob, mg, curv, g, inner, buf):
     rz = float(np.vdot(r, z))
     stop = (_FORCING * float(np.linalg.norm(g))) ** 2
     for k in range(g.size):
-        buf[inner] = d
-        hd = prob.hessian_product(curv, buf)[inner]
+        hd = mg.product(d)
         dhd = float(np.vdot(d, hd))
         if dhd <= 0:
             return z if k == 0 else x
@@ -594,7 +573,7 @@ def solve(
     if boundary.grid != grid:
         raise ValueError("boundary data lives on a different grid")
     prob = _DiscreteEnergy(m, grid, _smoothing_eps(m, grid))
-    mg = buf = None  # built at the first Newton step
+    mg = None  # built at the first Newton step
     inner = (slice(1, -1),) * grid.n
     hn = grid.h ** grid.n
 
@@ -621,8 +600,7 @@ def solve(
             break
         if mg is None:
             mg = _VCycle(grid.shape)
-            buf = np.zeros(grid.shape)  # its boundary stays zero
-        x = _newton_direction(prob, mg, prob.curvature(state), g, inner, buf)
+        x = _newton_direction(mg, prob.curvature(state), g)
         step = _line_search(prob, u, e_val, g, x, inner)
         if step is None:
             reason = "stalled"
@@ -630,7 +608,7 @@ def solve(
         u, e_val, state, g = step
         iterations += 1
 
-    del state, mg, buf  # freed before the E_h pass, which builds its own state
+    del state, mg  # freed before the E_h pass, which builds its own state
     lo, hi = float(u.min()), float(u.max())
     if prob.wu is not None:
         lo, hi = min(lo, 0.0), max(hi, 0.0)

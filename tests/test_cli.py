@@ -532,6 +532,9 @@ class TestUsageErrors:
             "bogus=1:2:3",
             "gamma=1:2",
             "gamma",
+            # every row is built before the first is printed
+            "gamma=1:2:10001",
+            "gamma=1:2:1e9",
         ],
     )
     def test_sweep_spec_error_is_one_error_line(self, capsys, axis):
@@ -634,7 +637,11 @@ class TestConfigErrors:
             ("C_cal = calibrate", "C_cal = -1", "[certify] field 'c_cal': must be > 0, got -1.0"),
             ("C_cal = calibrate", "C_cal = 0", "[certify] field 'c_cal': must be > 0, got 0.0"),
             ("R = 0.4", "R = 2", "[certify] field 'r': must lie in (0, 1], got 2.0"),
-            ("H = 40", "H = 0", "[certify] field 'h': must be >= 1, got 0"),
+            ("H = 40", "H = 0", "[certify] field 'h': must be an integer in [1, 53], got 0"),
+            # from h = 53 on the schedule is constant; 1e13 once ran out of memory
+            ("H = 40", "H = 54", "[certify] field 'h': must be an integer in [1, 53], got 54"),
+            ("H = 40", "H = 1e13",
+             "[certify] field 'h': must be an integer in [1, 53], got 10000000000000"),
             ("levels = 1,1.5", "levels = 0.5", "[verify] field 'levels': each must be >= 1"),
             ("rhos = 0.15,0.2", "rhos = 0,0.1", "[verify] field 'rhos': each must be > 0"),
             ("radii = 0.3,0.35", "radii = 0.6",
@@ -644,6 +651,10 @@ class TestConfigErrors:
              "[verify] field 'radii': -0.1 gives no row; each must exceed min(rhos) = 0.15"),
             ("R = 0.4", "R = 0.6",
              "[certify] field 'r': the ball of radius 0.6 about x0 leaves the grid box"),
+            # certify exited 0 with J_h = 0 on every row and a half-ball sup of 0
+            ("R = 0.4", "R = 0.1", "[certify] field 'r': no cell centre lies in B_R(x0), radius 0.1"),
+            ("x0 = 0.5,0.5,0.5\nR = 0.4", "x0 = 0.5625,0.5625,0.5625\nR = 0.2",
+             "[certify] field 'r': no node lies in B_R/2(x0), radius 0.1"),
             # lo < hi, but no cell centre (h = 1/8) lies between 0.5 and 0.52
             ("radii = 0.3,0.35", "radii = 0.3,0.35\nsubbox = 0.1:0.9,0.5:0.52,0.1:0.9",
              "[verify] field 'subbox': sub-box ((0.1, 0.9), (0.5, 0.52), (0.1, 0.9)) "
@@ -653,8 +664,9 @@ class TestConfigErrors:
              "mu.amplitude-negative", "u_coeff",
              "r", "R", "C_cal", "box-inf", "lambda1.amplitude-inf", "u_coeff-inf",
              "mu.amplitude-inf", "boundary-amplitude-inf", "C_cal-inf", "C_cal-negative",
-             "C_cal-zero", "R-above-one", "H-zero", "levels-below-one", "rho-zero",
-             "radii-leave-box", "radii-no-row", "R-leave-box", "subbox-no-cell"],
+             "C_cal-zero", "R-above-one", "H-zero", "H-54", "H-1e13", "levels-below-one",
+             "rho-zero", "radii-leave-box", "radii-no-row", "R-leave-box", "R-no-cell-centre",
+             "R-half-no-node", "subbox-no-cell"],
     )
     def test_nan_exit_one(self, tmp_path, capsys, old, new, message):
         cfg = write_config(tmp_path, patch(ISO3D, old, new))
@@ -662,6 +674,13 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: [") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_largest_h_and_every_data_config_load(self, tmp_path):
+        # H = 53 is the last step whose schedule differs from the step
+        # before, and the shipped configs' balls hold cell centres and nodes
+        assert load_config(write_config(tmp_path, patch(ISO3D, "H = 40", "H = 53"))).certify.H == 53
+        for path in sorted(Path(SMOKE).parent.glob("*.cfg")):
+            assert load_config(path).certify is not None
 
     def test_boundary_data_not_finite(self, tmp_path, capsys):
         # finite inputs, but |x - c|^-1 is inf at the centre c, a node

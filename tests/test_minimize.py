@@ -13,6 +13,7 @@ from anibound.fields import (
     GridFunction,
     _average_to_cells,
     _average_to_cells_transpose,
+    _ends,
     _tensor_hat,
     make_grid,
 )
@@ -119,6 +120,15 @@ def hessian_fd(prob, u, v, delta=1e-6):
     gp = prob.gradient(prob.evaluate(u + delta * v)[1])
     gm = prob.gradient(prob.evaluate(u - delta * v)[1])
     return (gp - gm) / (2 * delta)
+
+
+def hessian_product(curv, v):
+    """H v on the full grid for weights that `curvature` returned, with fresh
+    work arrays: the stencil that `_VCycle.product` applies on level 0."""
+    cs, cu = curv
+    out = np.empty(v.shape)
+    shifts = [(*_ends(v, i), *_ends(out, i)) for i in range(v.ndim)]
+    return minimize._edge_product(cs, cu, v, out, [np.empty(c.shape) for c in cs], shifts)
 
 
 class TestDiscreteEnergy:
@@ -272,7 +282,7 @@ class TestNewtonModel:
         curv = prob.curvature(prob.evaluate(u)[1])
         for _ in range(3):
             v = rng.uniform(-1.0, 1.0, g.shape)
-            hv = prob.hessian_product(curv, v)
+            hv = hessian_product(curv, v)
             fd = hessian_fd(prob, u, v)
             assert np.max(np.abs(hv)) > 1e-3
             assert np.max(np.abs(hv - fd)) <= 1e-6 * np.max(np.abs(hv))
@@ -288,7 +298,7 @@ class TestNewtonModel:
         gaps = []
         for _ in range(20):
             v = rng.uniform(-1.0, 1.0, g.shape)
-            model = float(np.sum(v * prob.hessian_product(curv, v)))
+            model = float(np.sum(v * hessian_product(curv, v)))
             exact = float(np.sum(v * hessian_fd(prob, u, v)))
             assert model >= exact - 1e-7 * abs(exact)
             gaps.append(model / exact)
@@ -310,7 +320,7 @@ class TestNewtonModel:
         for idx in np.ndindex(*g.shape):
             e_k = np.zeros(g.shape)
             e_k[idx] = 1.0
-            exact = prob.hessian_product(curv, e_k)[idx]
+            exact = hessian_product(curv, e_k)[idx]
             assert abs(diag[idx] - exact) <= 1e-12 * abs(exact)
 
 
@@ -341,7 +351,7 @@ def dense_matrix(prob, curv):
     for k in range(size):
         e_k = np.zeros(prob.grid.shape)
         e_k[inner].flat[k] = 1.0
-        cols.append(prob.hessian_product(curv, e_k)[inner].flatten())
+        cols.append(hessian_product(curv, e_k)[inner].flatten())
     return np.array(cols).T
 
 
@@ -527,19 +537,69 @@ class TestVCycle:
             sha.update(mg.apply(rng.standard_normal(tuple(m - 2 for m in grid.shape))).tobytes())
         assert sha.hexdigest() == digest
 
+    @staticmethod
+    def product_case(n, u_coeff):
+        """Newton weights on a 2-level box with p < 2, p = 2 and p > 2 axes,
+        a power-law lambda_1 and, if u_coeff > 0, the |u|^3 term."""
+        p = {1: (1.5,), 2: (1.5, 2.5), 3: (1.5, 2.0, 2.5)}[n]
+        e = Exponents(n, p, 2.5, 3.0, (INF,) * n, INF)
+        lam1 = WeightField("power", amplitude=1.0, center=(0.3,) * n, exponent=0.5)
+        m = ModelIntegrand(e, (lam1,) + (constant(1.0),) * (n - 1), constant(1.0), u_coeff)
+        g = box(n, {1: 1 / 128, 2: 1 / 16, 3: 1 / 16}[n])
+        prob = _DiscreteEnergy(m, g, g.h ** 2)
+        u = np.random.default_rng(50 + n).uniform(-1.0, 1.0, g.shape)
+        return g, prob.curvature(prob.evaluate(u)[1])
+
+    @pytest.mark.parametrize("u_coeff", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_is_the_full_grid_product(self, n, u_coeff):
+        # level 0's product is the stencil on the zero-padded direction,
+        # bit for bit, also after a cycle has used the same work arrays
+        g, curv = self.product_case(n, u_coeff)
+        mg = minimize._VCycle(g.shape)
+        mg.update(curv)
+        assert len(mg.levels) == 2 and (mg.levels[0].cu is None) == (u_coeff == 0)
+        inner = (slice(1, -1),) * n
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            d = rng.standard_normal(mg.levels[0].x_in.shape)
+            padded = np.zeros(g.shape)
+            padded[inner] = d
+            assert mg.product(d).tobytes() == hessian_product(curv, padded)[inner].tobytes()
+            mg.apply(d)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_and_cycle_share_work_arrays(self, n):
+        # apply, product, apply, product on one V-cycle give the bytes of
+        # each call made on a fresh one: neither reads what the other wrote
+        g, curv = self.product_case(n, 1.0)
+        rng = np.random.default_rng(60 + n)
+        calls = [(name, rng.standard_normal(tuple(m - 2 for m in g.shape)))
+                 for name in ("apply", "product", "apply", "product")]
+
+        def fresh():
+            mg = minimize._VCycle(g.shape)
+            mg.update(curv)
+            return mg
+
+        shared = fresh()
+        for name, v in calls:
+            got = getattr(shared, name)(v).tobytes()
+            assert got == getattr(fresh(), name)(v).tobytes(), name
+
 
 class TestMultigridSolve:
     @pytest.fixture
     def products(self, monkeypatch):
         """Counts the CG loop's Hessian products: one per CG iteration."""
         count = [0]
-        real = _DiscreteEnergy.hessian_product
+        real = minimize._VCycle.product
 
         def counted(self, *args):
             count[0] += 1
             return real(self, *args)
 
-        monkeypatch.setattr(_DiscreteEnergy, "hessian_product", counted)
+        monkeypatch.setattr(minimize._VCycle, "product", counted)
         return count
 
     @pytest.mark.parametrize(
@@ -793,7 +853,8 @@ class TestZeroStepSolve:
         monkeypatch.setattr(minimize, "_DiscreteEnergy", Recorded)
         res = solve(*affine_iso3d(1 / 16), self.CFG)
         assert res.iterations == 0 and len(made) == 1
-        assert "_diffs" not in vars(made[0]) and "_hv" not in vars(made[0])
+        # the weights alone: the Hessian's work arrays are the V-cycle's
+        assert set(vars(made[0])) == {"grid", "eps", "w", "wu", "p", "gamma"}
 
     def test_peak_memory(self):
         # the weights w_i (3 edge arrays), the iterate's edge differences
